@@ -3,9 +3,10 @@
 Flag grammar: ``mixfree <command> --config <path> [--out <dir>] [--seed <u64>]
 [--quiet]`` with commands simulate, bound, certify, sweep, coverage, diagnose.
 Exit codes: 0 on success, 1 on configuration errors (diagnostic names the
-offending key, or the line/column for malformed JSON), 2 on numeric failures
-propagated from the modules. Configs are validated strictly: unknown keys are
-rejected.
+offending key, or the line/column for malformed JSON; a model document the
+modules reject and a value that is not a number count as well), 2 on numeric
+failures propagated from the modules. Configs are validated strictly: unknown
+keys are rejected.
 """
 
 from __future__ import annotations
@@ -40,10 +41,29 @@ def _check_keys(obj: dict, required: set, optional: set, where: str) -> None:
         raise ConfigError(f"{where} is missing required key(s): {sorted(missing)}")
 
 
+def _number(value, key: str, kind=float):
+    """A config value converted by `kind` (int or float); one that does not
+    convert is a config error naming its key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key!r} must be {'an integer' if kind is int else 'a number'}, "
+                          f"got {value!r}") from None
+
+
+def _document(build, spec, where: str):
+    """build(spec) for one part of a config; a part the builder rejects (a
+    non-stochastic transition, an unknown model key, ...) is a config error."""
+    try:
+        return build(spec)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{where}: {err}") from None
+
+
 def _parse_p(value) -> float:
     if value in ("inf", "Infinity", None):
         return INF
-    return float(value)
+    return _number(value, "p")
 
 
 def _parse_class(spec) -> HypothesisClass:
@@ -51,11 +71,11 @@ def _parse_class(spec) -> HypothesisClass:
     if spec["kind"] == "linear":
         if "dim" not in spec:
             raise ConfigError("linear class requires key 'dim'")
-        return HypothesisClass.linear(int(spec["dim"]))
+        return HypothesisClass.linear(_number(spec["dim"], "dim", int))
     if spec["kind"] == "finite":
         if "tables" not in spec:
             raise ConfigError("finite class requires key 'tables'")
-        return HypothesisClass.finite(spec["tables"])
+        return _document(HypothesisClass.finite, spec["tables"], "class")
     raise ConfigError(f"class kind must be 'linear' or 'finite', got {spec['kind']!r}")
 
 
@@ -63,7 +83,7 @@ def _parse_constants(spec) -> Constants:
     if spec is None:
         return Constants()
     _check_keys(spec, set(), {"c1", "c2", "c3", "c_alpha"}, "constants")
-    return Constants(**{k: float(v) for k, v in spec.items()})
+    return Constants(**{k: _number(v, k) for k, v in spec.items()})
 
 
 def _load_config(path: str) -> dict:
@@ -84,12 +104,12 @@ def _out_path(out_dir: str, name: str) -> str:
 
 def _cmd_simulate(cfg: dict, out: str, seed: int | None, quiet: bool) -> list:
     _check_keys(cfg, {"model", "n", "seed"}, {"kwise"}, "simulate config")
-    problem = processgen.problem_from_dict(cfg["model"])
-    n = int(cfg["n"])
-    use_seed = int(cfg["seed"]) if seed is None else seed
+    problem = _document(processgen.problem_from_dict, cfg["model"], "model")
+    n = _number(cfg["n"], "n", int)
+    use_seed = _number(cfg["seed"], "seed", int) if seed is None else seed
     if "kwise" in cfg:
-        traj = processgen.kwise_independent_surrogate(problem, n,
-                                                      int(cfg["kwise"]), use_seed)
+        traj = processgen.kwise_independent_surrogate(
+            problem, n, _number(cfg["kwise"], "kwise", int), use_seed)
     else:
         traj = processgen.sample_trajectory(problem, n, use_seed)
     path = _out_path(out, "trajectory.csv")
@@ -101,15 +121,15 @@ def _cmd_bound(cfg: dict, out: str, seed: int | None, quiet: bool) -> list:
     _check_keys(cfg, {"model", "class", "n", "delta"},
                 {"q", "p", "k", "constants", "resolution", "seed", "epsilon"},
                 "bound config")
-    problem = processgen.problem_from_dict(cfg["model"])
+    problem = _document(processgen.problem_from_dict, cfg["model"], "model")
     cls = _parse_class(cfg["class"])
     report = bounds.compute_bound_report(
-        problem, cls, int(cfg["n"]), float(cfg["delta"]),
-        q=float(cfg.get("q", 1.0)), p=_parse_p(cfg.get("p")),
-        k=None if cfg.get("k") is None else int(cfg["k"]),
+        problem, cls, _number(cfg["n"], "n", int), _number(cfg["delta"], "delta"),
+        q=_number(cfg.get("q", 1.0), "q"), p=_parse_p(cfg.get("p")),
+        k=None if cfg.get("k") is None else _number(cfg["k"], "k", int),
         constants=_parse_constants(cfg.get("constants")),
-        resolution=int(cfg.get("resolution", 64)),
-        seed=int(cfg.get("seed", 0)) if seed is None else seed)
+        resolution=_number(cfg.get("resolution", 64), "resolution", int),
+        seed=_number(cfg.get("seed", 0), "seed", int) if seed is None else seed)
     json_path = _out_path(out, "bound_report.json")
     with open(json_path, "w") as fh:
         fh.write(report.to_json() + "\n")
@@ -134,14 +154,14 @@ def _cmd_bound(cfg: dict, out: str, seed: int | None, quiet: bool) -> list:
 def _cmd_certify(cfg: dict, out: str, seed: int | None, quiet: bool) -> list:
     _check_keys(cfg, {"model", "class"},
                 {"p", "method", "directions", "seed", "m_max"}, "certify config")
-    problem = processgen.problem_from_dict(cfg["model"])
+    problem = _document(processgen.problem_from_dict, cfg["model"], "model")
     cls = _parse_class(cfg["class"])
     cert = bounds.certify_weak_subgaussian(
         cls, problem, p=_parse_p(cfg.get("p", 2.0)),
         method=cfg.get("method", "auto"),
-        directions=int(cfg.get("directions", 10_000)),
-        m_max=int(cfg.get("m_max", 200)),
-        seed=int(cfg.get("seed", 0)) if seed is None else seed)
+        directions=_number(cfg.get("directions", 10_000), "directions", int),
+        m_max=_number(cfg.get("m_max", 200), "m_max", int),
+        seed=_number(cfg.get("seed", 0), "seed", int) if seed is None else seed)
     payload = asdict(cert)
     payload["p"] = "inf" if cert.p == INF else cert.p
     path = _out_path(out, "certificate.json")
@@ -160,16 +180,19 @@ def _cmd_sweep(cfg: dict, out: str, seed: int | None, quiet: bool) -> list:
     problems, labels = [], []
     for i, level in enumerate(cfg["levels"]):
         _check_keys(level, {"label", "model"}, set(), f"levels[{i}]")
-        problems.append(processgen.problem_from_dict(level["model"]))
+        problems.append(_document(processgen.problem_from_dict, level["model"],
+                                  f"levels[{i}].model"))
         labels.append(level["label"])
+    if not isinstance(cfg["n_grid"], list):
+        raise ConfigError("'n_grid' must be a list of integers")
     config = harness.SweepConfig(
         problems=tuple(problems), labels=tuple(labels),
         hypothesis=_parse_class(cfg["class"]),
-        n_grid=tuple(int(n) for n in cfg["n_grid"]),
-        replicates=int(cfg["replicates"]),
-        master_seed=int(cfg["seed"]) if seed is None else seed,
-        delta=float(cfg.get("delta", 0.05)), q=float(cfg.get("q", 1.0)),
-        p=_parse_p(cfg.get("p")),
+        n_grid=tuple(_number(n, "n_grid", int) for n in cfg["n_grid"]),
+        replicates=_number(cfg["replicates"], "replicates", int),
+        master_seed=_number(cfg["seed"], "seed", int) if seed is None else seed,
+        delta=_number(cfg.get("delta", 0.05), "delta"),
+        q=_number(cfg.get("q", 1.0), "q"), p=_parse_p(cfg.get("p")),
         constants=_parse_constants(cfg.get("constants")),
         block_rule=cfg.get("block_rule", "kmix"))
     result = harness.run_sweep(config)
@@ -196,23 +219,26 @@ def _cmd_coverage(cfg: dict, out: str, seed: int | None, quiet: bool) -> list:
     if kind == "blockedBernstein":
         _check_keys(cfg, {"kind", "model", "values", "n", "k", "delta",
                           "replicates", "seed"}, set(), "coverage config")
-        model = processgen.MarkovChainModel.from_transition(
-            cfg["model"]["transition"] if isinstance(cfg["model"], dict)
-            else cfg["model"])
+        model = _document(processgen.MarkovChainModel.from_transition,
+                          cfg["model"]["transition"] if isinstance(cfg["model"], dict)
+                          else cfg["model"], "model")
         report = harness.blocked_bernstein_coverage(
-            model, np.asarray(cfg["values"], dtype=float), int(cfg["n"]),
-            int(cfg["k"]), float(cfg["delta"]), int(cfg["replicates"]),
-            int(cfg["seed"]) if seed is None else seed)
+            model, np.asarray(cfg["values"], dtype=float), _number(cfg["n"], "n", int),
+            _number(cfg["k"], "k", int), _number(cfg["delta"], "delta"),
+            _number(cfg["replicates"], "replicates", int),
+            _number(cfg["seed"], "seed", int) if seed is None else seed)
     elif kind == "riskBound":
         _check_keys(cfg, {"kind", "model", "class", "n", "delta",
                           "calibration_replicates", "validation_replicates",
                           "seed"}, {"q", "p", "constants"}, "coverage config")
         report = harness.risk_bound_coverage(
-            processgen.problem_from_dict(cfg["model"]), _parse_class(cfg["class"]),
-            int(cfg["n"]), float(cfg["delta"]),
-            int(cfg["calibration_replicates"]), int(cfg["validation_replicates"]),
-            int(cfg["seed"]) if seed is None else seed,
-            q=float(cfg.get("q", 1.0)), p=_parse_p(cfg.get("p")),
+            _document(processgen.problem_from_dict, cfg["model"], "model"),
+            _parse_class(cfg["class"]),
+            _number(cfg["n"], "n", int), _number(cfg["delta"], "delta"),
+            _number(cfg["calibration_replicates"], "calibration_replicates", int),
+            _number(cfg["validation_replicates"], "validation_replicates", int),
+            _number(cfg["seed"], "seed", int) if seed is None else seed,
+            q=_number(cfg.get("q", 1.0), "q"), p=_parse_p(cfg.get("p")),
             constants=_parse_constants(cfg.get("constants")))
     else:
         raise ConfigError(f"coverage kind must be 'blockedBernstein' or "
@@ -234,12 +260,14 @@ def _cmd_diagnose(cfg: dict, out: str, seed: int | None, quiet: bool) -> list:
                       "seed"}, {"q", "p", "constants", "rho_grid"},
                 "diagnose config")
     report = harness.process_diagnostics(
-        processgen.problem_from_dict(cfg["model"]), _parse_class(cfg["class"]),
-        int(cfg["n"]), int(cfg["replicates"]), float(cfg["epsilon"]),
-        float(cfg["delta"]), int(cfg["seed"]) if seed is None else seed,
-        q=float(cfg.get("q", 1.0)), p=_parse_p(cfg.get("p")),
+        _document(processgen.problem_from_dict, cfg["model"], "model"),
+        _parse_class(cfg["class"]),
+        _number(cfg["n"], "n", int), _number(cfg["replicates"], "replicates", int),
+        _number(cfg["epsilon"], "epsilon"), _number(cfg["delta"], "delta"),
+        _number(cfg["seed"], "seed", int) if seed is None else seed,
+        q=_number(cfg.get("q", 1.0), "q"), p=_parse_p(cfg.get("p")),
         constants=_parse_constants(cfg.get("constants")),
-        rho_grid=int(cfg.get("rho_grid", 64)))
+        rho_grid=_number(cfg.get("rho_grid", 64), "rho_grid", int))
     path = _out_path(out, "diagnostics.json")
     with open(path, "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)

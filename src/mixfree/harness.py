@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .processgen import (RegressionProblem, MarkovChainModel, NoiseSpec,
-                         beta_coefficients, block_sum_second_moment,
-                         stream_state_stats)
+                         block_sum_second_moment, stream_state_stats)
 from .erm import HypothesisClass, population_quantities, _f_star_param
 from .blocking import blocked_bernstein_bound
 from .bounds import (INF, Constants, compute_bound_report,
@@ -157,8 +156,6 @@ def run_sweep(config: SweepConfig, max_workers: int | None = None) -> SweepResul
     """Execute every cell of the sweep; concurrent but deterministically reduced."""
     cells = [(li, n) for li in range(len(config.problems)) for n in config.n_grid]
     contexts = [_level_context(p, config.hypothesis) for p in config.problems]
-    beta_horizon = min(max(config.n_grid), 4096)
-    betas = [beta_coefficients(p.chain, beta_horizon) for p in config.problems]
 
     def one_cell(cell):
         li, n = cell

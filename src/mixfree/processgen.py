@@ -6,8 +6,11 @@ This module builds the data-generating side of the lab:
 - ``NoiseSpec`` / ``RegressionProblem``: covariate embedding, true parameter or
   table, and finite-support noise per state.
 - ``sample_trajectory`` / ``kwise_independent_surrogate``: seeded, bit-reproducible
-  samplers (stationary start), plus a batched low-memory variant used by the
-  experiment harness.
+  samplers (stationary start), plus batched and streaming variants used by the
+  experiment harness. All are views of one chunked core: the merged CDF
+  breakpoints cut [0, 1) into cells, within a cell each step is a fixed map
+  from state to state, so every time step is one cell-table lookup over all
+  replicates.
 - ``beta_coefficients``: exact total-variation mixing coefficients via matrix
   powers. TV uses the (1/2)-l1 convention for discrete laws.
 
@@ -359,57 +362,76 @@ def _spawn_generators(seed: int) -> tuple[np.random.Generator, np.random.Generat
     return np.random.default_rng(state_seed), np.random.default_rng(noise_seed)
 
 
-def _walk_chunk(cum_rows: np.ndarray, cum_pi: np.ndarray, U: np.ndarray,
-                s_prev: np.ndarray | None, t0: int,
-                block_len: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Advance the replicated state walk through one time chunk.
+def _cell_table(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse-CDF draws of every row of `cum`, tabulated per cell of u.
 
-    U has shape (R, T) and drives global times t0 .. t0+T-1. At t = 0 and at
-    every multiple of block_len the next state is drawn from the stationary
-    law, which makes each length-block_len block an independent stationary
-    segment. Returns (chunk states, final state vector).
+    `breaks` merges the values of all rows. A uniform u in [0, 1) falls in
+    cell c = searchsorted(breaks, u, side="right"), and every comparison
+    u < cum[i, k] is the same for all u of one cell, so row i draws
+    tab[c, i] = argmax(u < cum[i]) throughout it. The running maximum keeps
+    this exact for rows that float drift makes non-monotone. Only cells below
+    1.0 = cum[:, -1] are listed, since u < 1.
     """
-    R, T = U.shape
-    states = np.empty((R, T), dtype=np.int64)
-    pi_rows = np.broadcast_to(cum_pi, (R, len(cum_pi)))
-    for j in range(T):
-        t = t0 + j
-        if t == 0 or (block_len is not None and t % block_len == 0):
-            rows = pi_rows
-        else:
-            rows = cum_rows[s_prev]
-        s_prev = (U[:, j][:, None] < rows).argmax(axis=1)
-        states[:, j] = s_prev
-    return states, s_prev
+    breaks = np.unique(cum)
+    pos = np.maximum.accumulate(np.searchsorted(breaks, cum), axis=1)
+    cells = np.arange(np.searchsorted(breaks, 1.0) + 1)
+    return breaks, np.stack([np.searchsorted(p, cells) for p in pos], axis=1)
 
 
-def _noise_from_uniforms(noise: NoiseSpec, states: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Map per-step uniforms to noise draws from the per-state tables."""
-    cum = np.cumsum(noise.probs, axis=1)
-    cum[:, -1] = 1.0
-    rows = cum[states]                       # (n, V)
-    idx = (V[:, None] < rows).argmax(axis=1)
-    return noise.values[states, idx]
+_SUB_BLOCK = 1 << 16    # replicate-steps per walk sub-block, so its index block stays small
 
 
-def _sample_states_targets(problem: RegressionProblem, n: int, seed: int,
-                           block_len: int | None) -> tuple[np.ndarray, np.ndarray]:
-    rng_state, rng_noise = _spawn_generators(seed)
-    u = rng_state.random(n)
-    v = rng_noise.random(n)
-    cum_rows = _cumulative_rows(problem.chain.transition)
-    cum_pi = _cumulative_rows(problem.chain.stationary[None, :])[0]
-    states = _walk_chunk(cum_rows, cum_pi, u[None, :], None, 0, block_len)[0][0]
-    w = _noise_from_uniforms(problem.noise, states, v)
-    targets = problem.structural_mean()[states] + w
-    return states, targets
+def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | None,
+                  time_chunk: int):
+    """Yield (r, states, targets) for every replicate r of each time chunk.
+
+    The one core of every sampler. Replicate r consumes its own state and
+    noise streams in order, so its chunks concatenate to
+    sample_trajectory(problem, n, seeds[r]) (or the k-wise surrogate when
+    block_len is given) bit for bit. Each chunk's state uniforms become cell
+    ids as soon as they are drawn, and each time step is one lookup over all
+    replicates, states[t] = table[cell[t], states[t - 1]], where t = 0 and
+    every multiple of block_len use the stationary rows.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    gens = [_spawn_generators(s) for s in seeds]
+    R, S = len(gens), problem.n_states
+    breaks, tab = _cell_table(np.vstack([_cumulative_rows(problem.chain.transition),
+                                         _cumulative_rows(problem.chain.stationary[None, :])]))
+    C = len(tab)
+    # row c < C maps each state to its successor for a uniform in cell c; row
+    # C + c is the constant map of a stationary draw, taken at restarts
+    flat = np.concatenate([tab[:, :S], np.repeat(tab[:, S:], S, axis=1)]).ravel()
+    noise_breaks, noise_tab = _cell_table(_cumulative_rows(problem.noise.probs))
+    mean = problem.structural_mean()
+    period = block_len or n
+    sub = max(1, _SUB_BLOCK // max(R, 1))
+    x = np.zeros(R, dtype=np.intp)           # previous states; t = 0 restarts
+    for t0 in range(0, n, time_chunk):
+        T = min(time_chunk, n - t0)
+        cid = np.empty((R, T), dtype=np.min_scalar_type(C))
+        for r, (gu, _) in enumerate(gens):
+            cid[r] = np.searchsorted(breaks, gu.random(T), side="right")
+        states = np.empty((R, T), dtype=np.intp)
+        for a in range(0, T, sub):
+            idx = cid[:, a:a + sub].T.astype(np.intp, order="C")   # (steps, R)
+            idx[-(t0 + a) % period::period] += C
+            idx *= S
+            for row in idx:
+                row += x
+                flat.take(row, out=x, mode="clip")   # in range; "raise" buffers out
+            states[:, a:a + sub] = flat.take(idx).T
+        del cid
+        for r, (_, gv) in enumerate(gens):
+            row = states[r]
+            draw = noise_tab[np.searchsorted(noise_breaks, gv.random(T), side="right"), row]
+            yield r, row, mean[row] + problem.noise.values[row, draw]
 
 
 def sample_trajectory(problem: RegressionProblem, n: int, seed: int) -> Trajectory:
     """Sample a stationary trajectory of length n; pure function of the seed."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    states, targets = _sample_states_targets(problem, n, seed, block_len=None)
+    (_, states, targets), = _sample_paths(problem, n, [seed], None, n)
     return Trajectory(n, states, problem.embedding[states], targets, seed)
 
 
@@ -420,11 +442,9 @@ def kwise_independent_surrogate(problem: RegressionProblem, n: int, k: int,
     Each block has the chain's joint law; blocks are mutually independent by
     construction. k = n reproduces sample_trajectory exactly (same stream).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if k < 1 or n % k != 0:
         raise ValueError(f"block length k = {k} must divide n = {n}")
-    states, targets = _sample_states_targets(problem, n, seed, block_len=k)
+    (_, states, targets), = _sample_paths(problem, n, [seed], k, n)
     return Trajectory(n, states, problem.embedding[states], targets, seed)
 
 
@@ -437,21 +457,10 @@ def sample_path_batch(problem: RegressionProblem, n: int, seeds,
     generator streams in the same order as the single-path sampler.
     """
     seeds = list(seeds)
-    R = len(seeds)
-    gens = [_spawn_generators(s) for s in seeds]
-    U = np.empty((R, n))
-    for r, (gu, _) in enumerate(gens):
-        U[r] = gu.random(n)
-    cum_rows = _cumulative_rows(problem.chain.transition)
-    cum_pi = _cumulative_rows(problem.chain.stationary[None, :])[0]
-    states = _walk_chunk(cum_rows, cum_pi, U, None, 0, block_len)[0]
-    del U
-    targets = np.empty((R, n))
-    mean = problem.structural_mean()
-    for r, (_, gv) in enumerate(gens):
-        v = gv.random(n)
-        w = _noise_from_uniforms(problem.noise, states[r], v)
-        targets[r] = mean[states[r]] + w
+    states = np.empty((len(seeds), n), dtype=np.int64)
+    targets = np.empty((len(seeds), n))
+    for r, row, y in _sample_paths(problem, n, seeds, block_len, n):
+        states[r], targets[r] = row, y
     return states, targets
 
 
@@ -468,30 +477,14 @@ def stream_state_stats(problem: RegressionProblem, n: int, seeds,
     seeds[r]); returns (counts (R,S), target_sums (R,S), target_sq (R,)).
     """
     seeds = list(seeds)
-    R = len(seeds)
     S = problem.n_states
-    gens = [_spawn_generators(s) for s in seeds]
-    cum_rows = _cumulative_rows(problem.chain.transition)
-    cum_pi = _cumulative_rows(problem.chain.stationary[None, :])[0]
-    mean = problem.structural_mean()
-    counts = np.zeros((R, S))
-    ysums = np.zeros((R, S))
-    ysq = np.zeros(R)
-    s_prev = None
-    for t0 in range(0, n, time_chunk):
-        T = min(time_chunk, n - t0)
-        U = np.empty((R, T))
-        for r, (gu, _) in enumerate(gens):
-            U[r] = gu.random(T)
-        chunk, s_prev = _walk_chunk(cum_rows, cum_pi, U, s_prev, t0, block_len)
-        del U
-        for r, (_, gv) in enumerate(gens):
-            v = gv.random(T)
-            row = chunk[r]
-            y = mean[row] + _noise_from_uniforms(problem.noise, row, v)
-            counts[r] += np.bincount(row, minlength=S)
-            ysums[r] += np.bincount(row, weights=y, minlength=S)
-            ysq[r] += float(y @ y)
+    counts = np.zeros((len(seeds), S))
+    ysums = np.zeros((len(seeds), S))
+    ysq = np.zeros(len(seeds))
+    for r, row, y in _sample_paths(problem, n, seeds, block_len, time_chunk):
+        counts[r] += np.bincount(row, minlength=S)
+        ysums[r] += np.bincount(row, weights=y, minlength=S)
+        ysq[r] += float(y @ y)
     return counts, ysums, ysq
 
 

@@ -52,6 +52,31 @@ class TestConfigErrors:
         code = run(["bound", "--config", str(tmp_path / "nope.json")])
         assert code == 1
 
+    def test_non_stochastic_transition_is_config_error(self, tmp_path, capsys):
+        model = _model_dict()
+        model["transition"][0][0] += 0.1
+        cfg = _write(tmp_path, "cfg.json", {"model": model, "n": 64, "seed": 1})
+        code = run(["simulate", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 1
+        assert "rows must sum to 1" in capsys.readouterr().err
+
+    def test_unknown_model_key_is_config_error(self, tmp_path, capsys):
+        model = dict(_model_dict(), colour="blue")
+        cfg = _write(tmp_path, "cfg.json",
+                     {"model": model, "class": {"kind": "linear", "dim": 2},
+                      "n": 64, "delta": 0.1})
+        code = run(["bound", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 1
+        assert "colour" in capsys.readouterr().err
+
+    def test_non_integer_n_is_config_error(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "cfg.json",
+                     {"model": _model_dict(), "n": "many", "seed": 1})
+        code = run(["simulate", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "'n'" in err and "many" in err
+
     def test_numeric_failure_exit_two(self, tmp_path, capsys):
         model = _model_dict()
         # degenerate embedding makes the covariate second moment singular

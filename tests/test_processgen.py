@@ -1,9 +1,14 @@
 """Data-generator tests: stationary laws, mixing coefficients, samplers."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import mixfree as mf
+from mixfree import processgen
 
 
 def _power_iteration_pi(P, iters=200_000, tol=1e-13):
@@ -25,6 +30,35 @@ def _brute_force_beta(P, pi, horizon):
         out[i - 1] = sum(pi[x] * 0.5 * np.abs(Pi[x] - pi).sum()
                          for x in range(P.shape[0]))
     return out
+
+
+def _argmax_walk(cum_rows, cum_pi, U, s_prev, t0, block_len):
+    """Reference walk: one inverse-CDF draw per replicate and step.
+
+    U has shape (R, T) and drives global times t0 .. t0+T-1; t = 0 and every
+    multiple of block_len draw from the stationary law. Returns (chunk
+    states, final state vector). This is the sampler's original per-step loop.
+    """
+    R, T = U.shape
+    states = np.empty((R, T), dtype=np.int64)
+    pi_rows = np.broadcast_to(cum_pi, (R, len(cum_pi)))
+    for j in range(T):
+        t = t0 + j
+        if t == 0 or (block_len is not None and t % block_len == 0):
+            rows = pi_rows
+        else:
+            rows = cum_rows[s_prev]
+        s_prev = (U[:, j][:, None] < rows).argmax(axis=1)
+        states[:, j] = s_prev
+    return states, s_prev
+
+
+def _argmax_noise(noise, states, V):
+    """Reference noise draw: inverse CDF of each state's noise table."""
+    cum = np.cumsum(noise.probs, axis=1)
+    cum[:, -1] = 1.0
+    idx = (V[:, None] < cum[states]).argmax(axis=1)
+    return noise.values[states, idx]
 
 
 def _two_state_problem(p=0.3, q=0.2, sigma=0.5, d=2):
@@ -164,6 +198,118 @@ class TestSampling:
         assert np.allclose(ysums[0], np.bincount(traj.states, weights=traj.targets,
                                                  minlength=2), atol=1e-10)
         assert abs(ysq[0] - traj.targets @ traj.targets) < 1e-8
+
+
+@st.composite
+def _chains(draw):
+    """Random, periodic (deterministic rows), single-state and near-reducible
+    chains, plus rows whose tiny negative entries make the CDF non-monotone."""
+    kind = draw(st.sampled_from(["random", "periodic", "single", "near-reducible",
+                                 "negative-entry"]))
+    S = 1 if kind == "single" else draw(st.integers(2, 6))
+    if kind in ("random", "negative-entry"):
+        W = draw(hnp.arrays(float, (S, S), elements=st.floats(0.0, 1.0)))
+        W += 1e-3 * np.roll(np.eye(S), 1, axis=1)       # one cycle keeps it irreducible
+        P = W / W.sum(axis=1, keepdims=True)
+        if kind == "negative-entry":                   # off the cycle edge 0 -> 1
+            j = draw(st.sampled_from([0] + list(range(2, S))))
+            P[0, j], P[0, 1] = -1e-13, P[0, 1] + P[0, j] + 1e-13
+        return mf.MarkovChainModel.from_transition(P)
+    if kind == "near-reducible":
+        # two uniform blocks coupled by 1e-12 entries; symmetric, so pi is uniform
+        a = draw(st.integers(1, S - 1))
+        A = np.zeros((S, S))
+        A[:a, :a] = 1.0 / a
+        A[a:, a:] = 1.0 / (S - a)
+        P = (1 - 1e-12) * A + 1e-12 / S
+    else:
+        P = np.eye(S)[draw(st.permutations(range(S)))]
+    return mf.MarkovChainModel(P, np.full(S, 1.0 / S))
+
+
+class _Replay:
+    """Generator stand-in that hands out fixed uniforms in order."""
+
+    def __init__(self, values):
+        self.values, self.pos = values, 0
+
+    def random(self, size):
+        self.pos += size
+        return self.values[self.pos - size:self.pos].copy()
+
+
+def _edges(cdfs):
+    """Every CDF value in [0, 1) and its two float neighbours, plus 0: where an
+    off-by-one cell id or table entry would show."""
+    edges = np.unique(np.concatenate([c.ravel() for c in cdfs] + [[0.0]]))
+    edges = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, 1)])
+    return edges[(edges >= 0) & (edges < 1)]
+
+
+def _uniforms(rng, shape, cdfs):
+    """Uniforms in [0, 1), half of them drawn from _edges(cdfs)."""
+    u = rng.random(shape)
+    pick = rng.random(shape) < 0.5
+    u[pick] = rng.choice(_edges(cdfs), size=int(pick.sum()))
+    return u
+
+
+class TestCellTableWalk:
+    @settings(max_examples=200, deadline=None)
+    @given(chain=_chains(), data=st.data())
+    def test_matches_argmax_oracle(self, chain, data):
+        S = chain.n_states
+        probs = data.draw(hnp.arrays(float, (S, data.draw(st.integers(1, 3))),
+                                     elements=st.floats(0.0, 1.0)))
+        probs[:, 0] += 1e-9
+        probs /= probs.sum(axis=1, keepdims=True)
+        noise = mf.NoiseSpec("state-dependent-bias",
+                             np.arange(probs.size, dtype=float).reshape(probs.shape), probs)
+        problem = mf.RegressionProblem(chain=chain, embedding=np.eye(S), mode="tabular",
+                                       noise=noise, true_table=np.linspace(-1, 1, S))
+        n = data.draw(st.integers(1, 120))
+        R = data.draw(st.integers(1, 4))
+        block_len = data.draw(st.none() | st.integers(1, n))
+        time_chunk = data.draw(st.integers(1, n + 2))
+        sub_block = data.draw(st.integers(1, 64))
+
+        cum_rows = processgen._cumulative_rows(chain.transition)
+        cum_pi = processgen._cumulative_rows(chain.stationary[None, :])[0]
+        cum_noise = processgen._cumulative_rows(noise.probs)
+        for cum in (np.vstack([cum_rows, cum_pi]), cum_noise):
+            breaks, tab = processgen._cell_table(cum)
+            u = _edges([cum])
+            cells = np.searchsorted(breaks, u, side="right")
+            assert np.array_equal(tab[cells], (u[:, None, None] < cum).argmax(axis=2))
+
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        U = _uniforms(rng, (R, n), [cum_rows, cum_pi])
+        V = _uniforms(rng, (R, n), [cum_noise])
+
+        expected, s_prev = [], None
+        for t0 in range(0, n, time_chunk):
+            chunk, s_prev = _argmax_walk(cum_rows, cum_pi, U[:, t0:t0 + time_chunk],
+                                         s_prev, t0, block_len)
+            expected.append(chunk)
+        expected = np.concatenate(expected, axis=1)
+        expected_targets = np.array([problem.true_table[expected[r]]
+                                     + _argmax_noise(noise, expected[r], V[r])
+                                     for r in range(R)])
+
+        rows, ys = [[] for _ in range(R)], [[] for _ in range(R)]
+        with mock.patch.object(processgen, "_spawn_generators",
+                               lambda r: (_Replay(U[r]), _Replay(V[r]))), \
+                mock.patch.object(processgen, "_SUB_BLOCK", sub_block):
+            for r, row, y in processgen._sample_paths(problem, n, range(R), block_len,
+                                                      time_chunk):
+                rows[r].append(row.copy())
+                ys[r].append(y.copy())
+        states = np.array([np.concatenate(chunks) for chunks in rows])
+        targets = np.array([np.concatenate(chunks) for chunks in ys])
+
+        assert np.array_equal(states, expected)
+        assert np.array_equal(states[:, -1], s_prev)
+        assert np.array_equal(targets, expected_targets)
 
 
 class TestKwiseSurrogate:
