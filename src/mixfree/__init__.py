@@ -11,8 +11,9 @@ minimization does not deflate with the mixing time.
 """
 
 from .processgen import (MarkovChainModel, NoiseSpec, RegressionProblem,
-                         Trajectory, beta_coefficients, block_sum_second_moment,
-                         iid_chain, kwise_independent_surrogate, product_chain,
+                         Trajectory, beta_at_lag, beta_coefficients,
+                         block_sum_second_moment, iid_chain,
+                         kwise_independent_surrogate, product_chain,
                          product_embedding, problem_from_dict, problem_from_json,
                          sample_path_batch, sample_trajectory,
                          stationary_distribution, stream_state_stats,
@@ -29,11 +30,12 @@ from .erm import (ERMResult, HypothesisClass, PopulationQuantities,
 from .bounds import (INF, BoundBreakdown, BoundReport, BurnIns, ClassCertificate,
                      Constants, CriticalRadius, DiscreteLaw, PsiNormEstimate,
                      WeakVariance, bernstein_mgf_rhs, burn_ins,
-                     certify_weak_subgaussian, check_holder_pair,
+                     certify_weak_subgaussian, check_holder_pair, check_q_p,
                      compute_bound_report, covering_number, critical_radius,
                      gamma_alpha_parametric, gamma_alpha_quadrature,
-                     gamma_alpha_upper, holder_conjugate, k_mix_search,
-                     multiplier_bound_rhs, psi_p_norm, psi_product_bound,
+                     gamma_alpha_upper, greedy_cover_counts, holder_conjugate,
+                     k_mix_from_chain, k_mix_search, multiplier_bound_rhs,
+                     psi_p_norm, psi_product_bound,
                      quadratic_bound_rhs, risk_bound, weak_variance_2q,
                      weak_variance_q1_exact)
 from .harness import (CoverageReport, DiagnosticsReport, MixingFreeReport,

@@ -4,11 +4,15 @@ critical radii, burn-ins, and the assembled excess-risk bound.
 Everything here is a deterministic numeric evaluation. Moment norms of
 finite-support laws are exact (log-domain moment sweeps); chaining
 complexities are entropy-integral upper bounds (adaptive quadrature, with a
-closed form for the parametric covering profile); critical radii come from a
-sign-change bisection; burn-in sample sizes from monotone integer searches.
-Universal constants are configuration values defaulting to 1, so quantitative
-use is either oracle-exactness or calibrated coverage, never absolute
-constants.
+closed form for the parametric covering profile); a finite class's integrals
+are exact sums over its distance cuts, with the greedy cover counts at every
+cut from one pass over the members; critical radii come from a sign-change
+bisection; burn-in sample sizes from monotone integer searches. The mixing
+block length k_mix comes straight from the chain: k / beta(k) only grows
+with k, so a doubling search plus bisection over matrix powers finds it with
+no lag horizon. Universal constants are configuration values defaulting to
+1, so quantitative use is either oracle-exactness or calibrated coverage,
+never absolute constants.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy import integrate, optimize
 
-from .processgen import RegressionProblem, beta_coefficients
+from .processgen import MarkovChainModel, RegressionProblem, beta_at_lag
 from .erm import HypothesisClass, PopulationQuantities, sphere_tables
 
 INF = float("inf")
@@ -43,6 +47,15 @@ def check_holder_pair(q: float, q_prime: float) -> None:
     inv = (0.0 if q == INF else 1.0 / q) + (0.0 if q_prime == INF else 1.0 / q_prime)
     if abs(inv - 1.0) > 1e-12:
         raise ValueError(f"(q, q') = ({q}, {q_prime}) are not Hölder conjugates")
+
+
+def check_q_p(q: float, p: float) -> None:
+    """Reject a (q, p) pair the bound cannot use: q = 1 makes q' = inf, and
+    the (q' e)^(1/p) factor of the moment-norm terms is then infinite for
+    every finite p."""
+    if holder_conjugate(q) == INF and p != INF:
+        raise ValueError(f"q = {q:g} (q' = inf) needs p = inf; with finite p = {p:g} "
+                         "the (q' e)^(1/p) factor of the bound is infinite")
 
 
 def _pow_1_over_p(x: float, p: float) -> float:
@@ -495,6 +508,57 @@ def gamma_alpha_upper(alpha: float, r: float, d: float | None = None,
     return gamma_alpha_quadrature(alpha, r, log_covering, c_alpha)
 
 
+def greedy_cover_counts(points: np.ndarray, pi: np.ndarray, scales,
+                        block_bytes: int = 1 << 22) -> np.ndarray:
+    """greedy_cover_count(points, pi, s) for every s in `scales`, in one pass
+    over the points.
+
+    The greedy cover takes as its next center the first point no earlier
+    center covers. So a walk over the points in index order, with a
+    (scales x points) mask of the points still uncovered, finds the centers at
+    every scale at once: at point i, the scales where i is still uncovered
+    count it and drop the points within their s of it. The squared distances
+    and the test d2 > s**2 are evaluated as greedy_cover_count does, so each
+    count equals its greedy count exactly. Scales go through in blocks of
+    about `block_bytes` of mask.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    s2 = np.array([s ** 2 for s in scales], dtype=float)
+    n_pts = pts.shape[0]
+    counts = np.zeros(s2.shape[0], dtype=np.int64)
+    block = max(1, block_bytes // max(n_pts, 1))
+    for start in range(0, s2.shape[0], block):
+        s2_block = s2[start:start + block, None]
+        remaining = np.ones((s2_block.shape[0], n_pts), dtype=bool)
+        for i in range(n_pts):
+            rows = np.flatnonzero(remaining[:, i])
+            if rows.size:
+                counts[start + rows] += 1
+                d2 = ((pts - pts[i][None, :]) ** 2) @ pi
+                remaining[rows] &= d2 > s2_block[rows]
+    return counts
+
+
+def _breakpoint_integrals(points: np.ndarray, pi: np.ndarray, alphas) -> list:
+    """entropy_integral_breakpoints for each alpha, from one set of cuts and
+    one greedy_cover_counts pass."""
+    pts = np.unique(np.atleast_2d(np.asarray(points, dtype=float)), axis=0)
+    if pts.shape[0] <= 1:
+        return [0.0] * len(alphas)
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2 @ pi)
+    dists = np.sqrt(d2[np.triu_indices(pts.shape[0], k=1)])
+    cuts = np.concatenate([[0.0], np.unique(dists)])
+    counts = greedy_cover_counts(pts, pi, 0.5 * (cuts[:-1] + cuts[1:])).tolist()
+    totals = []
+    for alpha in alphas:
+        total = 0.0
+        for lo, hi, count in zip(cuts[:-1], cuts[1:], counts):
+            if count > 1:
+                total += (hi - lo) * math.log(count) ** (1.0 / alpha)
+        totals.append(total)
+    return totals
+
+
 def entropy_integral_breakpoints(points: np.ndarray, pi: np.ndarray,
                                  alpha: float) -> float:
     """Exact entropy integral of a finite point set (piecewise-constant N(s)).
@@ -502,19 +566,7 @@ def entropy_integral_breakpoints(points: np.ndarray, pi: np.ndarray,
     Integrates (log N(s))^(1/alpha) over (0, diameter], evaluating the greedy
     cover count between consecutive pairwise distances.
     """
-    pts = np.unique(np.atleast_2d(np.asarray(points, dtype=float)), axis=0)
-    if pts.shape[0] <= 1:
-        return 0.0
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2 @ pi)
-    dists = np.sqrt(d2[np.triu_indices(pts.shape[0], k=1)])
-    cuts = np.concatenate([[0.0], np.unique(dists)])
-    total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (lo + hi)
-        count = greedy_cover_count(pts, pi, mid)
-        if count > 1:
-            total += (hi - lo) * math.log(count) ** (1.0 / alpha)
-    return total
+    return _breakpoint_integrals(points, pi, (alpha,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -602,14 +654,58 @@ def k_mix_search(betas, n: int, delta: float) -> int:
         f"{max(k / b for k, b in enumerate(betas[:n], 1) if b > 0):.3g})")
 
 
+def k_mix_from_chain(model: MarkovChainModel, n: int, delta: float) -> int:
+    """Smallest k in [n] with k / beta(k) >= n / delta (beta = 0 passes),
+    straight from the chain: k_mix_search(beta_coefficients(model, n), n,
+    delta) without the per-lag loop.
+
+    beta(k) never increases with k, so k / beta(k) only grows and the
+    condition is monotone in k. A doubling search brackets the smallest
+    passing k and bisection finds it, each beta(k) from one matrix power:
+    O(S^3 log^2 n) work and no lag horizon.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    target = n / delta
+
+    def passes(k: int) -> bool:
+        b = beta_at_lag(model, k)
+        return b == 0.0 or k / b >= target
+
+    failed, k = 0, 1
+    while not passes(k):
+        if k == n:
+            raise ValueError(_no_k_mix_message(model, n, delta))
+        failed, k = k, min(2 * k, n)
+    while k - failed > 1:
+        mid = (failed + k) // 2
+        if passes(mid):
+            k = mid
+        else:
+            failed = mid
+    return k
+
+
+def _no_k_mix_message(model: MarkovChainModel, n: int, delta: float) -> str:
+    unmet = (f"no k <= n = {n} satisfies k/beta(k) >= n/delta = {n / delta:.3g}, "
+             f"since beta(n) = {beta_at_lag(model, n):.3g} > delta = {delta:g}")
+    unit = int(np.sum(np.abs(np.linalg.eigvals(model.transition)) > 1.0 - 1e-9))
+    if unit > 1:
+        return (f"the chain does not mix: its transition matrix has {unit} "
+                f"eigenvalues of modulus 1 within 1e-9 (a periodic chain), so "
+                f"beta(k) does not decay; {unmet}")
+    return f"the chain mixes too slowly for n = {n} and delta = {delta:g}: {unmet}"
+
+
 def burn_ins(*, L: float, eta: float, p: float, q_prime: float, k: int,
              r_star: float, delta: float, noise_psi_norm: float,
-             gamma_eta_fn, gamma_quad_fn, betas, n: int) -> BurnIns:
+             gamma_eta_fn, gamma_quad_fn, k_mix: int) -> BurnIns:
     """Minimal sample sizes making the bound terms subordinate.
 
     n_quad: smallest n with the two-group quadratic remainder at most r^2.
     n_mult: smallest n with the moment-norm multiplier group at most r.
-    k_mix: smallest block length with k/beta(k) >= n/delta.
+    k_mix: the smallest block length with k/beta(k) >= n/delta, passed in
+    (see k_mix_from_chain).
 
     The quadratic remainder uses the log factor log(4^(2/p + 1/2) L / r) in
     its printed burn-in form (the tolerance-dependent variant of the deviation
@@ -645,8 +741,7 @@ def burn_ins(*, L: float, eta: float, p: float, q_prime: float, k: int,
          * (g_eta / r + r ** (eta - 1.0) * log_d))
     n_mult = 1 if a == 0 else _smallest_n(lambda m: a / m <= r, int(a / r))
 
-    return BurnIns(n_quad=n_quad, n_mult=n_mult,
-                   k_mix=k_mix_search(betas, n, delta))
+    return BurnIns(n_quad=n_quad, n_mult=n_mult, k_mix=k_mix)
 
 
 # ---------------------------------------------------------------------------
@@ -935,7 +1030,7 @@ def class_gamma_profiles(cls: HypothesisClass, problem: RegressionProblem,
     norms = np.sqrt((diffs ** 2) @ pi)
     keep = norms > 0
     unit = diffs[keep] / norms[keep, None]
-    integrals = [entropy_integral_breakpoints(unit, pi, a) for a in alphas]
+    integrals = _breakpoint_integrals(unit, pi, alphas)
     return tuple((lambda r, v=v: c_alpha * r * v) for v in integrals)
 
 
@@ -953,6 +1048,7 @@ def compute_bound_report(problem: RegressionProblem, cls: HypothesisClass,
     normalized star-hull directions.
     """
     from .erm import population_quantities
+    check_q_p(q, p)
     q_prime = holder_conjugate(q)
     pop = population_quantities(problem, cls)
     cert = certify_weak_subgaussian(cls, problem, p=p, seed=seed)
@@ -973,14 +1069,14 @@ def compute_bound_report(problem: RegressionProblem, cls: HypothesisClass,
 
     rad = critical_radius(lambda r: wv.value, gamma2_fn, n, c1=constants.c1)
 
-    betas = beta_coefficients(problem.chain, min(n, 4096))
+    k_mix = k_mix_from_chain(problem.chain, n, delta)
     if k is None:
-        k = k_mix_search(betas, n, delta)
+        k = k_mix
     noise_psi = _noise_psi_norm(problem, pop.f_star_table, p)
     burn = burn_ins(L=cert.L, eta=cert.eta, p=p, q_prime=q_prime, k=k,
                     r_star=rad.value, delta=delta, noise_psi_norm=noise_psi,
                     gamma_eta_fn=gamma_eta_fn, gamma_quad_fn=gamma_quad_fn,
-                    betas=betas, n=n)
+                    k_mix=k_mix)
 
     return BoundReport(
         n=n, k=k, delta=delta, q=q, q_prime=q_prime, p=p, L=cert.L, eta=cert.eta,

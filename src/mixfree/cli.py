@@ -66,6 +66,16 @@ def _parse_p(value) -> float:
     return _number(value, "p")
 
 
+def _parse_q_p(cfg: dict) -> tuple[float, float]:
+    """The config's (q, p); a pair the bound cannot use is a config error."""
+    q, p = _number(cfg.get("q", 1.0), "q"), _parse_p(cfg.get("p"))
+    try:
+        bounds.check_q_p(q, p)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
+    return q, p
+
+
 def _parse_class(spec) -> HypothesisClass:
     _check_keys(spec, {"kind"}, {"dim", "tables"}, "class")
     if spec["kind"] == "linear":
@@ -123,9 +133,10 @@ def _cmd_bound(cfg: dict, out: str, seed: int | None, quiet: bool) -> list:
                 "bound config")
     problem = _document(processgen.problem_from_dict, cfg["model"], "model")
     cls = _parse_class(cfg["class"])
+    q, p = _parse_q_p(cfg)
     report = bounds.compute_bound_report(
         problem, cls, _number(cfg["n"], "n", int), _number(cfg["delta"], "delta"),
-        q=_number(cfg.get("q", 1.0), "q"), p=_parse_p(cfg.get("p")),
+        q=q, p=p,
         k=None if cfg.get("k") is None else _number(cfg["k"], "k", int),
         constants=_parse_constants(cfg.get("constants")),
         resolution=_number(cfg.get("resolution", 64), "resolution", int),
@@ -185,14 +196,14 @@ def _cmd_sweep(cfg: dict, out: str, seed: int | None, quiet: bool) -> list:
         labels.append(level["label"])
     if not isinstance(cfg["n_grid"], list):
         raise ConfigError("'n_grid' must be a list of integers")
+    q, p = _parse_q_p(cfg)
     config = harness.SweepConfig(
         problems=tuple(problems), labels=tuple(labels),
         hypothesis=_parse_class(cfg["class"]),
         n_grid=tuple(_number(n, "n_grid", int) for n in cfg["n_grid"]),
         replicates=_number(cfg["replicates"], "replicates", int),
         master_seed=_number(cfg["seed"], "seed", int) if seed is None else seed,
-        delta=_number(cfg.get("delta", 0.05), "delta"),
-        q=_number(cfg.get("q", 1.0), "q"), p=_parse_p(cfg.get("p")),
+        delta=_number(cfg.get("delta", 0.05), "delta"), q=q, p=p,
         constants=_parse_constants(cfg.get("constants")),
         block_rule=cfg.get("block_rule", "kmix"))
     result = harness.run_sweep(config)
@@ -231,6 +242,7 @@ def _cmd_coverage(cfg: dict, out: str, seed: int | None, quiet: bool) -> list:
         _check_keys(cfg, {"kind", "model", "class", "n", "delta",
                           "calibration_replicates", "validation_replicates",
                           "seed"}, {"q", "p", "constants"}, "coverage config")
+        q, p = _parse_q_p(cfg)
         report = harness.risk_bound_coverage(
             _document(processgen.problem_from_dict, cfg["model"], "model"),
             _parse_class(cfg["class"]),
@@ -238,8 +250,7 @@ def _cmd_coverage(cfg: dict, out: str, seed: int | None, quiet: bool) -> list:
             _number(cfg["calibration_replicates"], "calibration_replicates", int),
             _number(cfg["validation_replicates"], "validation_replicates", int),
             _number(cfg["seed"], "seed", int) if seed is None else seed,
-            q=_number(cfg.get("q", 1.0), "q"), p=_parse_p(cfg.get("p")),
-            constants=_parse_constants(cfg.get("constants")))
+            q=q, p=p, constants=_parse_constants(cfg.get("constants")))
     else:
         raise ConfigError(f"coverage kind must be 'blockedBernstein' or "
                           f"'riskBound', got {kind!r}")
@@ -259,14 +270,14 @@ def _cmd_diagnose(cfg: dict, out: str, seed: int | None, quiet: bool) -> list:
     _check_keys(cfg, {"model", "class", "n", "replicates", "epsilon", "delta",
                       "seed"}, {"q", "p", "constants", "rho_grid"},
                 "diagnose config")
+    q, p = _parse_q_p(cfg)
     report = harness.process_diagnostics(
         _document(processgen.problem_from_dict, cfg["model"], "model"),
         _parse_class(cfg["class"]),
         _number(cfg["n"], "n", int), _number(cfg["replicates"], "replicates", int),
         _number(cfg["epsilon"], "epsilon"), _number(cfg["delta"], "delta"),
         _number(cfg["seed"], "seed", int) if seed is None else seed,
-        q=_number(cfg.get("q", 1.0), "q"), p=_parse_p(cfg.get("p")),
-        constants=_parse_constants(cfg.get("constants")),
+        q=q, p=p, constants=_parse_constants(cfg.get("constants")),
         rho_grid=_number(cfg.get("rho_grid", 64), "rho_grid", int))
     path = _out_path(out, "diagnostics.json")
     with open(path, "w") as fh:

@@ -70,7 +70,7 @@ def _excess_batch(ctx: _LevelContext, cls: HypothesisClass, n: int, seeds,
                   block_len: int | None = None) -> np.ndarray:
     """Exact excess risks for a batch of replicates, from streaming statistics."""
     problem = ctx.problem
-    counts, ysums, _ = stream_state_stats(problem, n, seeds, block_len=block_len)
+    counts, ysums = stream_state_stats(problem, n, seeds, block_len=block_len)
     pi = problem.chain.stationary
     out = np.empty(counts.shape[0])
     if cls.kind == "linear":
@@ -337,7 +337,7 @@ def blocked_bernstein_coverage(model: MarkovChainModel, values, n: int, k: int,
         raise ValueError("k must divide n")
     problem = _functional_problem(model, values)
     seeds = [cell_seed(master_seed, 0, n, r) for r in range(replicates)]
-    counts, _, _ = stream_state_stats(problem, n, seeds, block_len=k)
+    counts, _ = stream_state_stats(problem, n, seeds, block_len=k)
     means = (counts @ values) / n
     b = float(np.max(np.abs(values)))
     bsm = block_sum_second_moment(model, values, k)
@@ -447,7 +447,7 @@ def process_diagnostics(problem: RegressionProblem, cls: HypothesisClass, n: int
               if np.any(sphere_keep) else np.empty((0, hull.shape[1])))
 
     seeds = [cell_seed(master_seed, 2, n, r) for r in range(replicates)]
-    counts, ysums, _ = stream_state_stats(problem, n, seeds)
+    counts, ysums = stream_state_stats(problem, n, seeds)
     wsums = ysums - counts * pop.f_star_table[None, :]
 
     q_pos = 0

@@ -170,14 +170,28 @@ def beta_coefficients(model: MarkovChainModel, horizon: int) -> np.ndarray:
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     P = model.transition
-    pi = model.stationary
     out = np.empty(horizon)
     Pi = np.eye(model.n_states)
     for i in range(horizon):
         Pi = Pi @ P
-        tv = 0.5 * np.abs(Pi - pi[None, :]).sum(axis=1)
-        out[i] = float(pi @ tv)
+        out[i] = _beta_of_power(Pi, model.stationary)
     return out
+
+
+def beta_at_lag(model: MarkovChainModel, lag: int) -> float:
+    """The single coefficient beta(lag), from one matrix power by repeated
+    squaring: O(S^3 log lag) work, no per-lag loop. Agrees with
+    beta_coefficients(model, lag)[lag - 1] up to the rounding of the power."""
+    if lag < 1:
+        raise ValueError("lag must be >= 1")
+    return _beta_of_power(np.linalg.matrix_power(model.transition, lag),
+                          model.stationary)
+
+
+def _beta_of_power(Pk: np.ndarray, pi: np.ndarray) -> float:
+    """pi-average of TV(P^k(x, .), pi), given P^k."""
+    tv = 0.5 * np.abs(Pk - pi[None, :]).sum(axis=1)
+    return float(pi @ tv)
 
 
 @dataclass(frozen=True)
@@ -466,26 +480,24 @@ def sample_path_batch(problem: RegressionProblem, n: int, seeds,
 
 def stream_state_stats(problem: RegressionProblem, n: int, seeds,
                        block_len: int | None = None,
-                       time_chunk: int = 65536) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                       time_chunk: int = 65536) -> tuple[np.ndarray, np.ndarray]:
     """Per-replicate sufficient statistics of a path batch, in O(R * chunk) memory.
 
     Walks the replicated chain through time chunks and accumulates, per
-    replicate, the state visit counts, the per-state target sums, and the
-    total squared target. These determine least-squares and finite-class
-    empirical risks exactly, so long trajectories never need materializing.
-    Replicate r consumes the same streams as sample_trajectory(problem, n,
-    seeds[r]); returns (counts (R,S), target_sums (R,S), target_sq (R,)).
+    replicate, the state visit counts and the per-state target sums. These
+    determine least-squares and finite-class excess risks exactly, so long
+    trajectories never need materializing. Replicate r consumes the same
+    streams as sample_trajectory(problem, n, seeds[r]); returns
+    (counts (R,S), target_sums (R,S)).
     """
     seeds = list(seeds)
     S = problem.n_states
     counts = np.zeros((len(seeds), S))
     ysums = np.zeros((len(seeds), S))
-    ysq = np.zeros(len(seeds))
     for r, row, y in _sample_paths(problem, n, seeds, block_len, time_chunk):
         counts[r] += np.bincount(row, minlength=S)
         ysums[r] += np.bincount(row, weights=y, minlength=S)
-        ysq[r] += float(y @ y)
-    return counts, ysums, ysq
+    return counts, ysums
 
 
 # ---------------------------------------------------------------------------
@@ -585,13 +597,18 @@ def problem_from_json(path) -> RegressionProblem:
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Write a trajectory as CSV with columns (t, state, x_1..x_d, y)."""
+    """Write a trajectory as CSV with columns (t, state, x_1..x_d, y).
+
+    Floats are written with repr (shortest round-trip form); each column is
+    converted to a Python list once and the rows are joined from those lists.
+    """
     d = traj.covariates.shape[1]
     header = ["t", "state"] + [f"x_{j + 1}" for j in range(d)] + ["y"]
+    columns = [map(str, range(1, traj.n + 1)),
+               map(str, np.asarray(traj.states, dtype=np.int64).tolist())]
+    columns += [map(repr, col)
+                for col in np.asarray(traj.covariates, dtype=float).T.tolist()]
+    columns.append(map(repr, np.asarray(traj.targets, dtype=float).tolist()))
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for t in range(traj.n):
-            row = [str(t + 1), str(int(traj.states[t]))]
-            row += [repr(float(x)) for x in traj.covariates[t]]
-            row.append(repr(float(traj.targets[t])))
-            fh.write(",".join(row) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns))

@@ -6,11 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import mixfree as mf
 from mixfree.bounds import (DiscreteLaw, parametric_log_covering,
                             entropy_integral_breakpoints, psi_norms_batch,
-                            greedy_cover_count)
+                            greedy_cover_count, greedy_cover_counts,
+                            _breakpoint_integrals)
 
 INF = float("inf")
 
@@ -284,6 +287,72 @@ class TestGammaFunctionals:
         assert abs(val - 3.0 * math.sqrt(math.log(2.0))) < 1e-12
 
 
+def _per_cut_entropy_integral(points, pi, alpha):
+    """Oracle: the breakpoint entropy integral with one full greedy cover per
+    cut interval."""
+    pts = np.unique(np.atleast_2d(np.asarray(points, dtype=float)), axis=0)
+    if pts.shape[0] <= 1:
+        return 0.0
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2 @ pi)
+    dists = np.sqrt(d2[np.triu_indices(pts.shape[0], k=1)])
+    cuts = np.concatenate([[0.0], np.unique(dists)])
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        mid = 0.5 * (lo + hi)
+        count = greedy_cover_count(pts, pi, mid)
+        if count > 1:
+            total += (hi - lo) * math.log(count) ** (1.0 / alpha)
+    return total
+
+
+@st.composite
+def _point_sets(draw):
+    """Random and lattice point sets with weights pi: lattices give tied
+    distances and duplicate points, zero weights make distinct points
+    coincide in L2(pi), and a single point has no cuts at all."""
+    kind = draw(st.sampled_from(["random", "lattice", "single"]))
+    S = draw(st.integers(1, 4))
+    N = 1 if kind == "single" else draw(st.integers(2, 12))
+    if kind == "lattice":
+        step = draw(st.sampled_from([1.0, 0.1, 3.0]))
+        pts = step * draw(hnp.arrays(float, (N, S),
+                                     elements=st.integers(-2, 2).map(float)))
+    else:
+        pts = draw(hnp.arrays(float, (N, S), elements=st.floats(-5.0, 5.0)))
+    weights = st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 1.0)
+    return pts, draw(hnp.arrays(float, S, elements=weights))
+
+
+class TestBatchedCoverCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(points=_point_sets(), block_bytes=st.sampled_from([1, 8, 1 << 22]),
+           eta=st.sampled_from([1.0, 0.5, 0.3]))
+    def test_match_greedy_oracle(self, points, block_bytes, eta):
+        pts, pi = points
+        uniq = np.unique(pts, axis=0)
+        d2 = ((uniq[:, None, :] - uniq[None, :, :]) ** 2 @ pi)
+        cuts = np.concatenate([[0.0], np.unique(np.sqrt(
+            d2[np.triu_indices(uniq.shape[0], k=1)]))])
+        # the cut midpoints the integrals use, and the cuts themselves, where
+        # a distance equals the scale exactly
+        scales = np.concatenate([0.5 * (cuts[:-1] + cuts[1:]), cuts])
+        counts = greedy_cover_counts(uniq, pi, scales, block_bytes=block_bytes)
+        assert counts.tolist() == [greedy_cover_count(uniq, pi, s) for s in scales]
+        alphas = (2.0, eta, (2.0 + 6.0 * eta) / 4.0)
+        oracle = [_per_cut_entropy_integral(pts, pi, a) for a in alphas]
+        assert _breakpoint_integrals(pts, pi, alphas) == oracle
+        assert [entropy_integral_breakpoints(pts, pi, a) for a in alphas] == oracle
+
+    def test_scale_equal_to_a_distance(self):
+        # two points x apart at scale s = x: d2 = x * x, and the greedy test
+        # compares it with the scalar s ** 2, which can round the other way
+        xs = np.random.default_rng(5).uniform(0.5, 2.0, 3000)
+        pi = np.ones(1)
+        for x in xs:
+            pts = np.array([[0.0], [x]])
+            assert greedy_cover_counts(pts, pi, [x])[0] == greedy_cover_count(pts, pi, x)
+
+
 class TestCriticalRadius:
     def test_parametric_identity(self):
         V, d, n = 0.25, 5.0, 4096
@@ -331,9 +400,10 @@ class TestBurnIns:
 
     def test_iid_k_mix_one(self):
         g_eta, g_quad = self._gammas(3.0, 1.0)
+        k_mix = mf.k_mix_from_chain(mf.iid_chain([0.2, 0.3, 0.5]), 100, 0.05)
         burn = mf.burn_ins(L=1.5, eta=1.0, p=INF, q_prime=INF, k=1, r_star=0.1,
                            delta=0.05, noise_psi_norm=0.5, gamma_eta_fn=g_eta,
-                           gamma_quad_fn=g_quad, betas=np.zeros(100), n=100)
+                           gamma_quad_fn=g_quad, k_mix=k_mix)
         assert burn.k_mix == 1
 
     def test_geometric_k_mix_matches_scan(self):
@@ -348,11 +418,21 @@ class TestBurnIns:
         with pytest.raises(ValueError, match="beta"):
             mf.k_mix_search(np.full(50, 0.9), 50, 0.05)
 
+    def test_periodic_chain_does_not_mix(self):
+        cycle = mf.MarkovChainModel(np.roll(np.eye(3), 1, axis=1), np.full(3, 1 / 3))
+        with pytest.raises(ValueError, match="does not mix"):
+            mf.k_mix_from_chain(cycle, 4096, 0.05)
+
+    def test_slow_chain_error_names_target_and_beta_n(self):
+        slow = mf.two_state_chain(0.0005, 0.0005)
+        with pytest.raises(ValueError, match=r"n/delta = 2e\+04.*beta\(n\) = 0\.184"):
+            mf.k_mix_from_chain(slow, 1000, 0.05)
+
     def test_smallest_n_property(self):
         g_eta, g_quad = self._gammas(4.0, 1.0)
         kwargs = dict(L=2.0, eta=1.0, p=INF, q_prime=INF, k=12, r_star=0.05,
                       delta=0.1, noise_psi_norm=0.7, gamma_eta_fn=g_eta,
-                      gamma_quad_fn=g_quad, betas=np.zeros(64), n=64)
+                      gamma_quad_fn=g_quad, k_mix=1)
         burn = mf.burn_ins(**kwargs)
         r = kwargs["r_star"]
         log_d = math.log(1 / kwargs["delta"])
@@ -379,7 +459,7 @@ class TestBurnIns:
             burn = mf.burn_ins(L=L, eta=1.0, p=INF, q_prime=INF, k=k,
                                r_star=math.sqrt(V * d / n), delta=delta,
                                noise_psi_norm=B, gamma_eta_fn=g_eta,
-                               gamma_quad_fn=g_quad, betas=np.zeros(16), n=16)
+                               gamma_quad_fn=g_quad, k_mix=1)
             return burn.n_mult <= n
 
         n_fixed = next(n for n in range(2, 10 ** 6) if clears(n))
@@ -421,7 +501,7 @@ class TestBoundRhs:
         g_quad = lambda rr: mf.gamma_alpha_parametric((2 + 6 * eta) / 4, rr, d)
         burn = mf.burn_ins(L=L, eta=eta, p=INF, q_prime=INF, k=k, r_star=r,
                            delta=delta, noise_psi_norm=psi_w, gamma_eta_fn=g_eta,
-                           gamma_quad_fn=g_quad, betas=np.zeros(32), n=32)
+                           gamma_quad_fn=g_quad, k_mix=1)
 
         def psi_group(n):
             out = mf.multiplier_bound_rhs(weak_variance=0.0, gamma2=0.0,
@@ -561,6 +641,29 @@ class TestBoundReport:
         payload = json.loads(report.to_json())
         assert payload["k_mix"] == report.k_mix
         assert payload["q_prime"] == "inf"
+
+    def _two_state_problem(self, flip):
+        return mf.RegressionProblem(chain=mf.two_state_chain(flip, flip),
+                                    embedding=np.array([[-1.0], [1.0]]),
+                                    mode="linear", noise=mf.NoiseSpec.symmetric(0.5, 2),
+                                    true_param=np.array([1.0]))
+
+    def test_k_mix_past_4096_lags(self):
+        # |lambda_2| = 0.999 at n = 2^21: k_mix lies beyond 4096 lags; the
+        # per-lag search over 20000 coefficients pins the value
+        problem = self._two_state_problem(0.0005)
+        n, delta = 2 ** 21, 0.05
+        report = mf.compute_bound_report(problem, mf.HypothesisClass.linear(1),
+                                         n=n, delta=delta)
+        assert report.k_mix == report.k == 7883
+        oracle = mf.k_mix_search(mf.beta_coefficients(problem.chain, 20000), n, delta)
+        assert oracle == 7883
+
+    def test_q1_with_finite_p_rejected(self):
+        problem = self._two_state_problem(0.25)
+        with pytest.raises(ValueError, match=r"q = 1 .*p = 2"):
+            mf.compute_bound_report(problem, mf.HypothesisClass.linear(1),
+                                    n=256, delta=0.05, q=1.0, p=2.0)
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError, match="conjugate"):

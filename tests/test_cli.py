@@ -89,6 +89,27 @@ class TestConfigErrors:
         assert "numeric failure" in capsys.readouterr().err
 
 
+    def test_q1_with_finite_p_is_config_error(self, tmp_path, capsys):
+        linear = {"kind": "linear", "dim": 2}
+        configs = {
+            "bound": {"model": _model_dict(), "class": linear, "n": 64,
+                      "delta": 0.1, "q": 1, "p": 2},
+            "sweep": {"levels": [{"label": "a", "model": _model_dict()}],
+                      "class": linear, "n_grid": [64], "replicates": 2,
+                      "seed": 1, "p": 2},
+            "coverage": {"kind": "riskBound", "model": _model_dict(),
+                         "class": linear, "n": 64, "delta": 0.1,
+                         "calibration_replicates": 2, "validation_replicates": 2,
+                         "seed": 1, "p": 2},
+        }
+        for command, payload in configs.items():
+            cfg = _write(tmp_path, f"{command}.json", payload)
+            code = run([command, "--config", cfg, "--out", str(tmp_path / command)])
+            assert code == 1, command
+            err = capsys.readouterr().err
+            assert "config error" in err and "q = 1" in err and "p = 2" in err
+
+
 class TestSimulate:
     def test_writes_schema_csv(self, tmp_path):
         cfg = _write(tmp_path, "cfg.json",
@@ -126,6 +147,27 @@ class TestBound:
         parts = [float(v) for k, v in (t.split(",") for t in terms[1:])
                  if k != "total"]
         assert abs(total - sum(parts)) < 1e-12
+
+
+    def _two_state(self, tmp_path, transition, n):
+        model = {"transition": transition, "embedding": [[-1.0], [1.0]],
+                 "mode": "linear", "true_param": [1.0],
+                 "noise": {"kind": "martingale-difference",
+                           "values": [[-0.5, 0.5]] * 2, "probs": [[0.5, 0.5]] * 2}}
+        return _write(tmp_path, "cfg.json",
+                      {"model": model, "class": {"kind": "linear", "dim": 1},
+                       "n": n, "delta": 0.05})
+
+    def test_slow_chain_k_mix_past_4096(self, tmp_path):
+        cfg = self._two_state(tmp_path, [[0.9995, 0.0005], [0.0005, 0.9995]], 2 ** 21)
+        assert run(["bound", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        payload = json.loads((tmp_path / "bound_report.json").read_text())
+        assert payload["k_mix"] == 7883
+
+    def test_periodic_chain_does_not_mix(self, tmp_path, capsys):
+        cfg = self._two_state(tmp_path, [[0.0, 1.0], [1.0, 0.0]], 1024)
+        assert run(["bound", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "does not mix" in capsys.readouterr().err
 
 
 class TestCertify:

@@ -192,12 +192,11 @@ class TestSampling:
 
     def test_stream_stats_match_trajectory(self):
         problem = _two_state_problem()
-        counts, ysums, ysq = mf.stream_state_stats(problem, 500, [42], time_chunk=37)
+        counts, ysums = mf.stream_state_stats(problem, 500, [42], time_chunk=37)
         traj = mf.sample_trajectory(problem, 500, 42)
         assert np.array_equal(counts[0], np.bincount(traj.states, minlength=2))
         assert np.allclose(ysums[0], np.bincount(traj.states, weights=traj.targets,
                                                  minlength=2), atol=1e-10)
-        assert abs(ysq[0] - traj.targets @ traj.targets) < 1e-8
 
 
 @st.composite
@@ -312,6 +311,24 @@ class TestCellTableWalk:
         assert np.array_equal(targets, expected_targets)
 
 
+class TestKMixFromChain:
+    @settings(max_examples=200, deadline=None)
+    @given(chain=_chains(), n=st.integers(1, 2048),
+           delta=st.sampled_from([0.5, 0.05, 1e-3]) | st.floats(1e-3, 0.99))
+    def test_matches_per_lag_search(self, chain, n, delta):
+        betas = mf.beta_coefficients(chain, n)
+        assert abs(mf.beta_at_lag(chain, n) - betas[-1]) <= 1e-12
+
+        def outcome(search):
+            try:
+                return search()
+            except ValueError:
+                return "raises"
+
+        assert (outcome(lambda: mf.k_mix_from_chain(chain, n, delta))
+                == outcome(lambda: mf.k_mix_search(betas, n, delta)))
+
+
 class TestKwiseSurrogate:
     def test_k_equals_n_reproduces_plain_sampler(self):
         problem = _two_state_problem()
@@ -392,6 +409,43 @@ class TestModelDocuments:
         t, state = int(row[0]), int(row[1])
         assert t == 3 and state == traj.states[2]
         assert float(row[-1]) == traj.targets[2]
+
+
+def _row_by_row_csv(traj, path):
+    """Oracle: the trajectory CSV formatted one row at a time."""
+    d = traj.covariates.shape[1]
+    header = ["t", "state"] + [f"x_{j + 1}" for j in range(d)] + ["y"]
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for t in range(traj.n):
+            row = [str(t + 1), str(int(traj.states[t]))]
+            row += [repr(float(x)) for x in traj.covariates[t]]
+            row.append(repr(float(traj.targets[t])))
+            fh.write(",".join(row) + "\n")
+
+
+class TestTrajectoryCsv:
+    def test_bytes_match_row_by_row_writer(self, tmp_path):
+        rng = np.random.default_rng(3)
+        n = 257
+        states = rng.integers(0, 5, n)
+        covariates = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-30, 30, (n, 3))
+        covariates[:4] = [[-0.0, 1e-300, -2.5e-7], [1.5e300, -1.0, 0.1],
+                          [3.0, -7e22, 5e-324], [1e16, 123456789.0, -1e-5]]
+        targets = -np.abs(rng.standard_cauchy(n)) * 10.0 ** rng.integers(-20, 20, n)
+        traj = mf.Trajectory(n=n, states=states, covariates=covariates,
+                             targets=targets, seed=0)
+        mf.trajectory_to_csv(traj, tmp_path / "new.csv")
+        _row_by_row_csv(traj, tmp_path / "old.csv")
+        new = (tmp_path / "new.csv").read_bytes()
+        assert b"e-" in new and b"e+" in new and b"-" in new
+        assert new == (tmp_path / "old.csv").read_bytes()
+
+    def test_empty_trajectory_has_header_only(self, tmp_path):
+        traj = mf.Trajectory(n=0, states=np.zeros(0, dtype=np.int64),
+                             covariates=np.zeros((0, 2)), targets=np.zeros(0), seed=0)
+        mf.trajectory_to_csv(traj, tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_text() == "t,state,x_1,x_2,y\n"
 
 
 class TestNoiseSpec:
