@@ -11,7 +11,7 @@ minimization does not deflate with the mixing time.
 """
 
 from .processgen import (MarkovChainModel, NoiseSpec, RegressionProblem,
-                         Trajectory, beta_at_lag, beta_coefficients,
+                         Trajectory, beta_coefficients,
                          block_sum_second_moment, iid_chain,
                          kwise_independent_surrogate, product_chain,
                          product_embedding, problem_from_dict, problem_from_json,
@@ -30,7 +30,7 @@ from .erm import (ERMResult, HypothesisClass, PopulationQuantities,
 from .bounds import (INF, BoundBreakdown, BoundReport, BurnIns, ClassCertificate,
                      Constants, CriticalRadius, DiscreteLaw, PsiNormEstimate,
                      WeakVariance, bernstein_mgf_rhs, burn_ins,
-                     certify_weak_subgaussian, check_holder_pair, check_q_p,
+                     certify_weak_subgaussian, check_holder_pair,
                      compute_bound_report, covering_number, critical_radius,
                      gamma_alpha_parametric, gamma_alpha_quadrature,
                      gamma_alpha_upper, greedy_cover_counts, holder_conjugate,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .processgen import (MarkovChainModel, RegressionProblem, Trajectory,
-                         beta_coefficients, kwise_independent_surrogate)
+                         beta_at_lag, kwise_independent_surrogate)
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,7 @@ def odd_block_decoupling_gap_exact(model: MarkovChainModel, n: int, k: int
 
     keys = set(law) | set(decoupled)
     gap = 0.5 * sum(abs(law.get(z, 0.0) - decoupled.get(z, 0.0)) for z in keys)
-    beta_k = beta_coefficients(model, k)[k - 1]
+    beta_k = beta_at_lag(model, k)
     bound = (len(odd_blocks) - 1) * beta_k
     return gap, bound
 

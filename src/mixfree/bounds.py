@@ -508,8 +508,11 @@ def gamma_alpha_upper(alpha: float, r: float, d: float | None = None,
     return gamma_alpha_quadrature(alpha, r, log_covering, c_alpha)
 
 
-def greedy_cover_counts(points: np.ndarray, pi: np.ndarray, scales,
-                        block_bytes: int = 1 << 22) -> np.ndarray:
+# bytes of (scales x points) mask that greedy_cover_counts holds at once
+_COVER_MASK_BYTES = 1 << 22
+
+
+def greedy_cover_counts(points: np.ndarray, pi: np.ndarray, scales) -> np.ndarray:
     """greedy_cover_count(points, pi, s) for every s in `scales`, in one pass
     over the points.
 
@@ -520,13 +523,13 @@ def greedy_cover_counts(points: np.ndarray, pi: np.ndarray, scales,
     count it and drop the points within their s of it. The squared distances
     and the test d2 > s**2 are evaluated as greedy_cover_count does, so each
     count equals its greedy count exactly. Scales go through in blocks of
-    about `block_bytes` of mask.
+    about _COVER_MASK_BYTES of mask.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     s2 = np.array([s ** 2 for s in scales], dtype=float)
     n_pts = pts.shape[0]
     counts = np.zeros(s2.shape[0], dtype=np.int64)
-    block = max(1, block_bytes // max(n_pts, 1))
+    block = max(1, _COVER_MASK_BYTES // max(n_pts, 1))
     for start in range(0, s2.shape[0], block):
         s2_block = s2[start:start + block, None]
         remaining = np.ones((s2_block.shape[0], n_pts), dtype=bool)
@@ -691,9 +694,10 @@ def _no_k_mix_message(model: MarkovChainModel, n: int, delta: float) -> str:
              f"since beta(n) = {beta_at_lag(model, n):.3g} > delta = {delta:g}")
     unit = int(np.sum(np.abs(np.linalg.eigvals(model.transition)) > 1.0 - 1e-9))
     if unit > 1:
-        return (f"the chain does not mix: its transition matrix has {unit} "
-                f"eigenvalues of modulus 1 within 1e-9 (a periodic chain), so "
-                f"beta(k) does not decay; {unmet}")
+        return (f"the chain does not mix within n = {n}: its transition matrix "
+                f"has {unit} eigenvalues of modulus 1 within 1e-9 (periodic, or "
+                f"within 1e-9 of periodic), so beta(k) barely decays over "
+                f"k <= n; {unmet}")
     return f"the chain mixes too slowly for n = {n} and delta = {delta:g}: {unmet}"
 
 

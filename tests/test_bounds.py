@@ -3,6 +3,7 @@ critical radii, burn-ins, certification, and assembled reports."""
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -325,9 +326,9 @@ def _point_sets(draw):
 
 class TestBatchedCoverCounts:
     @settings(max_examples=200, deadline=None)
-    @given(points=_point_sets(), block_bytes=st.sampled_from([1, 8, 1 << 22]),
+    @given(points=_point_sets(), mask_bytes=st.sampled_from([1, 8, 1 << 22]),
            eta=st.sampled_from([1.0, 0.5, 0.3]))
-    def test_match_greedy_oracle(self, points, block_bytes, eta):
+    def test_match_greedy_oracle(self, points, mask_bytes, eta):
         pts, pi = points
         uniq = np.unique(pts, axis=0)
         d2 = ((uniq[:, None, :] - uniq[None, :, :]) ** 2 @ pi)
@@ -336,12 +337,14 @@ class TestBatchedCoverCounts:
         # the cut midpoints the integrals use, and the cuts themselves, where
         # a distance equals the scale exactly
         scales = np.concatenate([0.5 * (cuts[:-1] + cuts[1:]), cuts])
-        counts = greedy_cover_counts(uniq, pi, scales, block_bytes=block_bytes)
-        assert counts.tolist() == [greedy_cover_count(uniq, pi, s) for s in scales]
         alphas = (2.0, eta, (2.0 + 6.0 * eta) / 4.0)
         oracle = [_per_cut_entropy_integral(pts, pi, a) for a in alphas]
-        assert _breakpoint_integrals(pts, pi, alphas) == oracle
-        assert [entropy_integral_breakpoints(pts, pi, a) for a in alphas] == oracle
+        # a mask budget of 1 or 8 bytes puts one scale in each block
+        with mock.patch.object(mf.bounds, "_COVER_MASK_BYTES", mask_bytes):
+            counts = greedy_cover_counts(uniq, pi, scales)
+            assert _breakpoint_integrals(pts, pi, alphas) == oracle
+            assert [entropy_integral_breakpoints(pts, pi, a) for a in alphas] == oracle
+        assert counts.tolist() == [greedy_cover_count(uniq, pi, s) for s in scales]
 
     def test_scale_equal_to_a_distance(self):
         # two points x apart at scale s = x: d2 = x * x, and the greedy test

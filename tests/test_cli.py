@@ -101,6 +101,11 @@ class TestConfigErrors:
                          "class": linear, "n": 64, "delta": 0.1,
                          "calibration_replicates": 2, "validation_replicates": 2,
                          "seed": 1, "p": 2},
+            "diagnose": {"model": _model_dict(), "n": 64,
+                         "class": {"kind": "finite", "tables": [
+                             [0.5, 0.5, -0.5, 0.5], [1.0, -1.0, 0.5, -0.5]]},
+                         "replicates": 2, "epsilon": 0.5, "delta": 0.1,
+                         "seed": 1, "p": 2},
         }
         for command, payload in configs.items():
             cfg = _write(tmp_path, f"{command}.json", payload)

@@ -317,7 +317,7 @@ class TestKMixFromChain:
            delta=st.sampled_from([0.5, 0.05, 1e-3]) | st.floats(1e-3, 0.99))
     def test_matches_per_lag_search(self, chain, n, delta):
         betas = mf.beta_coefficients(chain, n)
-        assert abs(mf.beta_at_lag(chain, n) - betas[-1]) <= 1e-12
+        assert abs(processgen.beta_at_lag(chain, n) - betas[-1]) <= 1e-12
 
         def outcome(search):
             try:
