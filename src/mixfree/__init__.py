@@ -19,9 +19,8 @@ from .processgen import (MarkovChainModel, NoiseSpec, RegressionProblem,
                          stationary_distribution, stream_state_stats,
                          trajectory_to_csv, two_state_chain)
 from .blocking import (BlockingScheme, blocked_bernstein_bound,
-                       blocked_bernstein_terms, decouple_resample,
-                       decoupling_gap_bound, make_blocks, mixing_failure_term,
-                       odd_block_decoupling_gap_exact)
+                       blocked_bernstein_terms, decoupling_gap_bound, make_blocks,
+                       mixing_failure_term, odd_block_decoupling_gap_exact)
 from .erm import (ERMResult, HypothesisClass, PopulationQuantities,
                   basic_inequality_sides, excess_l2, fit_erm_finite,
                   fit_erm_linear, l2_norm, multiplier_process,

@@ -1,8 +1,9 @@
-"""Blocking partitions, decoupled resampling, and the blocked Bernstein bound.
+"""Blocking partitions, the decoupling gap, and the blocked Bernstein bound.
 
 A trajectory of length n is split into consecutive equal blocks of length k.
-Alternate (odd/even) blocks of the decoupled version are mutually independent
-with the original per-block marginals, at an additive total-variation cost
+Alternate (odd/even) blocks of the decoupled version (sampled by
+processgen.kwise_independent_surrogate) are mutually independent with the
+original per-block marginals, at an additive total-variation cost
 controlled by the mixing coefficient at lag k. The blocked Bernstein bound
 gives the deviation rate for means of centered, b-bounded, k-wise independent
 data in terms of the second moment of a block sum.
@@ -16,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .processgen import (MarkovChainModel, RegressionProblem, Trajectory,
-                         beta_at_lag, kwise_independent_surrogate)
+from .processgen import MarkovChainModel, beta_at_lag
 
 
 @dataclass(frozen=True)
@@ -63,16 +63,6 @@ def make_blocks(n: int, k: int) -> BlockingScheme:
     odd = idx[0::2].ravel()
     even = idx[1::2].ravel()
     return BlockingScheme(n=n, k=k, m=m, odd_indices=odd, even_indices=even)
-
-
-def decouple_resample(problem: RegressionProblem, scheme: BlockingScheme,
-                      seed: int) -> Trajectory:
-    """Redraw every block independently from the chain's stationary block law.
-
-    Marginal block laws are preserved and blocks are mutually independent,
-    which realizes the fully decoupled version of the trajectory law.
-    """
-    return kwise_independent_surrogate(problem, scheme.n, scheme.k, seed)
 
 
 def decoupling_gap_bound(betas, scheme: BlockingScheme) -> float:

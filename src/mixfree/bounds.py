@@ -6,13 +6,15 @@ finite-support laws are exact (log-domain moment sweeps); chaining
 complexities are entropy-integral upper bounds (adaptive quadrature, with a
 closed form for the parametric covering profile); a finite class's integrals
 are exact sums over its distance cuts, with the greedy cover counts at every
-cut from one pass over the members; critical radii come from a sign-change
-bisection; burn-in sample sizes from monotone integer searches. The mixing
-block length k_mix comes straight from the chain: k / beta(k) only grows
-with k, so a doubling search plus bisection over matrix powers finds it with
-no lag horizon. Universal constants are configuration values defaulting to
-1, so quantitative use is either oracle-exactness or calibrated coverage,
-never absolute constants.
+cut from one pass over the members; the q = 1 noise level sums all lags in
+one matrix power; every profile the pipeline builds is linear in the radius,
+so the critical radius is a closed form (critical_radius, a grid plus
+bisection, is its oracle); burn-ins come from monotone integer searches. The
+mixing block length k_mix comes straight from the chain: k / beta(k) only
+grows with k, so a doubling search plus bisection over matrix powers finds
+it with no lag horizon. Universal constants are configuration values
+defaulting to 1, so quantitative use is either oracle-exactness or
+calibrated coverage, never absolute constants.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy import integrate, optimize
 
-from .processgen import MarkovChainModel, RegressionProblem, beta_at_lag
+from .processgen import (MarkovChainModel, RegressionProblem, beta_at_lag,
+                         lag_weighted_sum)
 from .erm import HypothesisClass, PopulationQuantities, sphere_tables
 
 INF = float("inf")
@@ -140,22 +143,15 @@ class PsiNormEstimate:
     at_half_m_max: float
 
 
-def _psi_objective_log(law: DiscreteLaw, p: float):
-    """Returns phi(m) = log of m^(-1/p) ||Z||_{L^m}, or None for the zero law."""
-    vmax = law.ess_sup()
-    if vmax == 0.0:
-        return None
-    mask = (law.probs > 0) & (np.abs(law.values) > 0)
-    logv = np.log(np.abs(law.values[mask]) / vmax)
-    logp = np.log(law.probs[mask])
-
-    def phi(m: float) -> float:
-        inner = logp + m * logv
-        top = inner.max()
-        lse = top + math.log(np.exp(inner - top).sum())
-        return math.log(vmax) + lse / m - math.log(m) / p
-
-    return phi
+def _moment_sweep(logpi: np.ndarray, logv: np.ndarray, p: float, ms):
+    """For each m in `ms`, log(m^(-1/p) ||Z||_{L^m} / vmax) of every row of
+    logv = log(|values| / vmax) under the weights exp(logpi), one row-vector
+    per m: the moment sweep of psi_p_norm and psi_norms_batch."""
+    for m in ms:
+        inner = logpi[None, :] + m * logv
+        top = inner.max(axis=1)
+        lse = top + np.log(np.exp(inner - top[:, None]).sum(axis=1))
+        yield lse / m - math.log(m) / p
 
 
 def psi_p_norm(dist, p: float, m_max: int = 200, refine: bool = True
@@ -177,16 +173,23 @@ def psi_p_norm(dist, p: float, m_max: int = 200, refine: bool = True
         v = law.ess_sup()
         return PsiNormEstimate(p, v, m_max, exact, v, v)
 
-    phi = _psi_objective_log(law, p)
-    if phi is None:
+    vmax = law.ess_sup()
+    if vmax == 0.0:
         return PsiNormEstimate(p, 0.0, m_max, exact, 0.0, 0.0)
-    ms = np.arange(1, m_max + 1)
-    vals = np.array([phi(float(m)) for m in ms])
+    mask = (law.probs > 0) & (np.abs(law.values) > 0)
+    logv = np.log(np.abs(law.values[mask])[None, :] / vmax)
+    logp = np.log(law.probs[mask])
+
+    def phi(m: float) -> float:
+        return math.log(vmax) + float(next(_moment_sweep(logp, logv, p, (m,)))[0])
+
+    vals = math.log(vmax) + np.concatenate(
+        list(_moment_sweep(logp, logv, p, range(1, m_max + 1))))
     j = int(np.argmax(vals))
-    best = vals[j]
+    best, m_best = vals[j], j + 1.0
     if refine:
-        lo = max(1.0, float(ms[j]) - 1.0)
-        hi = min(float(m_max), float(ms[j]) + 1.0)
+        lo = max(1.0, m_best - 1.0)
+        hi = min(float(m_max), m_best + 1.0)
         if hi > lo:
             res = optimize.minimize_scalar(lambda m: -phi(m), bounds=(lo, hi),
                                            method="bounded",
@@ -210,11 +213,7 @@ def psi_norms_batch(value_rows: np.ndarray, pi: np.ndarray, p: float,
         logv = np.log(absv / safe[:, None])
         logpi = np.log(pi)
     best = np.full(rows.shape[0], -np.inf)
-    for m in range(1, m_max + 1):
-        inner = logpi[None, :] + m * logv
-        top = inner.max(axis=1)
-        lse = top + np.log(np.exp(inner - top[:, None]).sum(axis=1))
-        val = lse / m - math.log(m) / p
+    for val in _moment_sweep(logpi, logv, p, range(1, m_max + 1)):
         best = np.maximum(best, val)
     out = np.exp(best) * vmax
     out[vmax == 0] = 0.0
@@ -368,17 +367,15 @@ def _interaction_atoms(problem: RegressionProblem, offsets: np.ndarray, n: int,
 
 
 def weak_variance_q1_exact(problem: RegressionProblem, f_star_table,
-                           resolution_tables, n: int,
-                           lag_cutoff: int | None = None) -> WeakVariance:
+                           resolution_tables, n: int) -> WeakVariance:
     """q = 1 noise level via exact stationary autocovariances (any n).
 
-    Var of the normalized sum expands over lags; cross terms use matrix powers
-    of the kernel applied to the conditional-mean profile. Lags are truncated
-    once their total remaining contribution is below machine precision, so the
-    value is exact up to negligible geometric tails.
+    Var of the normalized sum expands over lags: n Var(W g) plus 2 (n - l)
+    times the lag-l autocovariance (pi o A)^T Q^l A of the conditional-mean
+    profile A = E[W g | state], with Q = P - 1 pi^T. All n - 1 lags come at
+    once from processgen.lag_weighted_sum, with no truncation.
     """
     pi = problem.chain.stationary
-    P = problem.chain.transition
     tables = np.atleast_2d(np.asarray(resolution_tables, dtype=float))
     norms = _check_resolution(tables, pi)
     offsets = _noise_offsets(problem, f_star_table)
@@ -386,24 +383,11 @@ def weak_variance_q1_exact(problem: RegressionProblem, f_star_table,
     m2_w = (problem.noise.second_moment_per_state()
             + 2.0 * offsets * problem.noise.mean_per_state() + offsets ** 2)
 
-    max_lag = n - 1 if lag_cutoff is None else min(lag_cutoff, n - 1)
     A = mu_w[None, :] * tables                                # E[W g | state], per member
     et = A @ pi
     var0 = (m2_w[None, :] * tables ** 2) @ pi - et ** 2
-    totals = n * var0
-    scale = np.maximum(np.maximum(np.abs(var0), et ** 2), 1e-300)
-    Pl = np.eye(problem.n_states)
-    stall = 0
-    for lag in range(1, max_lag + 1):
-        Pl = Pl @ P
-        cov = ((pi[None, :] * A) * (A @ Pl.T)).sum(axis=1) - et ** 2
-        totals += 2.0 * (n - lag) * cov
-        if np.max(np.abs(cov) / scale) < 1e-18:
-            stall += 1
-            if stall >= 3:
-                break
-        else:
-            stall = 0
+    lagged = ((pi[None, :] * A) @ lag_weighted_sum(problem.chain, n) * A).sum(axis=1)
+    totals = n * var0 + 2.0 * lagged
     vals = totals / (n * norms ** 2)
     return WeakVariance(float(vals.max()), 1.0, "autocovariance-exact", vals)
 
@@ -584,15 +568,19 @@ class CriticalRadius:
     flag: str   # 'interior' | 'floor' | 'saturated'
 
 
+_R_MIN = 1e-6     # floor of the critical radius
+
+
 def critical_radius(weak_variance_profile, gamma2_profile, n: int,
-                    c1: float = 1.0, r_min: float = 1e-6,
+                    c1: float = 1.0, r_min: float = _R_MIN,
                     grid_points: int = 2048, xtol: float = 1e-10) -> CriticalRadius:
     """Smallest r in (0, 1] with r >= c1 sqrt(V(r)) gamma2(r) / (r sqrt(n)).
 
     Locates a sign change of the crossing function on a log grid and bisects
     to `xtol`; the returned endpoint satisfies the inequality. If the
     inequality already holds at the configured floor the floor is returned
-    with a flag; if it fails at r = 1 the radius saturates at 1.
+    with a flag; if it fails at r = 1 the radius saturates at 1. The test
+    oracle of _linear_profile_radius, which the pipeline uses.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -619,6 +607,20 @@ def critical_radius(weak_variance_profile, gamma2_profile, n: int,
         else:
             lo = mid
     return CriticalRadius(float(hi), "interior")
+
+
+def _linear_profile_radius(weak_variance: float, gamma2_at_one: float, n: int,
+                           c1: float) -> CriticalRadius:
+    """critical_radius for a constant noise level V and a linear profile
+    gamma2(r) = gamma2(1) r, as class_gamma_profiles builds: the crossing
+    function is then r - c1 sqrt(V) gamma2(1) / sqrt(n), so r* is that
+    constant, clipped to [_R_MIN, 1] with critical_radius's flags."""
+    r = c1 * math.sqrt(max(weak_variance, 0.0)) * gamma2_at_one / math.sqrt(n)
+    if r > 1.0:
+        return CriticalRadius(1.0, "saturated")
+    if r <= _R_MIN:
+        return CriticalRadius(_R_MIN, "floor")
+    return CriticalRadius(r, "interior")
 
 
 @dataclass(frozen=True)
@@ -1049,7 +1051,7 @@ def compute_bound_report(problem: RegressionProblem, cls: HypothesisClass,
 
     The noise level uses the exact autocovariance formula when q = 1 and
     seeded Monte Carlo otherwise; the resolution set is a sphere grid of
-    normalized star-hull directions.
+    normalized star-hull directions. The critical radius is in closed form.
     """
     from .erm import population_quantities
     check_q_p(q, p)
@@ -1071,7 +1073,7 @@ def compute_bound_report(problem: RegressionProblem, cls: HypothesisClass,
     gamma2_fn, gamma_eta_fn, gamma_quad_fn = class_gamma_profiles(
         cls, problem, pop, cert.eta, constants.c_alpha)
 
-    rad = critical_radius(lambda r: wv.value, gamma2_fn, n, c1=constants.c1)
+    rad = _linear_profile_radius(wv.value, gamma2_fn(1.0), n, constants.c1)
 
     k_mix = k_mix_from_chain(problem.chain, n, delta)
     if k is None:

@@ -112,7 +112,7 @@ def _out_path(out_dir: str, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
-def _cmd_simulate(cfg: dict, out: str, seed: int | None, quiet: bool) -> list:
+def _cmd_simulate(cfg: dict, out: str, seed: int | None) -> list:
     _check_keys(cfg, {"model", "n", "seed"}, {"kwise"}, "simulate config")
     problem = _document(processgen.problem_from_dict, cfg["model"], "model")
     n = _number(cfg["n"], "n", int)
@@ -127,9 +127,9 @@ def _cmd_simulate(cfg: dict, out: str, seed: int | None, quiet: bool) -> list:
     return [path]
 
 
-def _cmd_bound(cfg: dict, out: str, seed: int | None, quiet: bool) -> list:
+def _cmd_bound(cfg: dict, out: str, seed: int | None) -> list:
     _check_keys(cfg, {"model", "class", "n", "delta"},
-                {"q", "p", "k", "constants", "resolution", "seed", "epsilon"},
+                {"q", "p", "k", "constants", "resolution", "seed"},
                 "bound config")
     problem = _document(processgen.problem_from_dict, cfg["model"], "model")
     cls = _parse_class(cfg["class"])
@@ -162,7 +162,7 @@ def _cmd_bound(cfg: dict, out: str, seed: int | None, quiet: bool) -> list:
     return [json_path, csv_path]
 
 
-def _cmd_certify(cfg: dict, out: str, seed: int | None, quiet: bool) -> list:
+def _cmd_certify(cfg: dict, out: str, seed: int | None) -> list:
     _check_keys(cfg, {"model", "class"},
                 {"p", "method", "directions", "seed", "m_max"}, "certify config")
     problem = _document(processgen.problem_from_dict, cfg["model"], "model")
@@ -182,9 +182,9 @@ def _cmd_certify(cfg: dict, out: str, seed: int | None, quiet: bool) -> list:
     return [path]
 
 
-def _cmd_sweep(cfg: dict, out: str, seed: int | None, quiet: bool) -> list:
+def _cmd_sweep(cfg: dict, out: str, seed: int | None) -> list:
     _check_keys(cfg, {"levels", "class", "n_grid", "replicates", "seed"},
-                {"delta", "q", "p", "constants", "block_rule", "plot", "epsilon"},
+                {"delta", "q", "p", "constants", "block_rule", "plot"},
                 "sweep config")
     if not isinstance(cfg["levels"], list) or not cfg["levels"]:
         raise ConfigError("'levels' must be a nonempty list of {label, model}")
@@ -223,7 +223,7 @@ def _cmd_sweep(cfg: dict, out: str, seed: int | None, quiet: bool) -> list:
     return written
 
 
-def _cmd_coverage(cfg: dict, out: str, seed: int | None, quiet: bool) -> list:
+def _cmd_coverage(cfg: dict, out: str, seed: int | None) -> list:
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError("coverage config requires key 'kind'")
     kind = cfg["kind"]
@@ -266,7 +266,7 @@ def _cmd_coverage(cfg: dict, out: str, seed: int | None, quiet: bool) -> list:
     return [csv_path, json_path]
 
 
-def _cmd_diagnose(cfg: dict, out: str, seed: int | None, quiet: bool) -> list:
+def _cmd_diagnose(cfg: dict, out: str, seed: int | None) -> list:
     _check_keys(cfg, {"model", "class", "n", "replicates", "epsilon", "delta",
                       "seed"}, {"q", "p", "constants", "rho_grid"},
                 "diagnose config")
@@ -310,7 +310,7 @@ def run(argv) -> int:
         return 1
     try:
         cfg = _load_config(args.config)
-        written = _HANDLERS[args.command](cfg, args.out, args.seed, args.quiet)
+        written = _HANDLERS[args.command](cfg, args.out, args.seed)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1

@@ -118,7 +118,6 @@ class SweepConfig:
     q: float = 1.0
     p: float = INF
     constants: Constants = Constants()
-    epsilon: float = 0.5
     block_rule: object = "kmix"       # 'kmix' or a fixed block length
 
     def __post_init__(self):

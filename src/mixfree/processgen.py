@@ -11,8 +11,8 @@ This module builds the data-generating side of the lab:
   breakpoints cut [0, 1) into cells, within a cell each step is a fixed map
   from state to state, so every time step is one cell-table lookup over all
   replicates.
-- ``beta_coefficients``: exact total-variation mixing coefficients via matrix
-  powers. TV uses the (1/2)-l1 convention for discrete laws.
+- ``beta_coefficients`` / ``lag_weighted_sum``: exact mixing coefficients
+  and lag sums via matrix powers. TV uses the (1/2)-l1 convention.
 
 Only finite-state chains get exact coefficients here; continuous processes are
 out of scope. All types are immutable after construction and safe to share
@@ -504,26 +504,34 @@ def stream_state_stats(problem: RegressionProblem, n: int, seeds,
 # exact chain moments
 # ---------------------------------------------------------------------------
 
-def lagged_cross_moment(model: MarkovChainModel, a, b, lag: int) -> float:
-    """E[a(X_0) b(X_lag)] under the stationary law, exact via matrix powers."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if lag == 0:
-        return float(np.sum(model.stationary * a * b))
-    Pl = np.linalg.matrix_power(model.transition, lag)
-    return float(np.sum(model.stationary * a * (Pl @ b)))
+def lag_weighted_sum(model: MarkovChainModel, k: int) -> np.ndarray:
+    """sum_{l=1}^{k-1} (k - l) Q^l for the centered kernel Q = P - 1 pi^T.
+
+    Q^l = P^l - 1 pi^T, so this carries every lag's covariance in a
+    length-k stationary block. It is block (2, 0) of B^(k-1) for the block
+    matrix B = [[Q, 0, 0], [Q, I, 0], [Q, I, I]], whose powers keep Q^m, the
+    running sum of Q^l and the running sum of those sums: one matrix power
+    of a 3S x 3S matrix by repeated squaring, O(S^3 log k) work. It takes no
+    inverse: the closed form through (I - Q)^(-1) is badly conditioned on
+    near-reducible chains and can be wrong there in every digit.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    S = model.n_states
+    Q = model.transition - model.stationary[None, :]
+    eye, zero = np.eye(S), np.zeros((S, S))
+    B = np.block([[Q, zero, zero], [Q, eye, zero], [Q, eye, eye]])
+    return np.linalg.matrix_power(B, k - 1)[2 * S:, :S]
 
 
 def block_sum_second_moment(model: MarkovChainModel, values, k: int) -> float:
     """Exact E[(V_1 + ... + V_k)^2] for V_t = values[X_t] on a stationary block."""
     values = np.asarray(values, dtype=float)
-    total = k * lagged_cross_moment(model, values, values, 0)
-    Pl = np.eye(model.n_states)
-    for lag in range(1, k):
-        Pl = Pl @ model.transition
-        c = float(np.sum(model.stationary * values * (Pl @ values)))
-        total += 2 * (k - lag) * c
-    return total
+    pi = model.stationary
+    mean = float(pi @ values)
+    return (k * float(pi @ values ** 2)
+            + 2.0 * float((pi * values) @ lag_weighted_sum(model, k) @ values)
+            + k * (k - 1) * mean ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,8 @@ class TestDecoupleResample:
         firsts, seconds = np.empty(reps), np.empty(reps)
         dep_f, dep_s = np.empty(reps), np.empty(reps)
         for r in range(reps):
-            traj = mf.decouple_resample(problem, scheme, 10_000 + r)
+            traj = mf.kwise_independent_surrogate(problem, scheme.n, scheme.k,
+                                                  10_000 + r)
             firsts[r] = traj.targets[:32].mean()
             seconds[r] = traj.targets[32:].mean()
             dep = mf.sample_trajectory(problem, 64, 10_000 + r)
@@ -72,8 +73,9 @@ class TestDecoupleResample:
         for run in range(runs):
             orig = np.array([mf.sample_trajectory(problem, 32, 7000 + 31 * run + j
                                                   ).targets.mean() for j in range(24)])
-            deco = np.array([mf.decouple_resample(problem, scheme, 9000 + 31 * run + j
-                                                  ).targets.mean() for j in range(24)])
+            deco = np.array([mf.kwise_independent_surrogate(
+                problem, scheme.n, scheme.k, 9000 + 31 * run + j).targets.mean()
+                for j in range(24)])
             stat = abs(orig.mean() - deco.mean())
             pooled = np.concatenate([orig, deco])
             perm_stats = np.empty(200)
@@ -88,7 +90,7 @@ class TestDecoupleResample:
         chain = mf.MarkovChainModel(np.array([[1.0]]), np.array([1.0]))
         problem = _problem(chain)
         scheme = mf.make_blocks(16, 4)
-        a = mf.decouple_resample(problem, scheme, 3)
+        a = mf.kwise_independent_surrogate(problem, scheme.n, scheme.k, 3)
         b = mf.sample_trajectory(problem, 16, 3)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.targets, b.targets)

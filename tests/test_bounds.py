@@ -7,10 +7,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import mixfree as mf
+from mixfree import bounds
 from mixfree.bounds import (DiscreteLaw, parametric_log_covering,
                             entropy_integral_breakpoints, psi_norms_batch,
                             greedy_cover_count, greedy_cover_counts,
@@ -395,6 +396,21 @@ class TestCriticalRadius:
         with pytest.raises(ValueError, match="non-finite"):
             mf.critical_radius(lambda r: float("nan"), lambda r: r, 10)
 
+    @settings(max_examples=300, deadline=None)
+    @given(V=st.floats(0.0, 10.0), slope=st.floats(0.0, 100.0),
+           n=st.sampled_from([1, 64, 8192, 2 ** 21]) | st.integers(1, 2 ** 21),
+           c1=st.floats(0.1, 10.0))
+    @example(V=0.0, slope=3.0, n=64, c1=1.0)          # floor: no noise
+    @example(V=1.0, slope=0.0, n=64, c1=1.0)          # floor: no complexity
+    @example(V=1e-14, slope=1.0, n=2 ** 21, c1=1.0)   # floor: below 1e-6
+    @example(V=1.0, slope=10.0, n=4, c1=1.0)          # saturated
+    def test_closed_form_matches_bisection(self, V, slope, n, c1):
+        closed = bounds._linear_profile_radius(V, slope, n, c1)
+        oracle = mf.critical_radius(lambda r: V, lambda r: slope * r, n, c1=c1)
+        assert closed.flag == oracle.flag
+        # the bisection stops within xtol = 1e-10 above the root
+        assert abs(closed.value - oracle.value) <= 1e-10 + 1e-15
+
 
 class TestBurnIns:
     def _gammas(self, d, eta):
@@ -661,6 +677,25 @@ class TestBoundReport:
         assert report.k_mix == report.k == 7883
         oracle = mf.k_mix_search(mf.beta_coefficients(problem.chain, 20000), n, delta)
         assert oracle == 7883
+
+    def test_r_star_solves_the_pipeline_fixed_point(self):
+        # the closed-form radius relies on every pipeline profile being linear
+        # in r: check it against the bisection on the report's own profiles
+        problem = mf.RegressionProblem(
+            chain=mf.product_chain(mf.two_state_chain(0.25, 0.25), 2),
+            embedding=np.eye(4), mode="tabular", noise=mf.NoiseSpec.symmetric(0.5, 4),
+            true_table=np.array([0.5, -0.25, 1.0, 0.0]))
+        tables = np.vstack([problem.true_table,
+                            np.random.default_rng(3).normal(size=(7, 4))])
+        for cls in (mf.HypothesisClass.linear(4), mf.HypothesisClass.finite(tables)):
+            pop = mf.population_quantities(problem, cls)
+            for n in (16, 2048):
+                report = mf.compute_bound_report(problem, cls, n=n, delta=0.05)
+                gamma2, _, _ = bounds.class_gamma_profiles(cls, problem, pop,
+                                                           report.eta)
+                oracle = mf.critical_radius(lambda r: report.weak_variance, gamma2, n)
+                assert report.r_star_flag == oracle.flag
+                assert abs(report.r_star - oracle.value) <= 1e-10 + 1e-15
 
     def test_q1_with_finite_p_rejected(self):
         problem = self._two_state_problem(0.25)

@@ -89,6 +89,22 @@ class TestConfigErrors:
         assert "numeric failure" in capsys.readouterr().err
 
 
+    def test_epsilon_is_unknown_to_bound_and_sweep(self, tmp_path, capsys):
+        linear = {"kind": "linear", "dim": 2}
+        configs = {
+            "bound": {"model": _model_dict(), "class": linear, "n": 64,
+                      "delta": 0.1, "epsilon": 0.5},
+            "sweep": {"levels": [{"label": "a", "model": _model_dict()}],
+                      "class": linear, "n_grid": [64], "replicates": 2,
+                      "seed": 1, "epsilon": 0.5},
+        }
+        for command, payload in configs.items():
+            cfg = _write(tmp_path, f"{command}.json", payload)
+            code = run([command, "--config", cfg, "--out", str(tmp_path / command)])
+            assert code == 1, command
+            err = capsys.readouterr().err
+            assert "unknown key" in err and "epsilon" in err
+
     def test_q1_with_finite_p_is_config_error(self, tmp_path, capsys):
         linear = {"kind": "linear", "dim": 2}
         configs = {

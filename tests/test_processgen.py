@@ -316,8 +316,11 @@ class TestKMixFromChain:
     @given(chain=_chains(), n=st.integers(1, 2048),
            delta=st.sampled_from([0.5, 0.05, 1e-3]) | st.floats(1e-3, 0.99))
     def test_matches_per_lag_search(self, chain, n, delta):
-        betas = mf.beta_coefficients(chain, n)
-        assert abs(processgen.beta_at_lag(chain, n) - betas[-1]) <= 1e-12
+        # beta_at_lag agrees with the per-lag loop up to rounding, which can
+        # tip a tie k / beta(k) = n / delta either way; so the linear scan
+        # reads the same beta_at_lag values the search does
+        betas = np.array([processgen.beta_at_lag(chain, k) for k in range(1, n + 1)])
+        assert np.max(np.abs(betas - mf.beta_coefficients(chain, n))) <= 1e-12
 
         def outcome(search):
             try:
@@ -463,6 +466,47 @@ class TestNoiseSpec:
         with pytest.raises(ValueError, match="same table"):
             mf.NoiseSpec("bounded-iid", np.array([[1.0], [2.0]]),
                          np.array([[1.0], [1.0]]), bound=3.0)
+
+
+def _lag_loop(chain, k):
+    """sum_{l=1}^{k-1} (k - l) Q^l with Q = P - 1 pi^T, one product per lag."""
+    Q = chain.transition - chain.stationary[None, :]
+    total, Ql = np.zeros_like(Q), np.eye(chain.n_states)
+    for lag in range(1, k):
+        Ql = Ql @ Q
+        total += (k - lag) * Ql
+    return total
+
+
+EPS = np.finfo(float).eps
+
+
+class TestLagWeightedSum:
+    @settings(max_examples=200, deadline=None)
+    @given(chain=_chains(), k=st.integers(1, 8) | st.integers(1, 3000))
+    def test_matches_lag_loop(self, chain, k):
+        want = _lag_loop(chain, k)
+        # the loop's own rounding grows with the k - 1 terms it adds
+        assert (np.max(np.abs(processgen.lag_weighted_sum(chain, k) - want))
+                <= 2 * k * EPS * np.max(np.abs(want)))
+
+    def test_near_reducible_chain_defeats_the_inverse_formula(self):
+        # Q (I - Q)^-1 [(k - 1) I - Q (I - Q^(k-1)) (I - Q)^-1] is the same sum
+        # in exact arithmetic, but I - Q is within 2e-12 of singular here
+        flip = 1e-12
+        chain = mf.MarkovChainModel(np.array([[1 - flip, flip], [flip, 1 - flip]]),
+                                    np.array([0.5, 0.5]))
+        eye = np.eye(2)
+        Q = chain.transition - chain.stationary[None, :]
+        R = np.linalg.inv(eye - Q)
+        for k in (64, 4097):
+            want = _lag_loop(chain, k)
+            scale = np.max(np.abs(want))
+            inverse = Q @ R @ ((k - 1) * eye
+                               - Q @ (eye - np.linalg.matrix_power(Q, k - 1)) @ R)
+            assert np.max(np.abs(inverse - want)) > 0.5 * scale
+            assert (np.max(np.abs(processgen.lag_weighted_sum(chain, k) - want))
+                    <= 2 * k * EPS * scale)
 
 
 class TestChainMoments:
