@@ -2,7 +2,8 @@
 critical radii, burn-ins, and the assembled excess-risk bound.
 
 Everything here is a deterministic numeric evaluation. Moment norms of
-finite-support laws are exact (log-domain moment sweeps); chaining
+finite-support laws are exact (log-domain moment sweeps that stop at the
+first order past which, since |Z| <= vmax, no later order can win); chaining
 complexities are entropy-integral upper bounds (adaptive quadrature, with a
 closed form for the parametric covering profile); a finite class's integrals
 are exact sums over its distance cuts, with the greedy cover counts at every
@@ -14,7 +15,8 @@ mixing block length k_mix comes straight from the chain: k / beta(k) only
 grows with k, so a doubling search plus bisection over matrix powers finds
 it with no lag horizon. Universal constants are configuration values
 defaulting to 1, so quantitative use is either oracle-exactness or
-calibrated coverage, never absolute constants.
+calibrated coverage, never absolute constants. scipy's quadrature and
+optimizer load only in the two functions that call them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .processgen import (MarkovChainModel, RegressionProblem, beta_at_lag,
                          lag_weighted_sum)
@@ -146,7 +147,7 @@ class PsiNormEstimate:
 def _moment_sweep(logpi: np.ndarray, logv: np.ndarray, p: float, ms):
     """For each m in `ms`, log(m^(-1/p) ||Z||_{L^m} / vmax) of every row of
     logv = log(|values| / vmax) under the weights exp(logpi), one row-vector
-    per m: the moment sweep of psi_p_norm and psi_norms_batch."""
+    per m."""
     for m in ms:
         inner = logpi[None, :] + m * logv
         top = inner.max(axis=1)
@@ -154,14 +155,43 @@ def _moment_sweep(logpi: np.ndarray, logv: np.ndarray, p: float, ms):
         yield lse / m - math.log(m) / p
 
 
+# Absolute slack on the sweep's stopping bound; it covers the rounding of
+# top + log(sum) (about 1e-13 even for weights near 1e-300).
+_SWEEP_STOP_MARGIN = 1e-9
+
+
+def _running_max_sweep(logpi: np.ndarray, logv: np.ndarray, p: float,
+                       m_max: int):
+    """Running maximum of _moment_sweep over m = 1..m_max, one row-vector per
+    order, stopping after order m once no later order can raise any row.
+
+    Every row has logv <= 0 on the support (|v| <= vmax there), so an order's
+    log-moment is at most log sum(pi) and a later order m' computes at most
+    U(m') = max(0, log sum(pi)) / m' - log(m') / p (plus rounding), which only
+    falls with m'. Once every row's maximum reaches U(m + 1) + margin, the
+    orders left are strictly below it, so stopping returns the same bits as
+    the full sweep, and the same first order attaining them.
+    """
+    log_mass = max(0.0, float(np.logaddexp.reduce(logpi)))
+    best = np.full(logv.shape[0], -np.inf)
+    for m, val in enumerate(_moment_sweep(logpi, logv, p, range(1, m_max + 1)),
+                            start=1):
+        best = np.maximum(best, val)
+        yield best
+        if (best >= log_mass / (m + 1) - math.log(m + 1) / p
+                + _SWEEP_STOP_MARGIN).all():
+            return
+
+
 def psi_p_norm(dist, p: float, m_max: int = 200, refine: bool = True
                ) -> PsiNormEstimate:
     """Moment-growth norm of a finite-support law or a plug-in sample.
 
     p = inf returns the essential supremum. Otherwise the supremum over moment
-    orders is evaluated on the integer grid 1..m_max and then locally refined
-    over real orders around the best integer, since the defining supremum
-    ranges over all real m >= 1.
+    orders is evaluated on the integer grid 1..m_max (stopping at the first
+    order past which none can win) and then locally refined over real orders
+    around the best integer, since the defining supremum ranges over all real
+    m >= 1.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
@@ -183,41 +213,50 @@ def psi_p_norm(dist, p: float, m_max: int = 200, refine: bool = True
     def phi(m: float) -> float:
         return math.log(vmax) + float(next(_moment_sweep(logp, logv, p, (m,)))[0])
 
+    # The first order attaining the maximum of log(vmax) + value is a record
+    # of the running maximum, so the argmax over running maxima finds it.
     vals = math.log(vmax) + np.concatenate(
-        list(_moment_sweep(logp, logv, p, range(1, m_max + 1))))
+        list(_running_max_sweep(logp, logv, p, m_max)))
     j = int(np.argmax(vals))
     best, m_best = vals[j], j + 1.0
     if refine:
         lo = max(1.0, m_best - 1.0)
         hi = min(float(m_max), m_best + 1.0)
         if hi > lo:
+            from scipy import optimize
             res = optimize.minimize_scalar(lambda m: -phi(m), bounds=(lo, hi),
                                            method="bounded",
                                            options={"xatol": 1e-10})
             best = max(best, -float(res.fun))
+    at_half, at_max = math.log(vmax) + np.concatenate(
+        list(_moment_sweep(logp, logv, p, (max(1, m_max // 2), m_max))))
     return PsiNormEstimate(p, math.exp(best), m_max, exact,
-                           math.exp(vals[-1]), math.exp(vals[m_max // 2 - 1] if m_max >= 2 else vals[0]))
+                           math.exp(at_max), math.exp(at_half))
 
 
 def psi_norms_batch(value_rows: np.ndarray, pi: np.ndarray, p: float,
                     m_max: int = 200) -> np.ndarray:
-    """psi_p norms for many per-state tables at once (integer moment sweep)."""
+    """psi_p norms for many per-state tables at once (integer moment sweep,
+    stopped at the first order past which no row can gain). Values at states
+    with pi = 0 do not count."""
+    if m_max < 1:
+        raise ValueError("m_max must be >= 1")
     rows = np.atleast_2d(np.asarray(value_rows, dtype=float))
     pi = np.asarray(pi, dtype=float)
     if p == INF:
         return np.abs(rows[:, pi > 0]).max(axis=1)
-    absv = np.abs(rows)
+    absv = np.where(pi > 0, np.abs(rows), 0.0)
     vmax = absv.max(axis=1)
     safe = np.where(vmax > 0, vmax, 1.0)
     with np.errstate(divide="ignore"):
         logv = np.log(absv / safe[:, None])
         logpi = np.log(pi)
-    best = np.full(rows.shape[0], -np.inf)
-    for val in _moment_sweep(logpi, logv, p, range(1, m_max + 1)):
-        best = np.maximum(best, val)
-    out = np.exp(best) * vmax
-    out[vmax == 0] = 0.0
-    return out
+    # An all-zero row sweeps as a constant one, so it yields no NaN and never
+    # holds the sweep up; its norm is still exp(best) * 0 = 0.
+    logv[vmax == 0] = 0.0
+    for best in _running_max_sweep(logpi, logv, p, m_max):
+        pass
+    return np.exp(best) * vmax
 
 
 def psi_product_bound(dist_z, dist_zp, p: float, m_max: int = 200) -> float:
@@ -446,6 +485,7 @@ def gamma_alpha_quadrature(alpha: float, r: float, log_covering,
     def integrand(s):
         return max(log_covering(s), 0.0) ** (1.0 / alpha)
 
+    from scipy import integrate
     val, _ = integrate.quad(integrand, 0.0, r, epsrel=rel_tol, limit=400)
     return c_alpha * val
 

@@ -40,6 +40,83 @@ def _mds_problem(n_states=3, sigma=0.7, seed=0):
                                 true_table=rng.normal(size=n_states))
 
 
+def _full_sweep(logpi, logv, p, m_max):
+    """All m_max orders of the moment sweep, shape (m_max, rows), with no
+    early stop: the oracle for bounds._running_max_sweep."""
+    out = []
+    for m in range(1, m_max + 1):
+        inner = logpi[None, :] + m * logv
+        top = inner.max(axis=1)
+        lse = top + np.log(np.exp(inner - top[:, None]).sum(axis=1))
+        out.append(lse / m - math.log(m) / p)
+    return np.array(out)
+
+
+def _full_sweep_batch(rows, pi, p, m_max):
+    """Oracle for psi_norms_batch: every order for every row, vmax over the
+    support of pi."""
+    absv = np.where(pi > 0, np.abs(rows), 0.0)
+    vmax = absv.max(axis=1)
+    safe = np.where(vmax > 0, vmax, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logv = np.log(absv / safe[:, None])
+        best = _full_sweep(np.log(pi), logv, p, m_max).max(axis=0)
+    out = np.exp(best) * vmax
+    out[vmax == 0] = 0.0
+    return out
+
+
+def _full_sweep_psi_p_norm(law, p, m_max):
+    """Oracle for psi_p_norm at finite p: argmax over every integer order,
+    the same real-order refinement, and both diagnostics read off the full
+    sweep."""
+    from scipy import optimize
+    vmax = law.ess_sup()
+    if vmax == 0.0:
+        return (0.0, 0.0, 0.0)
+    mask = (law.probs > 0) & (np.abs(law.values) > 0)
+    logv = np.log(np.abs(law.values[mask])[None, :] / vmax)
+    logp = np.log(law.probs[mask])
+    vals = math.log(vmax) + _full_sweep(logp, logv, p, m_max)[:, 0]
+    j = int(np.argmax(vals))
+    best, m_best = vals[j], j + 1.0
+    lo, hi = max(1.0, m_best - 1.0), min(float(m_max), m_best + 1.0)
+    if hi > lo:
+        def phi(m):
+            return math.log(vmax) + float(next(bounds._moment_sweep(logp, logv, p, (m,)))[0])
+        res = optimize.minimize_scalar(lambda m: -phi(m), bounds=(lo, hi),
+                                       method="bounded", options={"xatol": 1e-10})
+        best = max(best, -float(res.fun))
+    half = vals[m_max // 2 - 1] if m_max >= 2 else vals[0]
+    return (math.exp(best), math.exp(vals[-1]), math.exp(half))
+
+
+_VALUES = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0]),
+                    st.floats(-1e6, 1e6, allow_nan=False))
+_WEIGHTS = st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-300, 1.0))
+
+
+@st.composite
+def _psi_cases(draw):
+    """(rows, pi, p, m_max): random and tied rows, exact zeros, all-zero
+    rows, pi with zero entries or a sum a few ulps off 1, single states."""
+    n_states = draw(st.integers(1, 8))
+    n_rows = draw(st.integers(1, 5))
+    rows = np.array([[draw(_VALUES) for _ in range(n_states)]
+                     for _ in range(n_rows)])
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, n_rows - 1))] = 0.0
+    w = np.array([draw(_WEIGHTS) for _ in range(n_states)])
+    w[draw(st.integers(0, n_states - 1))] = draw(st.floats(0.01, 1.0))
+    pi = w / w.sum()
+    k = int(np.argmax(pi))
+    for _ in range(abs(ulps := draw(st.integers(-4, 4)))):
+        pi[k] = np.nextafter(pi[k], 2.0 if ulps > 0 else 0.0)
+    p = draw(st.one_of(st.sampled_from([1.0, 2.0, 1e6]),
+                       st.floats(0.0, 6.0).map(lambda e: 10.0 ** e)))
+    return rows, pi, p, draw(st.integers(1, 200))
+
+
 class TestPsiNorm:
     def test_constant_ess_sup(self):
         law = DiscreteLaw(np.array([-2.5]), np.array([1.0]))
@@ -88,6 +165,41 @@ class TestPsiNorm:
             single = mf.psi_p_norm(DiscreteLaw(row, pi), 2.0, m_max=150,
                                    refine=False).value
             assert abs(batch[i] - single) < 1e-12
+
+    def test_batch_ignores_values_off_the_support(self):
+        # zero on pi's support, nonzero where pi = 0: the law is a point mass at 0
+        assert psi_norms_batch([[0.0, 1.0]], [1.0, 0.0], 2.0)[0] == 0.0
+        assert psi_norms_batch([[0.0, 1.0]], [1.0, 0.0], INF)[0] == 0.0
+        assert mf.psi_p_norm(DiscreteLaw([0.0, 1.0], [1.0, 0.0]), 2.0).value == 0.0
+        row = np.array([[1.0, 1e300, -3.0]])
+        pi = np.array([0.5, 0.0, 0.5])
+        assert psi_norms_batch(row, pi, 2.0)[0] == psi_norms_batch(row[:, [0, 2]],
+                                                                   pi[[0, 2]], 2.0)[0]
+
+    def test_batch_sweep_stops_early(self):
+        tables = mf.product_embedding([-1.0, 1.0], 5) @ np.random.default_rng(5).normal(
+            size=(5, 300))
+        pi = np.full(32, 1.0 / 32)
+        with np.errstate(divide="ignore"):
+            logv = np.log(np.abs(tables.T) / np.abs(tables.T).max(axis=1, keepdims=True))
+        orders = len(list(bounds._running_max_sweep(np.log(pi), logv, 2.0, 200)))
+        assert orders < 20
+        assert np.array_equal(psi_norms_batch(tables.T, pi, 2.0),
+                              _full_sweep_batch(tables.T, pi, 2.0, 200))
+
+    @settings(max_examples=250, deadline=None)
+    @given(_psi_cases())
+    @example((np.array([[0.0, 1.0]]), np.array([1.0, 0.0]), 2.0, 200))
+    @example((np.array([[-1.0, 1.0]]), np.array([0.5, 0.5]), 1.0, 200))
+    @example((np.array([[3.0]]), np.array([1.0]), 1e6, 1))
+    def test_stopped_sweep_matches_full_sweep(self, case):
+        rows, pi, p, m_max = case
+        assert np.array_equal(psi_norms_batch(rows, pi, p, m_max),
+                              _full_sweep_batch(rows, pi, p, m_max))
+        law = DiscreteLaw(rows[0], pi)
+        est = mf.psi_p_norm(law, p, m_max)
+        assert (est.value, est.at_m_max, est.at_half_m_max) == \
+            _full_sweep_psi_p_norm(law, p, m_max)
 
 
 class TestPsiProductBound:

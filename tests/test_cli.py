@@ -1,6 +1,9 @@
 """Command-line interface tests: exit codes, strict configs, artifact schemas."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +27,16 @@ def _write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def test_import_leaves_scipy_unloaded():
+    """scipy's integrate and optimize load only in the functions that use them."""
+    env = dict(os.environ, PYTHONPATH=str(Path(mf.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, mixfree.cli; print(sorted("
+         "m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestConfigErrors:
