@@ -10,7 +10,6 @@
 import numpy as np
 
 import mixfree as mf
-from mixfree.bounds import _noise_psi_norm
 
 base = mf.two_state_chain(0.05, 0.05)          # per-coordinate dependence 0.9
 chain = mf.product_chain(base, 2)
@@ -30,13 +29,7 @@ for n in (65_536, 1_048_576):
     print(f"  burn-ins           n_quad = {report.n_quad}, n_mult = {report.n_mult}")
     print(f"  risk bound         {report.risk_bound:.3e}")
 
-    pop = mf.population_quantities(problem, cls)
-    rhs = mf.multiplier_bound_rhs(
-        weak_variance=report.weak_variance, gamma2=report.gamma2,
-        gamma_eta=report.gamma_eta, L=report.L, eta=report.eta, k=report.k,
-        noise_psi_norm=_noise_psi_norm(problem, pop.f_star_table, report.p),
-        r=report.r_star, n=n, delta=report.delta, p=report.p,
-        q_prime=report.q_prime)
+    rhs = report.multiplier_rhs()
     var_group = rhs.group("variance_chaining", "variance_tail")
     psi_group = rhs.group("psi_chaining", "psi_tail")
     print(f"  multiplier rhs     variance group {var_group:.3e}, "

@@ -11,10 +11,9 @@ minimization does not deflate with the mixing time.
 """
 
 from .processgen import (MarkovChainModel, NoiseSpec, RegressionProblem,
-                         Trajectory, beta_coefficients,
-                         block_sum_second_moment, iid_chain,
+                         Trajectory, block_sum_second_moment, iid_chain,
                          kwise_independent_surrogate, product_chain,
-                         product_embedding, problem_from_dict, problem_from_json,
+                         product_embedding, problem_from_dict,
                          sample_path_batch, sample_trajectory,
                          stationary_distribution, stream_state_stats,
                          trajectory_to_csv, two_state_chain)
@@ -23,23 +22,22 @@ from .blocking import (BlockingScheme, blocked_bernstein_bound,
                        mixing_failure_term, odd_block_decoupling_gap_exact)
 from .erm import (ERMResult, HypothesisClass, PopulationQuantities,
                   basic_inequality_sides, excess_l2, fit_erm_finite,
-                  fit_erm_linear, l2_norm, multiplier_process,
+                  fit_erm_linear, multiplier_process,
                   population_quantities, quadratic_process, sphere_tables,
                   star_hull_tables)
 from .bounds import (INF, BoundBreakdown, BoundReport, BurnIns, ClassCertificate,
                      Constants, CriticalRadius, DiscreteLaw, PsiNormEstimate,
                      WeakVariance, bernstein_mgf_rhs, burn_ins,
                      certify_weak_subgaussian, check_holder_pair,
-                     compute_bound_report, covering_number, critical_radius,
-                     gamma_alpha_parametric, gamma_alpha_quadrature,
-                     gamma_alpha_upper, greedy_cover_counts, holder_conjugate,
-                     k_mix_from_chain, k_mix_search, multiplier_bound_rhs,
+                     compute_bound_report, gamma_alpha_parametric,
+                     gamma_alpha_quadrature, greedy_cover_counts,
+                     holder_conjugate, k_mix_from_chain, multiplier_bound_rhs,
                      psi_p_norm, psi_product_bound,
                      quadratic_bound_rhs, risk_bound, weak_variance_2q,
                      weak_variance_q1_exact)
 from .harness import (CoverageReport, DiagnosticsReport, MixingFreeReport,
                       RateFit, SweepConfig, SweepResult, cell_seed,
-                      coverage_experiment, fit_rate, mixing_free_check,
+                      fit_rate, mixing_free_check,
                       process_diagnostics, run_cell, run_sweep, sweep_summary,
                       sweep_to_csv)
 

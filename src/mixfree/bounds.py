@@ -9,8 +9,8 @@ closed form for the parametric covering profile); a finite class's integrals
 are exact sums over its distance cuts, with the greedy cover counts at every
 cut from one pass over the members; the q = 1 noise level sums all lags in
 one matrix power; every profile the pipeline builds is linear in the radius,
-so the critical radius is a closed form (critical_radius, a grid plus
-bisection, is its oracle); burn-ins come from monotone integer searches. The
+so the critical radius is a closed form; burn-ins come from monotone integer
+searches (tests/oracles.py keeps the plain loop forms as references). The
 mixing block length k_mix comes straight from the chain: k / beta(k) only
 grows with k, so a doubling search plus bisection over matrix powers finds
 it with no lag horizon. Universal constants are configuration values
@@ -207,7 +207,8 @@ def psi_p_norm(dist, p: float, m_max: int = 200, refine: bool = True
     if vmax == 0.0:
         return PsiNormEstimate(p, 0.0, m_max, exact, 0.0, 0.0)
     mask = (law.probs > 0) & (np.abs(law.values) > 0)
-    logv = np.log(np.abs(law.values[mask])[None, :] / vmax)
+    with np.errstate(divide="ignore"):     # a ratio that underflows to 0
+        logv = np.log(np.abs(law.values[mask])[None, :] / vmax)
     logp = np.log(law.probs[mask])
 
     def phi(m: float) -> float:
@@ -435,38 +436,6 @@ def weak_variance_q1_exact(problem: RegressionProblem, f_star_table,
 # covering numbers and chaining complexities
 # ---------------------------------------------------------------------------
 
-def greedy_cover_count(points: np.ndarray, pi: np.ndarray, s: float) -> int:
-    """Deterministic greedy covering of a finite point set in the L2(pi) metric."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    remaining = np.ones(pts.shape[0], dtype=bool)
-    count = 0
-    while remaining.any():
-        center = pts[np.argmax(remaining)]
-        d2 = ((pts - center[None, :]) ** 2) @ pi
-        remaining &= d2 > s ** 2
-        count += 1
-    return count
-
-
-def covering_number(cls: HypothesisClass, r: float, s: float,
-                    problem: RegressionProblem | None = None) -> int:
-    """Covering count at scale s in the population L2 metric.
-
-    Finite classes: exact deterministic greedy cover of the member tables.
-    Linear classes: volumetric upper bound ceil((1 + 2r/s)^d) for the radius-r
-    ball (an upper bound, not an exact count).
-    """
-    if s <= 0:
-        raise ValueError("scale s must be positive")
-    if cls.kind == "finite":
-        if problem is None:
-            raise ValueError("finite-class covering needs the problem for its stationary law")
-        return greedy_cover_count(cls.tables, problem.chain.stationary, s)
-    if r < 0:
-        raise ValueError("radius r must be nonnegative")
-    return int(math.ceil((1.0 + 2.0 * r / s) ** cls.dim))
-
-
 def gamma_alpha_quadrature(alpha: float, r: float, log_covering,
                            c_alpha: float = 1.0, rel_tol: float = 1e-6) -> float:
     """Entropy-integral complexity c_alpha * int_0^r (log N(s))^(1/alpha) ds.
@@ -507,47 +476,21 @@ def gamma_alpha_parametric(alpha: float, r: float, d: float,
     return c_alpha * d ** (1.0 / alpha) * r * math.gamma(1.0 / alpha + 1.0)
 
 
-def gamma_alpha_upper(alpha: float, r: float, d: float | None = None,
-                      log_covering=None, c_alpha: float = 1.0,
-                      cross_check: bool = True) -> float:
-    """Chaining-complexity upper bound via entropy integrals.
-
-    With `d` given, returns the parametric closed form and (by default)
-    cross-checks it against adaptive quadrature of the matching profile to
-    1e-4 relative. With a `log_covering` callable, integrates that profile.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if d is not None:
-        value = gamma_alpha_parametric(alpha, r, d, c_alpha)
-        if cross_check and r > 0 and d > 0:
-            quad_val = gamma_alpha_quadrature(alpha, r, parametric_log_covering(d, r),
-                                              c_alpha)
-            if abs(quad_val - value) > 1e-4 * max(abs(value), 1e-300):
-                raise ArithmeticError(
-                    f"closed form {value!r} and quadrature {quad_val!r} disagree")
-        return value
-    if log_covering is None:
-        raise ValueError("supply either d or a log_covering profile")
-    return gamma_alpha_quadrature(alpha, r, log_covering, c_alpha)
-
-
 # bytes of (scales x points) mask that greedy_cover_counts holds at once
 _COVER_MASK_BYTES = 1 << 22
 
 
 def greedy_cover_counts(points: np.ndarray, pi: np.ndarray, scales) -> np.ndarray:
-    """greedy_cover_count(points, pi, s) for every s in `scales`, in one pass
-    over the points.
+    """Greedy cover count of a finite point set in the L2(pi) metric at
+    every scale s in `scales`, in one pass over the points.
 
     The greedy cover takes as its next center the first point no earlier
-    center covers. So a walk over the points in index order, with a
+    center covers, and covers the points with d2 <= s**2, d2 the squared
+    L2(pi) distance. So a walk over the points in index order, with a
     (scales x points) mask of the points still uncovered, finds the centers at
     every scale at once: at point i, the scales where i is still uncovered
-    count it and drop the points within their s of it. The squared distances
-    and the test d2 > s**2 are evaluated as greedy_cover_count does, so each
-    count equals its greedy count exactly. Scales go through in blocks of
-    about _COVER_MASK_BYTES of mask.
+    count it and drop the points within their s of it. Scales go through in
+    blocks of about _COVER_MASK_BYTES of mask.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     s2 = np.array([s ** 2 for s in scales], dtype=float)
@@ -609,58 +552,28 @@ class CriticalRadius:
 
 
 _R_MIN = 1e-6     # floor of the critical radius
-
-
-def critical_radius(weak_variance_profile, gamma2_profile, n: int,
-                    c1: float = 1.0, r_min: float = _R_MIN,
-                    grid_points: int = 2048, xtol: float = 1e-10) -> CriticalRadius:
-    """Smallest r in (0, 1] with r >= c1 sqrt(V(r)) gamma2(r) / (r sqrt(n)).
-
-    Locates a sign change of the crossing function on a log grid and bisects
-    to `xtol`; the returned endpoint satisfies the inequality. If the
-    inequality already holds at the configured floor the floor is returned
-    with a flag; if it fails at r = 1 the radius saturates at 1. The test
-    oracle of _linear_profile_radius, which the pipeline uses.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-
-    def h(r: float) -> float:
-        v = weak_variance_profile(r)
-        g = gamma2_profile(r)
-        if not (np.isfinite(v) and np.isfinite(g)):
-            raise ValueError(f"non-finite profile value at r = {r}")
-        return r - c1 * math.sqrt(max(v, 0.0)) * g / (r * math.sqrt(n))
-
-    grid = np.exp(np.linspace(math.log(r_min), 0.0, grid_points))
-    hs = np.array([h(r) for r in grid])
-    if hs[-1] < 0:
-        return CriticalRadius(1.0, "saturated")
-    if hs[0] >= 0:
-        return CriticalRadius(r_min, "floor")
-    j = int(np.argmax(hs >= 0))          # first grid point satisfying the inequality
-    lo, hi = grid[j - 1], grid[j]
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        if h(mid) >= 0:
-            hi = mid
-        else:
-            lo = mid
-    return CriticalRadius(float(hi), "interior")
+# where the floor flag is tested: exp(log(_R_MIN)), two ulps above _R_MIN,
+# the first point of a log grid from the floor
+_R_FLOOR_TEST = float(np.exp(math.log(_R_MIN)))
 
 
 def _linear_profile_radius(weak_variance: float, gamma2_at_one: float, n: int,
                            c1: float) -> CriticalRadius:
-    """critical_radius for a constant noise level V and a linear profile
-    gamma2(r) = gamma2(1) r, as class_gamma_profiles builds: the crossing
-    function is then r - c1 sqrt(V) gamma2(1) / sqrt(n), so r* is that
-    constant, clipped to [_R_MIN, 1] with critical_radius's flags."""
-    r = c1 * math.sqrt(max(weak_variance, 0.0)) * gamma2_at_one / math.sqrt(n)
-    if r > 1.0:
+    """Smallest r in [_R_MIN, 1] with r >= c1 sqrt(V) gamma2(r) / (r sqrt(n))
+    for a constant noise level V and a linear profile gamma2(r) = gamma2(1) r,
+    as class_gamma_profiles builds: r* = c1 sqrt(V) gamma2(1) / sqrt(n). The
+    flags test that crossing expression at r = 1 and at _R_FLOOR_TEST, so a
+    tie within an ulp of a clip point gets the grid-plus-bisection flag."""
+    sqrt_v = math.sqrt(max(weak_variance, 0.0))
+
+    def crossing(r: float) -> float:
+        return r - c1 * sqrt_v * (gamma2_at_one * r) / (r * math.sqrt(n))
+
+    if crossing(1.0) < 0:
         return CriticalRadius(1.0, "saturated")
-    if r <= _R_MIN:
+    if crossing(_R_FLOOR_TEST) >= 0:
         return CriticalRadius(_R_MIN, "floor")
-    return CriticalRadius(r, "interior")
+    return CriticalRadius(c1 * sqrt_v * gamma2_at_one / math.sqrt(n), "interior")
 
 
 @dataclass(frozen=True)
@@ -681,28 +594,9 @@ def _smallest_n(predicate, n_guess: int) -> int:
     return n
 
 
-def k_mix_search(betas, n: int, delta: float) -> int:
-    """Smallest k in [n] with k / beta(k) >= n / delta (beta = 0 passes)."""
-    betas = np.asarray(betas, dtype=float)
-    horizon = min(n, len(betas))
-    for k in range(1, horizon + 1):
-        b = betas[k - 1]
-        if b == 0.0 or k / b >= n / delta:
-            return k
-    if len(betas) < n:
-        raise ValueError(
-            f"beta coefficients supplied only up to lag {len(betas)} < n = {n} "
-            "and none satisfies the block condition; extend the horizon")
-    raise ValueError(
-        f"no k <= n = {n} satisfies k/beta(k) >= n/delta = {n / delta:.3g}; "
-        f"the chain needs beta(k) <= k delta / n (best achieved "
-        f"{max(k / b for k, b in enumerate(betas[:n], 1) if b > 0):.3g})")
-
-
 def k_mix_from_chain(model: MarkovChainModel, n: int, delta: float) -> int:
     """Smallest k in [n] with k / beta(k) >= n / delta (beta = 0 passes),
-    straight from the chain: k_mix_search(beta_coefficients(model, n), n,
-    delta) without the per-lag loop.
+    straight from the chain, with no per-lag loop.
 
     beta(k) never increases with k, so k / beta(k) only grows and the
     condition is monotone in k. A doubling search brackets the smallest
@@ -899,6 +793,9 @@ def _ratio_for_directions(dirs: np.ndarray, problem: RegressionProblem, p: float
     return psi / l2
 
 
+CERTIFY_METHODS = ("auto", "finite-exact", "linear-exact", "sampled-fit")
+
+
 def certify_weak_subgaussian(cls: HypothesisClass, problem: RegressionProblem,
                              p: float = 2.0, method: str = "auto",
                              m_max: int = 200, directions: int = 10_000,
@@ -914,6 +811,8 @@ def certify_weak_subgaussian(cls: HypothesisClass, problem: RegressionProblem,
     log psi on log L2 over the members and returns an (L, eta) pair covering
     every sample.
     """
+    if method not in CERTIFY_METHODS:
+        raise ValueError(f"unknown certification method {method!r}")
     pi = problem.chain.stationary
     if method == "auto":
         method = "finite-exact" if cls.kind == "finite" else "linear-exact"
@@ -958,31 +857,29 @@ def certify_weak_subgaussian(cls: HypothesisClass, problem: RegressionProblem,
                                 n_witness=dirs.shape[0] + refine_rounds * refine_samples,
                                 upper_estimate=upper)
 
-    if method == "sampled-fit":
-        if cls.kind == "finite":
-            tables = cls.tables
-        else:
-            rng = np.random.default_rng(seed)
-            dirs = rng.standard_normal((max(directions, 64), problem.dim))
-            tables = dirs @ problem.embedding.T
-        l2 = np.sqrt((tables ** 2) @ pi)
-        keep = l2 > 0
-        if not np.any(keep):
-            raise ValueError("no member with positive L2 norm to fit")
-        tables, l2 = tables[keep], l2[keep]
-        psi = psi_norms_batch(tables, pi, p, m_max)
-        x = np.log(l2)
-        y = np.log(np.maximum(psi, 1e-300))
-        if np.ptp(x) < 1e-12:
-            eta = 1.0
-        else:
-            slope = float(np.polyfit(x, y, 1)[0])
-            eta = min(max(slope, 1e-6), 1.0)
-        L = max(1.0, float(np.max(psi / l2 ** eta)))
-        return ClassCertificate(L=L, eta=eta, p=p, method=method,
-                                n_witness=tables.shape[0])
-
-    raise ValueError(f"unknown certification method {method!r}")
+    # sampled-fit
+    if cls.kind == "finite":
+        tables = cls.tables
+    else:
+        rng = np.random.default_rng(seed)
+        dirs = rng.standard_normal((max(directions, 64), problem.dim))
+        tables = dirs @ problem.embedding.T
+    l2 = np.sqrt((tables ** 2) @ pi)
+    keep = l2 > 0
+    if not np.any(keep):
+        raise ValueError("no member with positive L2 norm to fit")
+    tables, l2 = tables[keep], l2[keep]
+    psi = psi_norms_batch(tables, pi, p, m_max)
+    x = np.log(l2)
+    y = np.log(np.maximum(psi, 1e-300))
+    if np.ptp(x) < 1e-12:
+        eta = 1.0
+    else:
+        slope = float(np.polyfit(x, y, 1)[0])
+        eta = min(max(slope, 1e-6), 1.0)
+    L = max(1.0, float(np.max(psi / l2 ** eta)))
+    return ClassCertificate(L=L, eta=eta, p=p, method=method,
+                            n_witness=tables.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -1001,7 +898,8 @@ class Constants:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Every bound-side quantity for one (problem, class, n) instance."""
+    """Every bound-side quantity for one (problem, class, n) instance;
+    noise_psi_norm is the psi_p norm of the stationary noise Y - f_star(X)."""
 
     n: int
     k: int
@@ -1012,6 +910,7 @@ class BoundReport:
     L: float
     eta: float
     weak_variance: float
+    noise_psi_norm: float
     gamma2: float
     gamma_eta: float
     r_star: float
@@ -1028,6 +927,16 @@ class BoundReport:
             raise ValueError("r_star must lie in (0, 1]")
         if self.risk_bound < self.constants.c2 * self.r_star ** 2 - 1e-12:
             raise ValueError("risk bound must be at least c2 * r_star^2")
+
+    def multiplier_rhs(self) -> BoundBreakdown:
+        """multiplier_bound_rhs at the report's own radius r*, noise level,
+        complexities, certificate, block length and constants."""
+        return multiplier_bound_rhs(
+            weak_variance=self.weak_variance, gamma2=self.gamma2,
+            gamma_eta=self.gamma_eta, L=self.L, eta=self.eta, k=self.k,
+            noise_psi_norm=self.noise_psi_norm, r=self.r_star, n=self.n,
+            delta=self.delta, p=self.p, q_prime=self.q_prime,
+            c1=self.constants.c1, c2=self.constants.c2)
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -1094,6 +1003,10 @@ def compute_bound_report(problem: RegressionProblem, cls: HypothesisClass,
     normalized star-hull directions. The critical radius is in closed form.
     """
     from .erm import population_quantities
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not (0 < delta < 1):
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
     check_q_p(q, p)
     q_prime = holder_conjugate(q)
     pop = population_quantities(problem, cls)
@@ -1126,7 +1039,7 @@ def compute_bound_report(problem: RegressionProblem, cls: HypothesisClass,
 
     return BoundReport(
         n=n, k=k, delta=delta, q=q, q_prime=q_prime, p=p, L=cert.L, eta=cert.eta,
-        weak_variance=wv.value, gamma2=gamma2_fn(rad.value),
+        weak_variance=wv.value, noise_psi_norm=noise_psi, gamma2=gamma2_fn(rad.value),
         gamma_eta=gamma_eta_fn(rad.value), r_star=rad.value, r_star_flag=rad.flag,
         n_quad=burn.n_quad, n_mult=burn.n_mult, k_mix=burn.k_mix,
         risk_bound=risk_bound(rad.value, wv.value, n, delta, constants.c2),

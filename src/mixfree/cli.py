@@ -145,14 +145,7 @@ def _cmd_bound(cfg: dict, out: str, seed: int | None) -> list:
     with open(json_path, "w") as fh:
         fh.write(report.to_json() + "\n")
 
-    from .erm import population_quantities
-    pop = population_quantities(problem, cls)
-    rhs = bounds.multiplier_bound_rhs(
-        weak_variance=report.weak_variance, gamma2=report.gamma2,
-        gamma_eta=report.gamma_eta, L=report.L, eta=report.eta, k=report.k,
-        noise_psi_norm=bounds._noise_psi_norm(problem, pop.f_star_table, report.p),
-        r=report.r_star, n=report.n, delta=report.delta, p=report.p,
-        q_prime=report.q_prime, c1=report.constants.c1, c2=report.constants.c2)
+    rhs = report.multiplier_rhs()
     csv_path = _out_path(out, "bound_terms.csv")
     with open(csv_path, "w") as fh:
         fh.write("term,value\n")
@@ -167,9 +160,12 @@ def _cmd_certify(cfg: dict, out: str, seed: int | None) -> list:
                 {"p", "method", "directions", "seed", "m_max"}, "certify config")
     problem = _document(processgen.problem_from_dict, cfg["model"], "model")
     cls = _parse_class(cfg["class"])
+    method = cfg.get("method", "auto")
+    if method not in bounds.CERTIFY_METHODS:
+        raise ConfigError(f"'method' must be one of {list(bounds.CERTIFY_METHODS)}, "
+                          f"got {method!r}")
     cert = bounds.certify_weak_subgaussian(
-        cls, problem, p=_parse_p(cfg.get("p", 2.0)),
-        method=cfg.get("method", "auto"),
+        cls, problem, p=_parse_p(cfg.get("p", 2.0)), method=method,
         directions=_number(cfg.get("directions", 10_000), "directions", int),
         m_max=_number(cfg.get("m_max", 200), "m_max", int),
         seed=_number(cfg.get("seed", 0), "seed", int) if seed is None else seed)
@@ -197,7 +193,7 @@ def _cmd_sweep(cfg: dict, out: str, seed: int | None) -> list:
     if not isinstance(cfg["n_grid"], list):
         raise ConfigError("'n_grid' must be a list of integers")
     q, p = _parse_q_p(cfg)
-    config = harness.SweepConfig(
+    config = _document(lambda fields: harness.SweepConfig(**fields), dict(
         problems=tuple(problems), labels=tuple(labels),
         hypothesis=_parse_class(cfg["class"]),
         n_grid=tuple(_number(n, "n_grid", int) for n in cfg["n_grid"]),
@@ -205,7 +201,7 @@ def _cmd_sweep(cfg: dict, out: str, seed: int | None) -> list:
         master_seed=_number(cfg["seed"], "seed", int) if seed is None else seed,
         delta=_number(cfg.get("delta", 0.05), "delta"), q=q, p=p,
         constants=_parse_constants(cfg.get("constants")),
-        block_rule=cfg.get("block_rule", "kmix"))
+        block_rule=cfg.get("block_rule", "kmix")), "sweep config")
     result = harness.run_sweep(config)
     csv_path = _out_path(out, "sweep.csv")
     harness.sweep_to_csv(result, csv_path)

@@ -10,8 +10,6 @@ noise-function inner-product average that dominates the excess-risk error.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +24,6 @@ class HypothesisClass:
     kind: str                        # 'linear' | 'finite'
     dim: int | None = None
     tables: np.ndarray | None = None  # (M, S) for finite classes
-    star_hull: bool = False
 
     def __post_init__(self):
         if self.kind == "linear":
@@ -48,10 +45,6 @@ class HypothesisClass:
     @classmethod
     def finite(cls, tables) -> "HypothesisClass":
         return cls(kind="finite", tables=np.asarray(tables, dtype=float))
-
-    @property
-    def size(self) -> int | None:
-        return None if self.kind == "linear" else self.tables.shape[0]
 
 
 @dataclass(frozen=True)
@@ -163,7 +156,7 @@ def population_quantities(problem: RegressionProblem, cls: HypothesisClass
     """Exact best-in-class predictor, E[X X^T], noise variance, and optimal risk."""
     pi = problem.chain.stationary
     m = problem.regression_mean()
-    var_y = problem.target_var_per_state()
+    var_y = problem.noise.var_per_state()
 
     if cls.kind == "linear":
         sigma = problem.second_moment_matrix()
@@ -212,12 +205,6 @@ def excess_l2(f, f_star, problem: RegressionProblem) -> float:
     """
     g = _to_table(f, problem) - _to_table(f_star, problem)
     return float(problem.chain.stationary @ g ** 2)
-
-
-def l2_norm(g_table, problem: RegressionProblem) -> float:
-    """Population L2 norm of a per-state function table."""
-    g = np.asarray(g_table, dtype=float)
-    return math.sqrt(float(problem.chain.stationary @ g ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -354,17 +341,3 @@ def basic_inequality_sides(traj: Trajectory, problem: RegressionProblem,
     rhs = r ** 2 + (max(sup_m, 0.0) / r) ** 2 + sup_q
     return float(lhs), float(rhs)
 
-
-def erm_result_to_json(result: ERMResult, seed: int, n: int, k: int | None = None) -> str:
-    """Serialize an ERM outcome as a JSON record."""
-    rec = {
-        "seed": seed,
-        "n": n,
-        "k": k,
-        "fitted_param": None if result.param is None else result.param.tolist(),
-        "fitted_index": result.index,
-        "empirical_risk": result.empirical_risk,
-        "excess_l2_squared": result.excess_l2_squared,
-        "tie_broken": result.tie_broken,
-    }
-    return json.dumps(rec, indent=2)

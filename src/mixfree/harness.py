@@ -21,8 +21,7 @@ from .processgen import (RegressionProblem, MarkovChainModel, NoiseSpec,
                          block_sum_second_moment, stream_state_stats)
 from .erm import HypothesisClass, population_quantities, _f_star_param
 from .blocking import blocked_bernstein_bound
-from .bounds import (INF, Constants, compute_bound_report,
-                     multiplier_bound_rhs, _noise_psi_norm)
+from .bounds import INF, Constants, compute_bound_report
 
 
 def worker_count() -> int:
@@ -118,7 +117,7 @@ class SweepConfig:
     q: float = 1.0
     p: float = INF
     constants: Constants = Constants()
-    block_rule: object = "kmix"       # 'kmix' or a fixed block length
+    block_rule: object = "kmix"       # 'kmix' or a fixed block length >= 1
 
     def __post_init__(self):
         if self.replicates < 1:
@@ -130,14 +129,16 @@ class SweepConfig:
         object.__setattr__(self, "problems", tuple(self.problems))
         object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
-        if isinstance(self.block_rule, int):
+        if self.block_rule != "kmix":
+            if (isinstance(self.block_rule, bool)
+                    or not isinstance(self.block_rule, int) or self.block_rule < 1):
+                raise ValueError("block_rule must be 'kmix' or a positive integer, "
+                                 f"got {self.block_rule!r}")
             bad = [n for n in self.n_grid if n % (2 * self.block_rule) != 0]
             if bad:
                 raise ValueError(
                     f"fixed block length {self.block_rule} must divide n/2 for "
                     f"every grid point; offending n = {bad}")
-        elif self.block_rule != "kmix":
-            raise ValueError("block_rule must be 'kmix' or an integer")
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,7 @@ def run_sweep(config: SweepConfig, max_workers: int | None = None) -> SweepResul
         seeds = [cell_seed(config.master_seed, li, n, r)
                  for r in range(config.replicates)]
         exc = _excess_batch(contexts[li], config.hypothesis, n, seeds)
-        k = config.block_rule if isinstance(config.block_rule, int) else None
+        k = None if config.block_rule == "kmix" else config.block_rule
         report = compute_bound_report(
             config.problems[li], config.hypothesis, n, config.delta, q=config.q,
             p=config.p, k=k, constants=config.constants,
@@ -387,15 +388,6 @@ def risk_bound_coverage(problem: RegressionProblem, cls: HypothesisClass, n: int
                           bounds=np.full(val_replicates, bound), c2=c2)
 
 
-def coverage_experiment(bound_kind: str, **kwargs) -> CoverageReport:
-    """Dispatch on the bound under test: 'blockedBernstein' or 'riskBound'."""
-    if bound_kind == "blockedBernstein":
-        return blocked_bernstein_coverage(**kwargs)
-    if bound_kind == "riskBound":
-        return risk_bound_coverage(**kwargs)
-    raise ValueError(f"unknown bound kind {bound_kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # process diagnostics
 # ---------------------------------------------------------------------------
@@ -464,12 +456,7 @@ def process_diagnostics(problem: RegressionProblem, cls: HypothesisClass, n: int
         pop_terms = sphere @ (pi * bias)
         sup_m = ((1 + epsilon) * 2.0
                  * (wsums @ sphere.T / n - pop_terms[None, :])).max(axis=1)
-        rhs = multiplier_bound_rhs(
-            weak_variance=report.weak_variance, gamma2=report.gamma2,
-            gamma_eta=report.gamma_eta, L=report.L, eta=report.eta, k=report.k,
-            noise_psi_norm=_noise_psi_norm(problem, pop.f_star_table, p),
-            r=report.r_star, n=n, delta=delta, p=p, q_prime=report.q_prime,
-            c1=constants.c1, c2=constants.c2).total
+        rhs = report.multiplier_rhs().total
         half = replicates // 2
         cal, val = sup_m[:half], sup_m[half:]
         allowed = int(math.floor(delta * len(cal)))

@@ -11,8 +11,9 @@ This module builds the data-generating side of the lab:
   breakpoints cut [0, 1) into cells, within a cell each step is a fixed map
   from state to state, so every time step is one cell-table lookup over all
   replicates.
-- ``beta_coefficients`` / ``lag_weighted_sum``: exact mixing coefficients
-  and lag sums via matrix powers. TV uses the (1/2)-l1 convention.
+- ``beta_at_lag`` / ``lag_weighted_sum``: exact mixing coefficients and lag
+  sums, each from one matrix power. TV uses the (1/2)-l1 convention; the
+  per-lag loop over all coefficients is the test oracle in tests/oracles.py.
 
 Only finite-state chains get exact coefficients here; continuous processes are
 out of scope. All types are immutable after construction and safe to share
@@ -21,7 +22,6 @@ across threads; sampling is a pure function of the seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,29 +159,13 @@ def product_embedding(values, copies: int) -> np.ndarray:
     return emb
 
 
-def beta_coefficients(model: MarkovChainModel, horizon: int) -> np.ndarray:
-    """Exact mixing coefficients beta(1..horizon) for a stationary chain.
-
-    For a time-homogeneous stationary Markov chain the supremum over the
-    conditioning time is constant, and the coefficient at lag i collapses to
-    the pi-average of TV(P^i(x, .), pi). Values are nonincreasing in i and lie
-    in [0, 1].
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    P = model.transition
-    out = np.empty(horizon)
-    Pi = np.eye(model.n_states)
-    for i in range(horizon):
-        Pi = Pi @ P
-        out[i] = _beta_of_power(Pi, model.stationary)
-    return out
-
-
 def beta_at_lag(model: MarkovChainModel, lag: int) -> float:
-    """The single coefficient beta(lag), from one matrix power by repeated
-    squaring: O(S^3 log lag) work, no per-lag loop. Agrees with
-    beta_coefficients(model, lag)[lag - 1] up to the rounding of the power."""
+    """Exact mixing coefficient beta(lag) of a stationary chain: the
+    pi-average of TV(P^lag(x, .), pi), since for a time-homogeneous
+    stationary chain the supremum over the conditioning time is constant.
+    It is nonincreasing in lag and lies in [0, 1]. P^lag comes from one
+    matrix power by repeated squaring: O(S^3 log lag) work, no per-lag
+    loop."""
     if lag < 1:
         raise ValueError("lag must be >= 1")
     return _beta_of_power(np.linalg.matrix_power(model.transition, lag),
@@ -333,9 +317,6 @@ class RegressionProblem:
     def regression_mean(self) -> np.ndarray:
         """Per-state conditional mean E[Y | state]."""
         return self.structural_mean() + self.noise.mean_per_state()
-
-    def target_var_per_state(self) -> np.ndarray:
-        return self.noise.var_per_state()
 
     def second_moment_matrix(self) -> np.ndarray:
         """Population covariate second moment E[X X^T] under the stationary law."""
@@ -597,11 +578,6 @@ def problem_to_dict(problem: RegressionProblem) -> dict:
     else:
         out["true_table"] = problem.true_table.tolist()
     return out
-
-
-def problem_from_json(path) -> RegressionProblem:
-    with open(path) as fh:
-        return problem_from_dict(json.load(fh))
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

@@ -13,7 +13,9 @@ import time
 import numpy as np
 
 import mixfree as mf
+from mixfree import bounds, processgen
 from mixfree.bounds import DiscreteLaw, parametric_log_covering
+from oracles import beta_coefficients, critical_radius
 
 INF = float("inf")
 
@@ -32,23 +34,26 @@ def _product_problem(copies, flip, sigma, beta):
 
 
 def test_criterion_01_beta_coefficient_exactness():
-    """beta coefficients match the brute-force TV oracle (1e-12) and the
-    two-state closed form (1e-10) on a 9x9 flip-probability grid, lags <= 50."""
+    """beta coefficients, both the per-lag loop and the pipeline's
+    beta_at_lag, match the brute-force TV oracle (1e-12) and the two-state
+    closed form (1e-10) on a 9x9 flip-probability grid, lags <= 50."""
     t0 = time.time()
     grid = np.linspace(0.1, 0.9, 9)
     worst_brute, worst_closed = 0.0, 0.0
     for p, q in itertools.product(grid, grid):
         model = mf.two_state_chain(p, q)
         pi = model.stationary
-        betas = mf.beta_coefficients(model, 50)
         lags = np.arange(1, 51)
+        loop = beta_coefficients(model, 50)
+        pipeline = np.array([processgen.beta_at_lag(model, i) for i in lags])
         closed = 2 * pi[0] * pi[1] * np.abs(1 - p - q) ** lags
         brute = np.array([
             sum(pi[x] * 0.5 * np.abs(np.linalg.matrix_power(model.transition, i)[x]
                                      - pi).sum() for x in range(2))
             for i in lags])
-        worst_brute = max(worst_brute, float(np.max(np.abs(betas - brute))))
-        worst_closed = max(worst_closed, float(np.max(np.abs(betas - closed))))
+        for betas in (loop, pipeline):
+            worst_brute = max(worst_brute, float(np.max(np.abs(betas - brute))))
+            worst_closed = max(worst_closed, float(np.max(np.abs(betas - closed))))
     assert worst_brute <= 1e-12
     assert worst_closed <= 1e-10
     assert time.time() - t0 < 1.0
@@ -153,7 +158,8 @@ def test_criterion_05_weak_variance_identities():
 def test_criterion_06_gamma_and_critical_radius_calculus():
     """Parametric closed form matches quadrature to 1e-5 relative for
     alpha in {1/2, 1, 2}; the critical radius on the realizable-regression
-    profile equals its algebraic value to 1e-9."""
+    profile, from the bisection and from the pipeline's closed form, equals
+    its algebraic value to 1e-9."""
     t0 = time.time()
     worst_rel = 0.0
     for eta in (0.5, 1.0, 2.0):
@@ -164,13 +170,16 @@ def test_criterion_06_gamma_and_critical_radius_calculus():
     assert worst_rel <= 1e-5
 
     V, d, n, c1, c = 0.25, 5.0, 4096, 1.3, 0.9
-    rad = mf.critical_radius(lambda r: V, lambda r: c * math.sqrt(d) * r, n, c1=c1)
     exact = c1 * c * math.sqrt(V * d / n)
-    assert rad.flag == "interior"
-    assert abs(rad.value - exact) <= 1e-9
+    worst_rad = 0.0
+    for rad in (critical_radius(lambda r: V, lambda r: c * math.sqrt(d) * r, n, c1=c1),
+                bounds._linear_profile_radius(V, c * math.sqrt(d), n, c1)):
+        assert rad.flag == "interior"
+        worst_rad = max(worst_rad, abs(rad.value - exact))
+    assert worst_rad <= 1e-9
     assert time.time() - t0 < 1.0
     _report(6, f"quadrature rel gap {worst_rel:.2e}; radius gap "
-               f"{abs(rad.value - exact):.2e}", t0)
+               f"{worst_rad:.2e}", t0)
 
 
 def test_criterion_07_rate_exponent():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mixfree as mf
+from oracles import beta_coefficients
 
 
 def _problem(chain, d=1, sigma=0.0):
@@ -137,7 +138,7 @@ class TestDecouplingGap:
     def test_enumeration_agrees_with_scheme_bound(self):
         model = mf.two_state_chain(0.3, 0.2)
         scheme = mf.make_blocks(8, 2)
-        betas = mf.beta_coefficients(model, 2)
+        betas = beta_coefficients(model, 2)
         _, bound = mf.odd_block_decoupling_gap_exact(model, 8, 2)
         assert abs(bound - mf.decoupling_gap_bound(betas, scheme)) < 1e-15
 

@@ -14,8 +14,9 @@ import mixfree as mf
 from mixfree import bounds
 from mixfree.bounds import (DiscreteLaw, parametric_log_covering,
                             entropy_integral_breakpoints, psi_norms_batch,
-                            greedy_cover_count, greedy_cover_counts,
-                            _breakpoint_integrals)
+                            greedy_cover_counts, _breakpoint_integrals)
+from oracles import (beta_coefficients, critical_radius, greedy_cover_count,
+                     k_mix_search)
 
 INF = float("inf")
 
@@ -75,7 +76,8 @@ def _full_sweep_psi_p_norm(law, p, m_max):
     if vmax == 0.0:
         return (0.0, 0.0, 0.0)
     mask = (law.probs > 0) & (np.abs(law.values) > 0)
-    logv = np.log(np.abs(law.values[mask])[None, :] / vmax)
+    with np.errstate(divide="ignore"):
+        logv = np.log(np.abs(law.values[mask])[None, :] / vmax)
     logp = np.log(law.probs[mask])
     vals = math.log(vmax) + _full_sweep(logp, logv, p, m_max)[:, 0]
     j = int(np.argmax(vals))
@@ -192,6 +194,8 @@ class TestPsiNorm:
     @example((np.array([[0.0, 1.0]]), np.array([1.0, 0.0]), 2.0, 200))
     @example((np.array([[-1.0, 1.0]]), np.array([0.5, 0.5]), 1.0, 200))
     @example((np.array([[3.0]]), np.array([1.0]), 1e6, 1))
+    # 5e-324 / 2 underflows to 0: its log is -inf, and must not warn
+    @example((np.array([[5e-324, 0.0, 2.0]]), np.array([0.5, 0.0, 0.5]), 2.0, 200))
     def test_stopped_sweep_matches_full_sweep(self, case):
         rows, pi, p, m_max = case
         assert np.array_equal(psi_norms_batch(rows, pi, p, m_max),
@@ -345,30 +349,19 @@ class TestWeakVariance:
 class TestCoveringNumbers:
     def test_scale_above_diameter(self):
         problem = _mds_problem(seed=11)
-        cls = mf.HypothesisClass.finite(np.array([[0.0, 0, 0], [1.0, 1, 1]]))
-        assert mf.covering_number(cls, 1.0, 10.0, problem) == 1
+        tables = np.array([[0.0, 0, 0], [1.0, 1, 1]])
+        assert greedy_cover_counts(tables, problem.chain.stationary, [10.0])[0] == 1
 
     def test_separated_points_need_m_balls(self):
-        problem = mf.RegressionProblem(chain=mf.iid_chain([0.5, 0.5]),
-                                       embedding=np.eye(2), mode="tabular",
-                                       noise=mf.NoiseSpec.zero(2),
-                                       true_table=np.zeros(2))
         tables = 10.0 * np.arange(5)[:, None] * np.ones((1, 2))
-        cls = mf.HypothesisClass.finite(tables)
-        assert mf.covering_number(cls, 1.0, 2.0, problem) == 5
+        assert greedy_cover_counts(tables, np.array([0.5, 0.5]), [2.0])[0] == 5
 
     def test_volumetric_bound_and_greedy(self):
-        cls = mf.HypothesisClass.linear(2)
-        assert mf.covering_number(cls, 1.0, 0.5) == 25
-        # a dense grid of the unit disk is covered by at most 25 balls
+        # a dense grid of the unit disk is covered by at most the volumetric
+        # (1 + 2r/s)^d = 25 balls of radius s = 0.5
         xs = np.linspace(-1, 1, 61)
         pts = np.array([(a, b) for a in xs for b in xs if a * a + b * b <= 1.0])
-        count = greedy_cover_count(pts, np.ones(2), 0.5)
-        assert count <= 25
-
-    def test_scale_positive_required(self):
-        with pytest.raises(ValueError, match="positive"):
-            mf.covering_number(mf.HypothesisClass.linear(2), 1.0, 0.0)
+        assert greedy_cover_counts(pts, np.ones(2), [0.5])[0] <= 25
 
 
 class TestGammaFunctionals:
@@ -381,11 +374,14 @@ class TestGammaFunctionals:
                 assert abs(closed - quad) <= 1e-5 * closed
 
     def test_zero_radius(self):
-        assert mf.gamma_alpha_upper(1.0, 0.0, d=4.0) == 0.0
+        assert mf.gamma_alpha_parametric(1.0, 0.0, 4.0) == 0.0
+        assert mf.gamma_alpha_quadrature(1.0, 0.0, parametric_log_covering(4.0, 1.0)) == 0.0
 
     def test_alpha_positive_required(self):
         with pytest.raises(ValueError, match="alpha"):
-            mf.gamma_alpha_upper(0.0, 0.5, d=2.0)
+            mf.gamma_alpha_parametric(0.0, 0.5, 2.0)
+        with pytest.raises(ValueError, match="alpha"):
+            mf.gamma_alpha_quadrature(0.0, 0.5, parametric_log_covering(2.0, 0.5))
 
     def test_monotone_in_r_and_d(self):
         vals_r = [mf.gamma_alpha_parametric(1.0, r, 3.0) for r in (0.1, 0.2, 0.4)]
@@ -472,16 +468,16 @@ class TestBatchedCoverCounts:
 class TestCriticalRadius:
     def test_parametric_identity(self):
         V, d, n = 0.25, 5.0, 4096
-        rad = mf.critical_radius(lambda r: V, lambda r: math.sqrt(d) * r, n, c1=1.0)
+        rad = critical_radius(lambda r: V, lambda r: math.sqrt(d) * r, n, c1=1.0)
         assert rad.flag == "interior"
         assert abs(rad.value - math.sqrt(V * d / n)) < 1e-9
 
     def test_zero_complexity_floor(self):
-        rad = mf.critical_radius(lambda r: 1.0, lambda r: 0.0, 100)
+        rad = critical_radius(lambda r: 1.0, lambda r: 0.0, 100)
         assert rad.flag == "floor" and rad.value == 1e-6
 
     def test_saturation(self):
-        rad = mf.critical_radius(lambda r: 1.0, lambda r: 10.0 * r, 4)
+        rad = critical_radius(lambda r: 1.0, lambda r: 10.0 * r, 4)
         assert rad.flag == "saturated" and rad.value == 1.0
 
     def test_against_million_point_scan(self):
@@ -495,7 +491,7 @@ class TestCriticalRadius:
             c1 = rng.uniform(0.5, 2.0)
             vw = lambda r: v0 + v1 * r
             g2 = lambda r: g1 * r
-            rad = mf.critical_radius(vw, g2, n, c1=c1)
+            rad = critical_radius(vw, g2, n, c1=c1)
             if rad.flag != "interior":
                 continue
             h = grid - c1 * np.sqrt(v0 + v1 * grid) * g1 / np.sqrt(n)
@@ -506,7 +502,7 @@ class TestCriticalRadius:
 
     def test_nonfinite_profile_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            mf.critical_radius(lambda r: float("nan"), lambda r: r, 10)
+            critical_radius(lambda r: float("nan"), lambda r: r, 10)
 
     @settings(max_examples=300, deadline=None)
     @given(V=st.floats(0.0, 10.0), slope=st.floats(0.0, 100.0),
@@ -516,9 +512,14 @@ class TestCriticalRadius:
     @example(V=1.0, slope=0.0, n=64, c1=1.0)          # floor: no complexity
     @example(V=1e-14, slope=1.0, n=2 ** 21, c1=1.0)   # floor: below 1e-6
     @example(V=1.0, slope=10.0, n=4, c1=1.0)          # saturated
+    # ties at the floor: r* = 1.0000000000000002e-6 (twice) and 1e-6, each
+    # below the bisection's first grid point exp(log(1e-6)), two ulps up
+    @example(V=1e-8, slope=0.1, n=1, c1=0.1)
+    @example(V=1e-10, slope=1.0, n=1, c1=0.1)
+    @example(V=1e-8, slope=1.0, n=10_000, c1=1.0)
     def test_closed_form_matches_bisection(self, V, slope, n, c1):
         closed = bounds._linear_profile_radius(V, slope, n, c1)
-        oracle = mf.critical_radius(lambda r: V, lambda r: slope * r, n, c1=c1)
+        oracle = critical_radius(lambda r: V, lambda r: slope * r, n, c1=c1)
         assert closed.flag == oracle.flag
         # the bisection stops within xtol = 1e-10 above the root
         assert abs(closed.value - oracle.value) <= 1e-10 + 1e-15
@@ -540,14 +541,14 @@ class TestBurnIns:
     def test_geometric_k_mix_matches_scan(self):
         rho, n, delta = 0.8, 10_000, 0.05
         betas = rho ** np.arange(1, n + 1)
-        k = mf.k_mix_search(betas, n, delta)
+        k = k_mix_search(betas, n, delta)
         scan = next(kk for kk in range(1, n + 1)
                     if kk / rho ** kk >= n / delta)
         assert k == scan
 
     def test_k_mix_error_reports_requirement(self):
         with pytest.raises(ValueError, match="beta"):
-            mf.k_mix_search(np.full(50, 0.9), 50, 0.05)
+            k_mix_search(np.full(50, 0.9), 50, 0.05)
 
     def test_periodic_chain_does_not_mix(self):
         cycle = mf.MarkovChainModel(np.roll(np.eye(3), 1, axis=1), np.full(3, 1 / 3))
@@ -787,7 +788,7 @@ class TestBoundReport:
         report = mf.compute_bound_report(problem, mf.HypothesisClass.linear(1),
                                          n=n, delta=delta)
         assert report.k_mix == report.k == 7883
-        oracle = mf.k_mix_search(mf.beta_coefficients(problem.chain, 20000), n, delta)
+        oracle = k_mix_search(beta_coefficients(problem.chain, 20000), n, delta)
         assert oracle == 7883
 
     def test_r_star_solves_the_pipeline_fixed_point(self):
@@ -805,9 +806,39 @@ class TestBoundReport:
                 report = mf.compute_bound_report(problem, cls, n=n, delta=0.05)
                 gamma2, _, _ = bounds.class_gamma_profiles(cls, problem, pop,
                                                            report.eta)
-                oracle = mf.critical_radius(lambda r: report.weak_variance, gamma2, n)
+                oracle = critical_radius(lambda r: report.weak_variance, gamma2, n)
                 assert report.r_star_flag == oracle.flag
                 assert abs(report.r_star - oracle.value) <= 1e-10 + 1e-15
+
+    @pytest.mark.parametrize("q, p", [(1.0, INF), (2.0, 2.0)])
+    @pytest.mark.parametrize("kind", ["linear", "finite"])
+    def test_multiplier_rhs_matches_hand_assembled_call(self, kind, q, p):
+        # skewed noise, so its psi_2 norm (0.15) differs from its ess sup (0.3)
+        noise = mf.NoiseSpec("martingale-difference", [[-0.3, 0.1]] * 4,
+                             [[0.25, 0.75]] * 4)
+        problem = mf.RegressionProblem(
+            chain=mf.product_chain(mf.two_state_chain(0.25, 0.25), 2),
+            embedding=np.eye(4), mode="tabular", noise=noise,
+            true_table=np.array([0.5, -0.25, 1.0, 0.0]))
+        cls = (mf.HypothesisClass.linear(4) if kind == "linear" else
+               mf.HypothesisClass.finite(np.vstack([
+                   problem.true_table, np.random.default_rng(3).normal(size=(7, 4))])))
+        report = mf.compute_bound_report(problem, cls, n=2048, delta=0.05, q=q, p=p,
+                                         constants=mf.Constants(c1=1.3, c2=0.7),
+                                         weak_variance_replicates=200)
+        # the call the CLI, the diagnostics and demo 04 each used to assemble
+        pop = mf.population_quantities(problem, cls)
+        noise_psi = bounds._noise_psi_norm(problem, pop.f_star_table, report.p)
+        old = mf.multiplier_bound_rhs(
+            weak_variance=report.weak_variance, gamma2=report.gamma2,
+            gamma_eta=report.gamma_eta, L=report.L, eta=report.eta, k=report.k,
+            noise_psi_norm=noise_psi, r=report.r_star, n=report.n,
+            delta=report.delta, p=report.p, q_prime=report.q_prime,
+            c1=report.constants.c1, c2=report.constants.c2)
+        new = report.multiplier_rhs()
+        assert report.noise_psi_norm == noise_psi > 0
+        assert new.terms == old.terms and new.total == old.total
+        assert json.loads(report.to_json())["noise_psi_norm"] == noise_psi
 
     def test_q1_with_finite_p_rejected(self):
         problem = self._two_state_problem(0.25)
@@ -818,13 +849,15 @@ class TestBoundReport:
     def test_invariants_enforced(self):
         with pytest.raises(ValueError, match="conjugate"):
             mf.BoundReport(n=10, k=1, delta=0.1, q=2.0, q_prime=3.0, p=INF,
-                           L=1.0, eta=1.0, weak_variance=0.1, gamma2=1.0,
+                           L=1.0, eta=1.0, weak_variance=0.1,
+                           noise_psi_norm=0.5, gamma2=1.0,
                            gamma_eta=1.0, r_star=0.5, r_star_flag="interior",
                            n_quad=1, n_mult=1, k_mix=1, risk_bound=1.0,
                            constants=mf.Constants())
         with pytest.raises(ValueError, match="r_star"):
             mf.BoundReport(n=10, k=1, delta=0.1, q=1.0, q_prime=INF, p=INF,
-                           L=1.0, eta=1.0, weak_variance=0.1, gamma2=1.0,
+                           L=1.0, eta=1.0, weak_variance=0.1,
+                           noise_psi_norm=0.5, gamma2=1.0,
                            gamma_eta=1.0, r_star=1.5, r_star_flag="interior",
                            n_quad=1, n_mult=1, k_mix=1, risk_bound=3.0,
                            constants=mf.Constants())

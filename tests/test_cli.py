@@ -203,6 +203,18 @@ class TestBound:
         assert run(["bound", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "does not mix" in capsys.readouterr().err
 
+    def test_zero_n_is_named(self, tmp_path, capsys):
+        cfg = self._two_state(tmp_path, [[0.75, 0.25], [0.25, 0.75]], 0)
+        assert run(["bound", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "n must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_zero_delta_is_named(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "cfg.json",
+                     {"model": _model_dict(), "class": {"kind": "linear", "dim": 2},
+                      "n": 64, "delta": 0})
+        assert run(["bound", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "delta must lie in (0, 1), got 0.0" in capsys.readouterr().err
+
 
 class TestCertify:
     def test_certificate_json(self, tmp_path):
@@ -213,6 +225,14 @@ class TestCertify:
                     "--quiet"]) == 0
         payload = json.loads((tmp_path / "certificate.json").read_text())
         assert payload["L"] >= 1.0 and payload["eta"] == 1.0
+
+    def test_unknown_method_is_config_error(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "cfg.json",
+                     {"model": _model_dict(), "class": {"kind": "linear", "dim": 2},
+                      "method": "exact"})
+        assert run(["certify", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "'method'" in err and "'exact'" in err
 
 
 class TestSweepCommand:
@@ -245,6 +265,15 @@ class TestSweepCommand:
         float(row[3]), float(row[8]), float(row[9])   # plain parseable floats
         assert "np." not in lines[1]
 
+    @pytest.mark.parametrize("rule", [True, False, None, 0, -2, "8", 2.5], ids=repr)
+    def test_bad_block_rule_is_config_error(self, tmp_path, capsys, rule):
+        payload = json.loads(Path(self._cfg(tmp_path)).read_text())
+        cfg = _write(tmp_path, "bad.json", dict(payload, block_rule=rule))
+        assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "block_rule" in err
+        assert not (tmp_path / "r").exists()
+
 
 class TestCoverageCommand:
     def test_blocked_bernstein(self, tmp_path):
@@ -260,6 +289,12 @@ class TestCoverageCommand:
         assert payload["frequency"] <= payload["threshold"]
         lines = (tmp_path / "coverage.csv").read_text().strip().split("\n")
         assert lines[0] == "trial,blockedMean,bound,exceeded"
+
+    def test_unknown_kind_is_config_error(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "cov.json", {"kind": "hoeffding"})
+        assert run(["coverage", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "'hoeffding'" in err
 
 
 class TestDiagnoseCommand:

@@ -299,18 +299,6 @@ class TestBasicInequality:
             assert fit.empirical_risk <= risks[0] + 1e-12   # index 0 is f_star
 
 
-class TestResultExport:
-    def test_json_record_fields(self):
-        import json
-        problem = _orthonormal_problem()
-        traj = mf.sample_trajectory(problem, 64, 5)
-        fit = mf.fit_erm_linear(traj, problem)
-        rec = json.loads(mf.erm.erm_result_to_json(fit, seed=5, n=64, k=4))
-        assert rec["seed"] == 5 and rec["n"] == 64 and rec["k"] == 4
-        assert np.allclose(rec["fitted_param"], fit.param)
-        assert rec["excess_l2_squared"] == fit.excess_l2_squared
-
-
 class TestStarHull:
     def test_star_hull_contains_zero_and_rays(self):
         problem = _tabular_problem(seed=23)

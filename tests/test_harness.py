@@ -128,6 +128,16 @@ class TestSweep:
         with pytest.raises(ValueError, match="divide n/2"):
             _small_config(block_rule=24)
 
+    def test_fixed_block_rule_sets_k(self, tmp_path):
+        result = mf.run_sweep(_small_config(n_grid=(64, 128), replicates=3,
+                                            block_rule=8))
+        assert {report.k for report in result.reports.values()} == {8}
+        path = tmp_path / "sweep.csv"
+        mf.sweep_to_csv(result, path)
+        rows = [line.split(",") for line in path.read_text().strip().split("\n")]
+        assert rows[0][4] == "k" and len(rows) == 1 + 2 * 3
+        assert all(row[4] == "8" for row in rows[1:])
+
     def test_worker_env_cap(self, monkeypatch):
         monkeypatch.setenv("MIXFREE_THREADS", "2")
         assert mf.harness.worker_count() == 2
@@ -215,10 +225,6 @@ class TestCoverage:
             cal_replicates=200, val_replicates=400, master_seed=21)
         assert report.c2 > 0
         assert report.frequency <= report.threshold + 0.05  # quick, noisy version
-
-    def test_dispatcher(self):
-        with pytest.raises(ValueError, match="unknown bound kind"):
-            mf.coverage_experiment("hoeffding")
 
 
 class TestDiagnostics:

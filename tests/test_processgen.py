@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 import mixfree as mf
 from mixfree import processgen
+from oracles import beta_coefficients, k_mix_search
 
 
 def _power_iteration_pi(P, iters=200_000, tol=1e-13):
@@ -104,13 +105,13 @@ class TestStationaryDistribution:
 class TestBetaCoefficients:
     def test_iid_chain_is_zero(self):
         model = mf.iid_chain([0.2, 0.5, 0.3])
-        assert np.max(mf.beta_coefficients(model, 20)) < 1e-14
+        assert np.max(beta_coefficients(model, 20)) < 1e-14
 
     def test_two_state_closed_form(self):
         for p, q in [(0.3, 0.2), (0.7, 0.8), (0.05, 0.05)]:
             model = mf.two_state_chain(p, q)
             pi = model.stationary
-            betas = mf.beta_coefficients(model, 30)
+            betas = beta_coefficients(model, 30)
             closed = 2 * pi[0] * pi[1] * np.abs(1 - p - q) ** np.arange(1, 31)
             assert np.max(np.abs(betas - closed)) < 1e-12
             brute = _brute_force_beta(model.transition, pi, 30)
@@ -123,7 +124,7 @@ class TestBetaCoefficients:
         for eps in (1e-3, 1e-5):
             P = (1 - eps) * np.eye(3) + eps * np.tile(pi, (3, 1))
             model = mf.MarkovChainModel(P, pi)   # pi is exact for this kernel
-            betas = mf.beta_coefficients(model, 5)
+            betas = beta_coefficients(model, 5)
             expected = (1 - eps) ** np.arange(1, 6) * target
             assert np.max(np.abs(betas - expected)) < 1e-12
         assert abs(betas[0] - target) < 1e-4       # eps -> 0 limit
@@ -135,7 +136,7 @@ class TestBetaCoefficients:
             P = rng.gamma(1.0, 1.0, size=(S, S)) + 0.01
             P /= P.sum(axis=1, keepdims=True)
             model = mf.MarkovChainModel.from_transition(P)
-            betas = mf.beta_coefficients(model, 50)
+            betas = beta_coefficients(model, 50)
             brute = _brute_force_beta(model.transition, model.stationary, 50)
             assert np.max(np.abs(betas - brute)) < 1e-12
             assert np.all(betas >= -1e-15) and np.all(betas <= 1.0 + 1e-12)
@@ -320,7 +321,7 @@ class TestKMixFromChain:
         # tip a tie k / beta(k) = n / delta either way; so the linear scan
         # reads the same beta_at_lag values the search does
         betas = np.array([processgen.beta_at_lag(chain, k) for k in range(1, n + 1)])
-        assert np.max(np.abs(betas - mf.beta_coefficients(chain, n))) <= 1e-12
+        assert np.max(np.abs(betas - beta_coefficients(chain, n))) <= 1e-12
 
         def outcome(search):
             try:
@@ -329,7 +330,7 @@ class TestKMixFromChain:
                 return "raises"
 
         assert (outcome(lambda: mf.k_mix_from_chain(chain, n, delta))
-                == outcome(lambda: mf.k_mix_search(betas, n, delta)))
+                == outcome(lambda: k_mix_search(betas, n, delta)))
 
 
 class TestKwiseSurrogate:
