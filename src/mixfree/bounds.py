@@ -356,9 +356,8 @@ def weak_variance_2q(problem: RegressionProblem, f_star_table, resolution_tables
 
     if mode != "montecarlo":
         raise ValueError("mode must be 'exact' or 'montecarlo'")
-    from .processgen import sample_path_batch
-    seeds = [np.random.SeedSequence([seed, r]).generate_state(1)[0]
-             for r in range(replicates)]
+    from .processgen import _seed_sequence_state, sample_path_batch
+    seeds = _seed_sequence_state([seed, range(replicates)], 1)[:, 0]  # SeedSequence([seed, r])
     states, targets = sample_path_batch(problem, n, seeds)
     w = targets - np.asarray(f_star_table, dtype=float)[states]
     vals = np.empty(tables.shape[0])
@@ -578,11 +577,10 @@ def _linear_profile_radius(weak_variance: float, gamma2_at_one: float, n: int,
 
 @dataclass(frozen=True)
 class BurnIns:
-    """Minimal sample sizes and block length for the bound to be sharp."""
+    """Minimal sample sizes for the bound to be sharp."""
 
     n_quad: int
     n_mult: int
-    k_mix: int
 
 
 def _smallest_n(predicate, n_guess: int) -> int:
@@ -639,13 +637,11 @@ def _no_k_mix_message(model: MarkovChainModel, n: int, delta: float) -> str:
 
 def burn_ins(*, L: float, eta: float, p: float, q_prime: float, k: int,
              r_star: float, delta: float, noise_psi_norm: float,
-             gamma_eta_fn, gamma_quad_fn, k_mix: int) -> BurnIns:
+             gamma_eta_fn, gamma_quad_fn) -> BurnIns:
     """Minimal sample sizes making the bound terms subordinate.
 
     n_quad: smallest n with the two-group quadratic remainder at most r^2.
     n_mult: smallest n with the moment-norm multiplier group at most r.
-    k_mix: the smallest block length with k/beta(k) >= n/delta, passed in
-    (see k_mix_from_chain).
 
     The quadratic remainder uses the log factor log(4^(2/p + 1/2) L / r) in
     its printed burn-in form (the tolerance-dependent variant of the deviation
@@ -681,7 +677,7 @@ def burn_ins(*, L: float, eta: float, p: float, q_prime: float, k: int,
          * (g_eta / r + r ** (eta - 1.0) * log_d))
     n_mult = 1 if a == 0 else _smallest_n(lambda m: a / m <= r, int(a / r))
 
-    return BurnIns(n_quad=n_quad, n_mult=n_mult, k_mix=k_mix)
+    return BurnIns(n_quad=n_quad, n_mult=n_mult)
 
 
 # ---------------------------------------------------------------------------
@@ -1034,14 +1030,13 @@ def compute_bound_report(problem: RegressionProblem, cls: HypothesisClass,
     noise_psi = _noise_psi_norm(problem, pop.f_star_table, p)
     burn = burn_ins(L=cert.L, eta=cert.eta, p=p, q_prime=q_prime, k=k,
                     r_star=rad.value, delta=delta, noise_psi_norm=noise_psi,
-                    gamma_eta_fn=gamma_eta_fn, gamma_quad_fn=gamma_quad_fn,
-                    k_mix=k_mix)
+                    gamma_eta_fn=gamma_eta_fn, gamma_quad_fn=gamma_quad_fn)
 
     return BoundReport(
         n=n, k=k, delta=delta, q=q, q_prime=q_prime, p=p, L=cert.L, eta=cert.eta,
         weak_variance=wv.value, noise_psi_norm=noise_psi, gamma2=gamma2_fn(rad.value),
         gamma_eta=gamma_eta_fn(rad.value), r_star=rad.value, r_star_flag=rad.flag,
-        n_quad=burn.n_quad, n_mult=burn.n_mult, k_mix=burn.k_mix,
+        n_quad=burn.n_quad, n_mult=burn.n_mult, k_mix=k_mix,
         risk_bound=risk_bound(rad.value, wv.value, n, delta, constants.c2),
         constants=constants)
 

@@ -1,12 +1,13 @@
 """Command-line entry point: JSON configs in, CSV/JSON/SVG artifacts out.
 
-Flag grammar: ``mixfree <command> --config <path> [--out <dir>] [--seed <u64>]
+Flag grammar: ``mixfree <command> --config <path> [--out <dir>] [--seed <n>]
 [--quiet]`` with commands simulate, bound, certify, sweep, coverage, diagnose.
 Exit codes: 0 on success, 1 on configuration errors (diagnostic names the
 offending key, or the line/column for malformed JSON; a model document the
-modules reject and a value that is not a number count as well), 2 on numeric
-failures propagated from the modules. Configs are validated strictly: unknown
-keys are rejected.
+modules reject, a value that is not a number, a negative seed, a delta
+outside (0, 1) and an n below 1 count as well, and all are caught before any
+sampling), 2 on numeric failures propagated from the modules. Configs are
+validated strictly: unknown keys are rejected.
 """
 
 from __future__ import annotations
@@ -49,6 +50,32 @@ def _number(value, key: str, kind=float):
     except (TypeError, ValueError):
         raise ConfigError(f"{key!r} must be {'an integer' if kind is int else 'a number'}, "
                           f"got {value!r}") from None
+
+
+def _count(value, key: str) -> int:
+    """A config integer that must be at least 1 (a sample size)."""
+    n = _number(value, key, int)
+    if n < 1:
+        raise ConfigError(f"{key!r} must be >= 1, got {n}")
+    return n
+
+
+def _fraction(value, key: str) -> float:
+    """A config number that must lie strictly between 0 and 1 (a delta)."""
+    x = _number(value, key)
+    if not 0 < x < 1:
+        raise ConfigError(f"{key!r} must lie in (0, 1), got {x}")
+    return x
+
+
+def _seed(cfg: dict, override: int | None) -> int:
+    """The run's seed: --seed when given, else the config's 'seed' (0 when it
+    has none). Seeds are non-negative integers of any size."""
+    seed = _number(cfg.get("seed", 0), "seed", int) if override is None else override
+    if seed < 0:
+        where = "'seed'" if override is None else "--seed"
+        raise ConfigError(f"{where} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _document(build, spec, where: str):
@@ -115,8 +142,8 @@ def _out_path(out_dir: str, name: str) -> str:
 def _cmd_simulate(cfg: dict, out: str, seed: int | None) -> list:
     _check_keys(cfg, {"model", "n", "seed"}, {"kwise"}, "simulate config")
     problem = _document(processgen.problem_from_dict, cfg["model"], "model")
-    n = _number(cfg["n"], "n", int)
-    use_seed = _number(cfg["seed"], "seed", int) if seed is None else seed
+    n = _count(cfg["n"], "n")
+    use_seed = _seed(cfg, seed)
     if "kwise" in cfg:
         traj = processgen.kwise_independent_surrogate(
             problem, n, _number(cfg["kwise"], "kwise", int), use_seed)
@@ -135,12 +162,12 @@ def _cmd_bound(cfg: dict, out: str, seed: int | None) -> list:
     cls = _parse_class(cfg["class"])
     q, p = _parse_q_p(cfg)
     report = bounds.compute_bound_report(
-        problem, cls, _number(cfg["n"], "n", int), _number(cfg["delta"], "delta"),
+        problem, cls, _count(cfg["n"], "n"), _fraction(cfg["delta"], "delta"),
         q=q, p=p,
         k=None if cfg.get("k") is None else _number(cfg["k"], "k", int),
         constants=_parse_constants(cfg.get("constants")),
         resolution=_number(cfg.get("resolution", 64), "resolution", int),
-        seed=_number(cfg.get("seed", 0), "seed", int) if seed is None else seed)
+        seed=_seed(cfg, seed))
     json_path = _out_path(out, "bound_report.json")
     with open(json_path, "w") as fh:
         fh.write(report.to_json() + "\n")
@@ -168,7 +195,7 @@ def _cmd_certify(cfg: dict, out: str, seed: int | None) -> list:
         cls, problem, p=_parse_p(cfg.get("p", 2.0)), method=method,
         directions=_number(cfg.get("directions", 10_000), "directions", int),
         m_max=_number(cfg.get("m_max", 200), "m_max", int),
-        seed=_number(cfg.get("seed", 0), "seed", int) if seed is None else seed)
+        seed=_seed(cfg, seed))
     payload = asdict(cert)
     payload["p"] = "inf" if cert.p == INF else cert.p
     path = _out_path(out, "certificate.json")
@@ -198,8 +225,8 @@ def _cmd_sweep(cfg: dict, out: str, seed: int | None) -> list:
         hypothesis=_parse_class(cfg["class"]),
         n_grid=tuple(_number(n, "n_grid", int) for n in cfg["n_grid"]),
         replicates=_number(cfg["replicates"], "replicates", int),
-        master_seed=_number(cfg["seed"], "seed", int) if seed is None else seed,
-        delta=_number(cfg.get("delta", 0.05), "delta"), q=q, p=p,
+        master_seed=_seed(cfg, seed),
+        delta=_fraction(cfg.get("delta", 0.05), "delta"), q=q, p=p,
         constants=_parse_constants(cfg.get("constants")),
         block_rule=cfg.get("block_rule", "kmix")), "sweep config")
     result = harness.run_sweep(config)
@@ -230,10 +257,9 @@ def _cmd_coverage(cfg: dict, out: str, seed: int | None) -> list:
                           cfg["model"]["transition"] if isinstance(cfg["model"], dict)
                           else cfg["model"], "model")
         report = harness.blocked_bernstein_coverage(
-            model, np.asarray(cfg["values"], dtype=float), _number(cfg["n"], "n", int),
-            _number(cfg["k"], "k", int), _number(cfg["delta"], "delta"),
-            _number(cfg["replicates"], "replicates", int),
-            _number(cfg["seed"], "seed", int) if seed is None else seed)
+            model, np.asarray(cfg["values"], dtype=float), _count(cfg["n"], "n"),
+            _number(cfg["k"], "k", int), _fraction(cfg["delta"], "delta"),
+            _number(cfg["replicates"], "replicates", int), _seed(cfg, seed))
     elif kind == "riskBound":
         _check_keys(cfg, {"kind", "model", "class", "n", "delta",
                           "calibration_replicates", "validation_replicates",
@@ -242,10 +268,10 @@ def _cmd_coverage(cfg: dict, out: str, seed: int | None) -> list:
         report = harness.risk_bound_coverage(
             _document(processgen.problem_from_dict, cfg["model"], "model"),
             _parse_class(cfg["class"]),
-            _number(cfg["n"], "n", int), _number(cfg["delta"], "delta"),
+            _count(cfg["n"], "n"), _fraction(cfg["delta"], "delta"),
             _number(cfg["calibration_replicates"], "calibration_replicates", int),
             _number(cfg["validation_replicates"], "validation_replicates", int),
-            _number(cfg["seed"], "seed", int) if seed is None else seed,
+            _seed(cfg, seed),
             q=q, p=p, constants=_parse_constants(cfg.get("constants")))
     else:
         raise ConfigError(f"coverage kind must be 'blockedBernstein' or "
@@ -270,9 +296,9 @@ def _cmd_diagnose(cfg: dict, out: str, seed: int | None) -> list:
     report = harness.process_diagnostics(
         _document(processgen.problem_from_dict, cfg["model"], "model"),
         _parse_class(cfg["class"]),
-        _number(cfg["n"], "n", int), _number(cfg["replicates"], "replicates", int),
-        _number(cfg["epsilon"], "epsilon"), _number(cfg["delta"], "delta"),
-        _number(cfg["seed"], "seed", int) if seed is None else seed,
+        _count(cfg["n"], "n"), _number(cfg["replicates"], "replicates", int),
+        _number(cfg["epsilon"], "epsilon"), _fraction(cfg["delta"], "delta"),
+        _seed(cfg, seed),
         q=q, p=p, constants=_parse_constants(cfg.get("constants")),
         rho_grid=_number(cfg.get("rho_grid", 64), "rho_grid", int))
     path = _out_path(out, "diagnostics.json")

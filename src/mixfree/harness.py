@@ -1,7 +1,8 @@
 """Monte Carlo experiment orchestration: rate sweeps, coverage, diagnostics.
 
 A sweep is a pure function of its configuration: per-replicate seeds derive
-deterministically from (master seed, mixing level, n, replicate), cells run
+deterministically from (master seed, mixing level, n, replicate) (coverage
+and diagnostics derive all their seeds in one vectorized pass), cells run
 concurrently, and results reduce in (cell, replicate) order regardless of
 completion order, so rerunning a sweep reproduces its CSV byte for byte.
 Excess risks are summarized by cell medians (heavy upper tails at small n
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .processgen import (RegressionProblem, MarkovChainModel, NoiseSpec,
-                         block_sum_second_moment, stream_state_stats)
+                         block_sum_second_moment, stream_state_stats,
+                         _seed_sequence_state)
 from .erm import HypothesisClass, population_quantities, _f_star_param
 from .blocking import blocked_bernstein_bound
 from .bounds import INF, Constants, compute_bound_report
@@ -36,10 +38,17 @@ def worker_count() -> int:
 
 
 def cell_seed(master_seed: int, level_index: int, n: int, replicate: int) -> int:
-    """Stable 64-bit seed for one (cell, replicate) coordinate."""
-    ss = np.random.SeedSequence([int(master_seed), int(level_index), int(n),
-                                 int(replicate)])
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Stable 64-bit seed for one (cell, replicate) coordinate: the first
+    uint64 word of SeedSequence([master_seed, level_index, n, replicate])."""
+    return int(_cell_seeds(master_seed, level_index, n, [replicate])[0])
+
+
+def _cell_seeds(master_seed: int, level_index: int, n: int, replicates) -> np.ndarray:
+    """cell_seed(master_seed, level_index, n, r) for every r in `replicates`,
+    all derived in one vectorized pass (uint64)."""
+    w = _seed_sequence_state([int(master_seed), int(level_index), int(n), replicates],
+                             2).astype(np.uint64)
+    return w[:, 0] | w[:, 1] << np.uint64(32)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +135,8 @@ class SweepConfig:
             raise ValueError("need one label per mixing level")
         if any(int(n) < 1 for n in self.n_grid):
             raise ValueError("n grid entries must be positive")
+        if not 0 < self.delta < 1:
+            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         object.__setattr__(self, "problems", tuple(self.problems))
         object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
@@ -336,7 +347,7 @@ def blocked_bernstein_coverage(model: MarkovChainModel, values, n: int, k: int,
     if n % k != 0:
         raise ValueError("k must divide n")
     problem = _functional_problem(model, values)
-    seeds = [cell_seed(master_seed, 0, n, r) for r in range(replicates)]
+    seeds = _cell_seeds(master_seed, 0, n, range(replicates))
     counts, _ = stream_state_stats(problem, n, seeds, block_len=k)
     means = (counts @ values) / n
     b = float(np.max(np.abs(values)))
@@ -369,8 +380,8 @@ def risk_bound_coverage(problem: RegressionProblem, cls: HypothesisClass, n: int
                                   seed=master_seed)
     base = report.risk_bound          # r_star^2 + V log(1/delta) / n  (c2 = 1)
     ctx = _level_context(problem, cls)
-    cal_seeds = [cell_seed(master_seed, 0, n, r) for r in range(cal_replicates)]
-    val_seeds = [cell_seed(master_seed, 1, n, r) for r in range(val_replicates)]
+    cal_seeds = _cell_seeds(master_seed, 0, n, range(cal_replicates))
+    val_seeds = _cell_seeds(master_seed, 1, n, range(val_replicates))
     cal = _excess_batch(ctx, cls, n, cal_seeds)
     val = _excess_batch(ctx, cls, n, val_seeds)
 
@@ -437,7 +448,7 @@ def process_diagnostics(problem: RegressionProblem, cls: HypothesisClass, n: int
     sphere = (report.r_star * hull[sphere_keep] / norms[sphere_keep, None]
               if np.any(sphere_keep) else np.empty((0, hull.shape[1])))
 
-    seeds = [cell_seed(master_seed, 2, n, r) for r in range(replicates)]
+    seeds = _cell_seeds(master_seed, 2, n, range(replicates))
     counts, ysums = stream_state_stats(problem, n, seeds)
     wsums = ysums - counts * pop.f_star_table[None, :]
 

@@ -10,7 +10,10 @@ This module builds the data-generating side of the lab:
   experiment harness. All are views of one chunked core: the merged CDF
   breakpoints cut [0, 1) into cells, within a cell each step is a fixed map
   from state to state, so every time step is one cell-table lookup over all
-  replicates.
+  replicates. A guide table finds each uniform's cell in O(1), and noise maps
+  to targets in one lookup per group of replicates. Every replicate's
+  SeedSequence/PCG64 seeding is derived in one vectorized pass, and one
+  Generator per sampler call draws all the streams.
 - ``beta_at_lag`` / ``lag_weighted_sum``: exact mixing coefficients and lag
   sums, each from one matrix power. TV uses the (1/2)-l1 convention; the
   per-lag loop over all coefficients is the test oracle in tests/oracles.py.
@@ -22,6 +25,7 @@ across threads; sampling is a pure function of the seed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -347,18 +351,197 @@ def _cumulative_rows(P: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _spawn_generators(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """Independent state and noise streams derived from one 64-bit seed.
+# numpy's SeedSequence hash-mix and output constants (numpy/random/bit_generator.pyx)
+# and the PCG64 LCG multiplier (O'Neill 2014)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M64 = (1 << 32) - 1, (1 << 64) - 1
+_INT = (int, np.integer)    # an entropy part shared by every row
 
-    Keeping the two streams separate lets batched and time-chunked samplers
-    consume them in any block pattern while reproducing the single-path draws.
+
+def _words(x: int) -> list[int]:
+    """x as SeedSequence reads an int: 32-bit words, low word first, with 0
+    as the one word 0."""
+    if x < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {x}")
+    words = [x & _M32]
+    while x > _M32:
+        x >>= 32
+        words.append(x & _M32)
+    return words
+
+
+def _int_words(values) -> tuple[np.ndarray, np.ndarray]:
+    """_words of every value at once: (words (R, W) uint64, counts (R,)),
+    row r holding counts[r] words, then zeros."""
+    ints = [operator.index(v) for v in values]
+    if ints and min(ints) < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {min(ints)}")
+    x = np.array(ints, dtype=object if ints and max(ints) > _M64 else np.uint64)
+    cols, counts = [], np.ones(len(ints), dtype=np.intp)
+    while True:
+        cols.append((x & _M32).astype(np.uint64))
+        x = x >> 32
+        live = x != 0
+        if not live.any():
+            return np.stack(cols, axis=1), counts
+        counts += live
+
+
+def _entropy_lanes(parts, R: int, spawn_key: int | None):
+    """Entropy columns of R rows: the words of each part in turn, then the
+    spawn key at each row's own length; rows end at different words when
+    their values take different word counts (lengths, else None)."""
+    rows = np.arange(R)
+    split = [_int_words([p] if isinstance(p, _INT) else p) for p in parts]
+    lengths = sum(np.broadcast_to(c, R) for _, c in split)
+    words = np.zeros((R, max(int(lengths.max(initial=0)), 4) + 1), dtype=np.uint64)
+    at = np.zeros(R, dtype=np.intp)
+    for w, c in split:
+        w, c = np.broadcast_to(w, (R, w.shape[1])), np.broadcast_to(c, R)
+        for j in range(w.shape[1]):
+            live = c > j
+            words[rows[live], at[live] + j] = w[live, j]
+        at = at + c
+    if spawn_key is not None:
+        lengths = np.maximum(lengths, 4)
+        words[rows, lengths] = spawn_key
+        lengths = lengths + 1
+    width = int(lengths.max(initial=0))
+    return list(words[:, :max(width, 4)].T), None if np.all(lengths == width) else lengths
+
+
+def _seed_sequence_state(parts, n_words: int, spawn_key: int | None = None) -> np.ndarray:
+    """SeedSequence(entropy, spawn_key=(spawn_key,)).generate_state(n_words)
+    as uint32 words, for every row at once.
+
+    Row r's entropy is the words of each part in turn: an int part is shared
+    by every row, a sequence part gives row r its r-th value. With a spawn
+    key, the entropy is zero-padded to the 4-word pool and the key appended,
+    as SeedSequence.spawn does. The arithmetic runs on one lane per entropy
+    word, a uint64 column over the rows (or a Python int when there is one
+    row, ten times faster than a 1-element array), masked to 32 bits after
+    every product. The hash constant's course depends only on the word
+    count, so rows mix in lock step; a row's words past the pool mix in only
+    while the row has them.
     """
-    state_seed, noise_seed = np.random.SeedSequence(seed).spawn(2)
-    return np.random.default_rng(state_seed), np.random.default_rng(noise_seed)
+    seqs = [p for p in parts if not isinstance(p, _INT)]
+    R = len(seqs[0]) if seqs else 1
+    if R == 1:
+        lanes = [w for p in parts
+                 for w in _words(operator.index(p if isinstance(p, _INT) else p[0]))]
+        if spawn_key is not None:
+            lanes += [0] * (4 - len(lanes)) + [spawn_key]
+        lengths = None
+    else:
+        lanes, lengths = _entropy_lanes(parts, R, spawn_key)
+
+    hc = _INIT_A
+
+    def hashmix(v):
+        nonlocal hc
+        v = v ^ hc
+        hc = hc * _MULT_A & _M32
+        v = v * hc & _M32
+        return v ^ v >> 16
+
+    def mix(x, y):
+        v = (x * _MIX_L - y * _MIX_R) & _M32
+        return v ^ v >> 16
+
+    pool = [hashmix(lanes[i] if i < len(lanes) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for j in range(4, len(lanes)):
+        for dst in range(4):
+            new = mix(pool[dst], hashmix(lanes[j]))
+            pool[dst] = new if lengths is None else np.where(lengths > j, new, pool[dst])
+    hc = _INIT_B
+    out = []
+    for i in range(n_words):
+        v = pool[i % 4] ^ hc
+        hc = hc * _MULT_B & _M32
+        v = v * hc & _M32
+        out.append(v ^ v >> 16)
+    return np.array(out, dtype=np.uint32).reshape(n_words, R).T
 
 
-def _cell_table(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse-CDF draws of every row of `cum`, tabulated per cell of u.
+def _mul128(hi: np.ndarray, lo: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) * m mod 2^128 in uint64 limbs, the high product from 32-bit halves."""
+    m_hi, m_lo = np.uint64(m >> 64), np.uint64(m & _M64)
+    b0, b1 = np.uint64(m & _M32), np.uint64(m >> 32 & _M32)
+    a0, a1 = lo & np.uint64(_M32), lo >> np.uint64(32)
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> np.uint64(32)) + (p01 & np.uint64(_M32)) + (p10 & np.uint64(_M32))
+    carry = a1 * b1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
+    return carry + lo * m_hi + hi * m_lo, lo * m_lo
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo).astype(np.uint64), lo
+
+
+def _pcg64_states(seeds) -> list[list[tuple[int, int]]]:
+    """PCG64 (state, inc) of default_rng(SeedSequence(s).spawn(2)[k]) for
+    every seed s, as streams[k][r], k = 0 (states) and 1 (noise).
+
+    PCG64 takes four uint64 words w from its SeedSequence, sets
+    inc = (w2 w3) << 1 | 1 and, from state 0, steps the LCG, adds
+    initstate = (w0 w1) and steps again: state = (initstate + inc) * M + inc.
+    """
+    streams = []
+    for key in (0, 1):
+        w32 = _seed_sequence_state([seeds], 8, spawn_key=key).astype(np.uint64)
+        w = w32[:, 0::2] | w32[:, 1::2] << np.uint64(32)
+        one = np.uint64(1)
+        inc_hi = w[:, 2] << one | w[:, 3] >> np.uint64(63)
+        inc_lo = w[:, 3] << one | one
+        hi, lo = _add128(*_mul128(*_add128(w[:, 0], w[:, 1], inc_hi, inc_lo), _PCG_MULT),
+                         inc_hi, inc_lo)
+        streams.append([(h << 64 | l, ih << 64 | il) for h, l, ih, il
+                        in zip(hi.tolist(), lo.tolist(), inc_hi.tolist(), inc_lo.tolist())])
+    return streams
+
+
+class _Streams:
+    """The state (0) and noise (1) uniform streams of every replicate.
+
+    One Generator, owned by one sampler call, draws them all: each draw
+    assigns the stream's PCG64 state and fills one row. When a later time
+    chunk continues the streams (resume), the state is read back after each
+    draw. Never share an instance across threads.
+    """
+
+    def __init__(self, seeds, resume: bool):
+        self._streams = _pcg64_states(seeds)
+        self._gen = np.random.Generator(np.random.PCG64(0))
+        self._inner = {"state": 0, "inc": 0}
+        self._state = {"bit_generator": "PCG64", "state": self._inner,
+                       "has_uint32": 0, "uinteger": 0}
+        self._resume = resume
+
+    def fill(self, stream: int, r0: int, out: np.ndarray) -> None:
+        """Draw each row out[i] from replicate r0 + i's stream."""
+        states, bitgen, inner = self._streams[stream], self._gen.bit_generator, self._inner
+        for i in range(len(out)):
+            inner["state"], inner["inc"] = states[r0 + i]
+            bitgen.state = self._state
+            self._gen.random(out=out[i])
+            if self._resume:
+                states[r0 + i] = (bitgen.state["state"]["state"], inner["inc"])
+
+
+_GUIDE = 1 << 12    # guide-table bins over [0, 1)
+
+
+def _cell_table(cum: np.ndarray):
+    """Inverse-CDF draws of every row of `cum`, tabulated per cell of u, and
+    the guide table that finds a uniform's cell.
 
     `breaks` merges the values of all rows. A uniform u in [0, 1) falls in
     cell c = searchsorted(breaks, u, side="right"), and every comparison
@@ -366,48 +549,82 @@ def _cell_table(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     tab[c, i] = argmax(u < cum[i]) throughout it. The running maximum keeps
     this exact for rows that float drift makes non-monotone. Only cells below
     1.0 = cum[:, -1] are listed, since u < 1.
+
+    The guide (Chen & Asau 1974; Devroye 1986, III.2) splits [0, 1) into
+    _GUIDE bins. Bin b holds the cell of b/_GUIDE; it is marked ambiguous
+    when the double just below (b+1)/_GUIDE lies in another cell. Cells grow
+    with u, so every u of an unmarked bin has the bin's cell.
     """
     breaks = np.unique(cum)
     pos = np.maximum.accumulate(np.searchsorted(breaks, cum), axis=1)
     cells = np.arange(np.searchsorted(breaks, 1.0) + 1)
-    return breaks, np.stack([np.searchsorted(p, cells) for p in pos], axis=1)
+    tab = np.stack([np.searchsorted(p, cells) for p in pos], axis=1)
+    edges = np.arange(_GUIDE + 1) / _GUIDE
+    lo = np.searchsorted(breaks, edges[:-1], side="right")
+    hi = np.searchsorted(breaks, np.nextafter(edges[1:], 0), side="right")
+    return breaks, tab, (lo.astype(np.min_scalar_type(len(tab))), lo != hi)
 
 
-_SUB_BLOCK = 1 << 16    # replicate-steps per walk sub-block, so its index block stays small
+def _cell_ids(breaks: np.ndarray, guide, u: np.ndarray) -> np.ndarray:
+    """searchsorted(breaks, u, side="right") through the guide table: exact,
+    since u * _GUIDE scales by a power of two, and only uniforms in
+    ambiguous bins are searched."""
+    cell, ambiguous = guide
+    b = (u * _GUIDE).astype(np.intp)
+    out = cell[b]
+    amb = np.flatnonzero(ambiguous[b])
+    out.flat[amb] = np.searchsorted(breaks, u.flat[amb], side="right")
+    return out
+
+
+_SUB_BLOCK = 1 << 16    # replicate-steps per walk sub-block and per replicate group
 
 
 def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | None,
                   time_chunk: int):
-    """Yield (r, states, targets) for every replicate r of each time chunk.
+    """Yield (r0, states, targets) for each group of replicates r0, r0 + 1, ...
+    of each time chunk, one row per replicate.
 
     The one core of every sampler. Replicate r consumes its own state and
     noise streams in order, so its chunks concatenate to
     sample_trajectory(problem, n, seeds[r]) (or the k-wise surrogate when
-    block_len is given) bit for bit. Each chunk's state uniforms become cell
+    block_len is given) bit for bit. Each group's state uniforms become cell
     ids as soon as they are drawn, and each time step is one lookup over all
     replicates, states[t] = table[cell[t], states[t - 1]], where t = 0 and
-    every multiple of block_len use the stationary rows.
+    every multiple of block_len use the stationary rows. A group's noise is
+    one lookup too: its uniforms become noise cells, and the target table
+    holds mean[s] + values[s, draw] per (state s, noise cell). Groups hold
+    about _SUB_BLOCK replicate-steps, so per-call costs are shared by many
+    replicates on short paths and buffers stay small on long ones.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    gens = [_spawn_generators(s) for s in seeds]
-    R, S = len(gens), problem.n_states
-    breaks, tab = _cell_table(np.vstack([_cumulative_rows(problem.chain.transition),
-                                         _cumulative_rows(problem.chain.stationary[None, :])]))
+    streams = _Streams(seeds, resume=n > time_chunk)
+    R, S = len(seeds), problem.n_states
+    breaks, tab, guide = _cell_table(np.vstack([
+        _cumulative_rows(problem.chain.transition),
+        _cumulative_rows(problem.chain.stationary[None, :])]))
     C = len(tab)
     # row c < C maps each state to its successor for a uniform in cell c; row
     # C + c is the constant map of a stationary draw, taken at restarts
     flat = np.concatenate([tab[:, :S], np.repeat(tab[:, S:], S, axis=1)]).ravel()
-    noise_breaks, noise_tab = _cell_table(_cumulative_rows(problem.noise.probs))
+    noise_breaks, noise_tab, noise_guide = _cell_table(_cumulative_rows(problem.noise.probs))
     mean = problem.structural_mean()
+    # ytab[s, c] = mean[s] + values[s, draw]: the target of state s for a noise
+    # uniform in noise cell c, the same sum the per-step formula takes
+    ytab = (mean[:, None] + problem.noise.values[np.arange(S)[:, None], noise_tab.T]).ravel()
     period = block_len or n
     sub = max(1, _SUB_BLOCK // max(R, 1))
     x = np.zeros(R, dtype=np.intp)           # previous states; t = 0 restarts
     for t0 in range(0, n, time_chunk):
         T = min(time_chunk, n - t0)
-        cid = np.empty((R, T), dtype=np.min_scalar_type(C))
-        for r, (gu, _) in enumerate(gens):
-            cid[r] = np.searchsorted(breaks, gu.random(T), side="right")
+        group = max(1, _SUB_BLOCK // T)
+        u = np.empty((min(group, R), T))
+        cid = np.empty((R, T), dtype=guide[0].dtype)
+        for r0 in range(0, R, group):
+            block = u[:R - r0]
+            streams.fill(0, r0, block)
+            cid[r0:r0 + len(block)] = _cell_ids(breaks, guide, block)
         states = np.empty((R, T), dtype=np.intp)
         for a in range(0, T, sub):
             idx = cid[:, a:a + sub].T.astype(np.intp, order="C")   # (steps, R)
@@ -418,16 +635,19 @@ def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | No
                 flat.take(row, out=x, mode="clip")   # in range; "raise" buffers out
             states[:, a:a + sub] = flat.take(idx).T
         del cid
-        for r, (_, gv) in enumerate(gens):
-            row = states[r]
-            draw = noise_tab[np.searchsorted(noise_breaks, gv.random(T), side="right"), row]
-            yield r, row, mean[row] + problem.noise.values[row, draw]
+        for r0 in range(0, R, group):
+            block = u[:R - r0]
+            streams.fill(1, r0, block)
+            rows = states[r0:r0 + len(block)]
+            at = rows * len(noise_tab)
+            at += _cell_ids(noise_breaks, noise_guide, block)
+            yield r0, rows, ytab.take(at)
 
 
 def sample_trajectory(problem: RegressionProblem, n: int, seed: int) -> Trajectory:
     """Sample a stationary trajectory of length n; pure function of the seed."""
     (_, states, targets), = _sample_paths(problem, n, [seed], None, n)
-    return Trajectory(n, states, problem.embedding[states], targets, seed)
+    return Trajectory(n, states[0], problem.embedding[states[0]], targets[0], seed)
 
 
 def kwise_independent_surrogate(problem: RegressionProblem, n: int, k: int,
@@ -440,7 +660,7 @@ def kwise_independent_surrogate(problem: RegressionProblem, n: int, k: int,
     if k < 1 or n % k != 0:
         raise ValueError(f"block length k = {k} must divide n = {n}")
     (_, states, targets), = _sample_paths(problem, n, [seed], k, n)
-    return Trajectory(n, states, problem.embedding[states], targets, seed)
+    return Trajectory(n, states[0], problem.embedding[states[0]], targets[0], seed)
 
 
 def sample_path_batch(problem: RegressionProblem, n: int, seeds,
@@ -449,13 +669,13 @@ def sample_path_batch(problem: RegressionProblem, n: int, seeds,
 
     Row r reproduces sample_trajectory(problem, n, seeds[r]) (or the k-wise
     surrogate when block_len is given) exactly: each replicate consumes its own
-    generator streams in the same order as the single-path sampler.
+    streams in the same order as the single-path sampler.
     """
     seeds = list(seeds)
     states = np.empty((len(seeds), n), dtype=np.int64)
     targets = np.empty((len(seeds), n))
-    for r, row, y in _sample_paths(problem, n, seeds, block_len, n):
-        states[r], targets[r] = row, y
+    for r0, rows, y in _sample_paths(problem, n, seeds, block_len, n):
+        states[r0:r0 + len(rows)], targets[r0:r0 + len(rows)] = rows, y
     return states, targets
 
 
@@ -469,15 +689,20 @@ def stream_state_stats(problem: RegressionProblem, n: int, seeds,
     determine least-squares and finite-class excess risks exactly, so long
     trajectories never need materializing. Replicate r consumes the same
     streams as sample_trajectory(problem, n, seeds[r]); returns
-    (counts (R,S), target_sums (R,S)).
+    (counts (R,S), target_sums (R,S)). Each replicate group is one bincount
+    over r * S + state, which adds every (replicate, state) bin's targets in
+    time order, as a bincount per replicate would.
     """
     seeds = list(seeds)
     S = problem.n_states
     counts = np.zeros((len(seeds), S))
     ysums = np.zeros((len(seeds), S))
-    for r, row, y in _sample_paths(problem, n, seeds, block_len, time_chunk):
-        counts[r] += np.bincount(row, minlength=S)
-        ysums[r] += np.bincount(row, weights=y, minlength=S)
+    for r0, rows, y in _sample_paths(problem, n, seeds, block_len, time_chunk):
+        g = len(rows)
+        key = (rows + S * np.arange(g)[:, None]).ravel()
+        counts[r0:r0 + g] += np.bincount(key, minlength=g * S).reshape(g, S)
+        ysums[r0:r0 + g] += np.bincount(key, weights=y.ravel(),
+                                        minlength=g * S).reshape(g, S)
     return counts, ysums
 
 

@@ -531,12 +531,7 @@ class TestBurnIns:
                 lambda r: mf.gamma_alpha_parametric((2 + 6 * eta) / 4.0, r, d))
 
     def test_iid_k_mix_one(self):
-        g_eta, g_quad = self._gammas(3.0, 1.0)
-        k_mix = mf.k_mix_from_chain(mf.iid_chain([0.2, 0.3, 0.5]), 100, 0.05)
-        burn = mf.burn_ins(L=1.5, eta=1.0, p=INF, q_prime=INF, k=1, r_star=0.1,
-                           delta=0.05, noise_psi_norm=0.5, gamma_eta_fn=g_eta,
-                           gamma_quad_fn=g_quad, k_mix=k_mix)
-        assert burn.k_mix == 1
+        assert mf.k_mix_from_chain(mf.iid_chain([0.2, 0.3, 0.5]), 100, 0.05) == 1
 
     def test_geometric_k_mix_matches_scan(self):
         rho, n, delta = 0.8, 10_000, 0.05
@@ -564,7 +559,7 @@ class TestBurnIns:
         g_eta, g_quad = self._gammas(4.0, 1.0)
         kwargs = dict(L=2.0, eta=1.0, p=INF, q_prime=INF, k=12, r_star=0.05,
                       delta=0.1, noise_psi_norm=0.7, gamma_eta_fn=g_eta,
-                      gamma_quad_fn=g_quad, k_mix=1)
+                      gamma_quad_fn=g_quad)
         burn = mf.burn_ins(**kwargs)
         r = kwargs["r_star"]
         log_d = math.log(1 / kwargs["delta"])
@@ -591,7 +586,7 @@ class TestBurnIns:
             burn = mf.burn_ins(L=L, eta=1.0, p=INF, q_prime=INF, k=k,
                                r_star=math.sqrt(V * d / n), delta=delta,
                                noise_psi_norm=B, gamma_eta_fn=g_eta,
-                               gamma_quad_fn=g_quad, k_mix=1)
+                               gamma_quad_fn=g_quad)
             return burn.n_mult <= n
 
         n_fixed = next(n for n in range(2, 10 ** 6) if clears(n))
@@ -633,7 +628,7 @@ class TestBoundRhs:
         g_quad = lambda rr: mf.gamma_alpha_parametric((2 + 6 * eta) / 4, rr, d)
         burn = mf.burn_ins(L=L, eta=eta, p=INF, q_prime=INF, k=k, r_star=r,
                            delta=delta, noise_psi_norm=psi_w, gamma_eta_fn=g_eta,
-                           gamma_quad_fn=g_quad, k_mix=1)
+                           gamma_quad_fn=g_quad)
 
         def psi_group(n):
             out = mf.multiplier_bound_rhs(weak_variance=0.0, gamma2=0.0,

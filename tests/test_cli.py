@@ -144,6 +144,104 @@ class TestConfigErrors:
             assert "config error" in err and "q = 1" in err and "p = 2" in err
 
 
+class TestOutOfRangeValues:
+    """A delta outside (0, 1) or an n below 1 is a config error, raised before
+    any sampling: the output directory is never made."""
+
+    _linear = {"kind": "linear", "dim": 2}
+    _finite = {"kind": "finite", "tables": [[0.5, 0.5, -0.5, 0.5], [1.0, -1.0, 0.5, -0.5]]}
+
+    def _configs(self):
+        return {
+            "bound": {"model": _model_dict(), "class": self._linear, "n": 64,
+                      "delta": 0.1},
+            "sweep": {"levels": [{"label": "a", "model": _model_dict()}],
+                      "class": self._linear, "n_grid": [64, 65536], "replicates": 64,
+                      "seed": 1, "delta": 0.1},
+            "coverage": {"kind": "riskBound", "model": _model_dict(),
+                         "class": self._linear, "n": 64, "delta": 0.1,
+                         "calibration_replicates": 64, "validation_replicates": 64,
+                         "seed": 1},
+            "blocked": {"kind": "blockedBernstein",
+                        "model": {"transition": [[0.75, 0.25], [0.25, 0.75]]},
+                        "values": [-1.0, 1.0], "n": 64, "k": 4, "delta": 0.1,
+                        "replicates": 64, "seed": 3},
+            "diagnose": {"model": _model_dict(), "n": 64, "class": self._finite,
+                         "replicates": 64, "epsilon": 0.5, "delta": 0.1, "seed": 1},
+        }
+
+    @pytest.mark.parametrize("delta", [0, 1, -0.5, 1.5, "nan"])
+    @pytest.mark.parametrize("name", ["bound", "sweep", "coverage", "blocked", "diagnose"])
+    def test_bad_delta_is_config_error(self, tmp_path, capsys, name, delta):
+        cfg = _write(tmp_path, "cfg.json", dict(self._configs()[name], delta=delta))
+        command = "coverage" if name == "blocked" else name
+        assert run([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert "config error: 'delta' must lie in (0, 1), got" in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("name", ["bound", "sweep", "coverage", "blocked", "diagnose"])
+    def test_zero_n_is_config_error(self, tmp_path, capsys, name):
+        payload = self._configs()[name]
+        if name == "sweep":
+            payload = dict(payload, n_grid=[64, 0])
+        else:
+            payload = dict(payload, n=0)
+        cfg = _write(tmp_path, "cfg.json", payload)
+        command = "coverage" if name == "blocked" else name
+        assert run([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and ("'n' must be >= 1, got 0" in err
+                                          or "n grid entries must be positive" in err)
+        assert not (tmp_path / "r").exists()
+
+
+class TestNegativeSeeds:
+    def test_simulate_seed_flag(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "cfg.json", {"model": _model_dict(), "n": 32, "seed": 9})
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "r"),
+                    "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "config error: --seed must be a non-negative integer, got -1" in err
+        assert not (tmp_path / "r").exists()
+
+    def test_simulate_config_seed(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "cfg.json", {"model": _model_dict(), "n": 32, "seed": -2})
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+        assert ("config error: 'seed' must be a non-negative integer, got -2"
+                in capsys.readouterr().err)
+
+    def test_coverage_config_seed(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "cov.json", {
+            "kind": "blockedBernstein",
+            "model": {"transition": [[0.75, 0.25], [0.25, 0.75]]},
+            "values": [-1.0, 1.0], "n": 128, "k": 4, "delta": 0.1,
+            "replicates": 40, "seed": -3})
+        assert run(["coverage", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+        assert ("config error: 'seed' must be a non-negative integer, got -3"
+                in capsys.readouterr().err)
+
+    def test_coverage_seed_flag(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "cov.json", {
+            "kind": "blockedBernstein",
+            "model": {"transition": [[0.75, 0.25], [0.25, 0.75]]},
+            "values": [-1.0, 1.0], "n": 128, "k": 4, "delta": 0.1,
+            "replicates": 40, "seed": 3})
+        assert run(["coverage", "--config", cfg, "--out", str(tmp_path / "r"),
+                    "--seed", "-1"]) == 1
+        assert ("config error: --seed must be a non-negative integer, got -1"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("seed", [2 ** 64, 2 ** 128 + 1])
+    def test_multi_word_seeds_give_trajectories(self, tmp_path, seed):
+        cfg = _write(tmp_path, "cfg.json", {"model": _model_dict(), "n": 32, "seed": 9})
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path),
+                    "--seed", str(seed), "--quiet"]) == 0
+        traj = mf.sample_trajectory(mf.processgen.problem_from_dict(_model_dict()), 32, seed)
+        lines = (tmp_path / "trajectory.csv").read_text().strip().split("\n")
+        assert [int(line.split(",")[1]) for line in lines[1:]] == traj.states.tolist()
+
+
 class TestSimulate:
     def test_writes_schema_csv(self, tmp_path):
         cfg = _write(tmp_path, "cfg.json",
@@ -205,15 +303,16 @@ class TestBound:
 
     def test_zero_n_is_named(self, tmp_path, capsys):
         cfg = self._two_state(tmp_path, [[0.75, 0.25], [0.25, 0.75]], 0)
-        assert run(["bound", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "n must be >= 1, got 0" in capsys.readouterr().err
+        assert run(["bound", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "config error: 'n' must be >= 1, got 0" in capsys.readouterr().err
 
     def test_zero_delta_is_named(self, tmp_path, capsys):
         cfg = _write(tmp_path, "cfg.json",
                      {"model": _model_dict(), "class": {"kind": "linear", "dim": 2},
                       "n": 64, "delta": 0})
-        assert run(["bound", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "delta must lie in (0, 1), got 0.0" in capsys.readouterr().err
+        assert run(["bound", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert ("config error: 'delta' must lie in (0, 1), got 0.0"
+                in capsys.readouterr().err)
 
 
 class TestCertify:

@@ -111,6 +111,24 @@ class TestSweep:
         mf.sweep_to_csv(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
 
+    def test_one_and_two_workers_write_the_same_bytes(self, tmp_path):
+        # each sampler call owns its Generator, so threads share no stream
+        # state; many short streams per cell keep two cells drawing at once
+        cfg = _small_config(problems=(_product_problem(copies=2),
+                                      _product_problem(copies=2, flip=0.1)),
+                            labels=("iid", "dep"), n_grid=(512, 1024, 2048, 4096),
+                            replicates=128)
+        paths = []
+        for workers in (1, 2):
+            paths.append(tmp_path / f"w{workers}.csv")
+            mf.sweep_to_csv(mf.run_sweep(cfg, max_workers=workers), paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.1, float("nan")])
+    def test_delta_checked_before_sampling(self, delta):
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
+            _small_config(delta=delta)
+
     def test_medians_monotone_with_one_inversion_allowed(self):
         cfg = _small_config(n_grid=(64, 128, 256, 512, 1024), replicates=32)
         result = mf.run_sweep(cfg)

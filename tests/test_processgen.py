@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import mixfree as mf
-from mixfree import processgen
+from mixfree import harness, processgen
 from oracles import beta_coefficients, k_mix_search
 
 
@@ -228,29 +228,46 @@ def _chains(draw):
 
 
 class _Replay:
-    """Generator stand-in that hands out fixed uniforms in order."""
+    """Stand-in for processgen._Streams that hands out fixed uniforms: row r
+    of U (state stream) or V (noise stream), in order."""
 
-    def __init__(self, values):
-        self.values, self.pos = values, 0
+    def __init__(self, U, V):
+        self.values, self.pos = (U, V), np.zeros((2, len(U)), dtype=int)
 
-    def random(self, size):
-        self.pos += size
-        return self.values[self.pos - size:self.pos].copy()
+    def fill(self, stream, r0, out):
+        for i, row in enumerate(out):
+            at = self.pos[stream, r0 + i]
+            row[:] = self.values[stream][r0 + i, at:at + len(row)]
+            self.pos[stream, r0 + i] += len(row)
+
+
+def _near(points):
+    """The points and their two float neighbours, kept in [0, 1)."""
+    points = np.unique(np.concatenate([points, [0.0]]))
+    points = np.concatenate([points, np.nextafter(points, 0), np.nextafter(points, 1)])
+    return points[(points >= 0) & (points < 1)]
+
+
+_GUIDE_EDGES = _near(np.arange(processgen._GUIDE + 1) / processgen._GUIDE)
 
 
 def _edges(cdfs):
-    """Every CDF value in [0, 1) and its two float neighbours, plus 0: where an
-    off-by-one cell id or table entry would show."""
-    edges = np.unique(np.concatenate([c.ravel() for c in cdfs] + [[0.0]]))
-    edges = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, 1)])
-    return edges[(edges >= 0) & (edges < 1)]
+    """Every CDF value in [0, 1), 0 and every guide-bin edge b / 4096, each with
+    its two float neighbours: where an off-by-one cell id, guide bin or table
+    entry would show."""
+    return np.unique(np.concatenate([_near(np.concatenate([c.ravel() for c in cdfs])),
+                                     _GUIDE_EDGES]))
 
 
 def _uniforms(rng, shape, cdfs):
-    """Uniforms in [0, 1), half of them drawn from _edges(cdfs)."""
+    """Uniforms in [0, 1): a quarter near the CDF values, a quarter near the
+    guide-bin edges."""
     u = rng.random(shape)
-    pick = rng.random(shape) < 0.5
-    u[pick] = rng.choice(_edges(cdfs), size=int(pick.sum()))
+    pick = rng.random(shape)
+    near_cdf, near_guide = pick < 0.25, (pick >= 0.25) & (pick < 0.5)
+    u[near_cdf] = rng.choice(_near(np.concatenate([c.ravel() for c in cdfs])),
+                             size=int(near_cdf.sum()))
+    u[near_guide] = rng.choice(_GUIDE_EDGES, size=int(near_guide.sum()))
     return u
 
 
@@ -277,9 +294,10 @@ class TestCellTableWalk:
         cum_pi = processgen._cumulative_rows(chain.stationary[None, :])[0]
         cum_noise = processgen._cumulative_rows(noise.probs)
         for cum in (np.vstack([cum_rows, cum_pi]), cum_noise):
-            breaks, tab = processgen._cell_table(cum)
+            breaks, tab, guide = processgen._cell_table(cum)
             u = _edges([cum])
             cells = np.searchsorted(breaks, u, side="right")
+            assert np.array_equal(processgen._cell_ids(breaks, guide, u), cells)
             assert np.array_equal(tab[cells], (u[:, None, None] < cum).argmax(axis=2))
 
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
@@ -297,19 +315,114 @@ class TestCellTableWalk:
                                      for r in range(R)])
 
         rows, ys = [[] for _ in range(R)], [[] for _ in range(R)]
-        with mock.patch.object(processgen, "_spawn_generators",
-                               lambda r: (_Replay(U[r]), _Replay(V[r]))), \
+        with mock.patch.object(processgen, "_Streams",
+                               lambda seeds, resume: _Replay(U, V)), \
                 mock.patch.object(processgen, "_SUB_BLOCK", sub_block):
-            for r, row, y in processgen._sample_paths(problem, n, range(R), block_len,
-                                                      time_chunk):
-                rows[r].append(row.copy())
-                ys[r].append(y.copy())
+            for r0, group, y in processgen._sample_paths(problem, n, range(R), block_len,
+                                                         time_chunk):
+                for i in range(len(group)):
+                    rows[r0 + i].append(group[i].copy())
+                    ys[r0 + i].append(y[i].copy())
         states = np.array([np.concatenate(chunks) for chunks in rows])
         targets = np.array([np.concatenate(chunks) for chunks in ys])
 
         assert np.array_equal(states, expected)
         assert np.array_equal(states[:, -1], s_prev)
         assert np.array_equal(targets, expected_targets)
+
+    @settings(max_examples=100, deadline=None)
+    @given(bins=st.lists(st.integers(0, processgen._GUIDE), min_size=1, max_size=6),
+           shift=st.lists(st.sampled_from([-1, 0, 1]), min_size=6, max_size=6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_guide_matches_searchsorted_at_bin_edges(self, bins, shift, seed):
+        # breaks on, or one float off, guide-bin edges make bins ambiguous
+        edges = np.array(bins) / processgen._GUIDE
+        for i, step in enumerate(shift[:len(edges)]):
+            if step:
+                edges[i] = np.nextafter(edges[i], step)
+        cum = np.append(np.sort(np.clip(edges, 0.0, 1.0)), 1.0)[None, :]
+        breaks, _, guide = processgen._cell_table(cum)
+        u = np.concatenate([_edges([cum]), np.random.default_rng(seed).random(4096)])
+        assert np.array_equal(processgen._cell_ids(breaks, guide, u),
+                              np.searchsorted(breaks, u, side="right"))
+
+
+def _numpy_streams(seed):
+    """PCG64 (state, inc) of the two spawned streams, by numpy itself."""
+    return [tuple(np.random.PCG64(child).state["state"][key] for key in ("state", "inc"))
+            for child in np.random.SeedSequence(seed).spawn(2)]
+
+
+_WORD_SIZES = st.sampled_from([0, 1, 32, 33, 63, 64, 65, 96, 128, 129, 200])
+
+
+def _ints(draw, count):
+    """Non-negative ints spread over 1 to 7 words, with their word edges."""
+    out = []
+    for _ in range(count):
+        bits = draw(_WORD_SIZES)
+        out.append(draw(st.sampled_from([0, (1 << bits) - 1, 1 << bits, (1 << bits) + 7]))
+                   if draw(st.booleans()) else draw(st.integers(0, (1 << bits) - 1 or 1)))
+    return out
+
+
+class TestSeedDerivation:
+    """The vectorized SeedSequence and PCG64 seeding against numpy's own."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_stream_states_match_numpy(self, data):
+        seeds = _ints(data.draw, data.draw(st.integers(1, 5)))
+        got = processgen._pcg64_states(seeds)
+        for r, seed in enumerate(seeds):
+            assert [got[0][r], got[1][r]] == _numpy_streams(seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 7,
+                                      2 ** 64 - 1, 2 ** 64, 2 ** 128 + 1])
+    def test_stream_states_at_word_edges(self, seed):
+        got = processgen._pcg64_states([seed, 3])
+        assert [got[0][0], got[1][0]] == _numpy_streams(seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_cell_seeds_match_numpy(self, data):
+        master, level, n = _ints(data.draw, 3)
+        first = data.draw(st.integers(0, 2 ** 33))
+        count = data.draw(st.integers(1, 4))
+        got = harness._cell_seeds(master, level, n, range(first, first + count))
+        for i, value in enumerate(got.tolist()):
+            want = np.random.SeedSequence([master, level, n, first + i])
+            assert value == int(want.generate_state(1, np.uint64)[0])
+        assert harness.cell_seed(master, level, n, first) == got.tolist()[0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_weak_variance_words_match_numpy(self, data):
+        seed, = _ints(data.draw, 1)
+        got = processgen._seed_sequence_state([seed, range(6)], 1)[:, 0]
+        assert got.tolist() == [int(np.random.SeedSequence([seed, r]).generate_state(1)[0])
+                                for r in range(6)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_mixed_parts_match_numpy(self, data):
+        # shared and per-row parts of every word count, and more than 4 words
+        R = data.draw(st.integers(1, 4))
+        kinds = data.draw(st.lists(st.sampled_from(["shared", "rows"]), min_size=1,
+                                   max_size=4))
+        parts = [_ints(data.draw, 1)[0] if kind == "shared" else _ints(data.draw, R)
+                 for kind in kinds]
+        n_words = data.draw(st.integers(1, 9))
+        got = processgen._seed_sequence_state(parts, n_words)
+        assert len(got) == (R if "rows" in kinds else 1)
+        for r in range(len(got)):
+            entropy = [p if isinstance(p, int) else p[r] for p in parts]
+            want = np.random.SeedSequence(entropy).generate_state(n_words)
+            assert got[r].tolist() == want.tolist()
+
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(ValueError, match="non-negative integer, got -3"):
+            processgen._pcg64_states([4, -3])
 
 
 class TestKMixFromChain:
