@@ -328,16 +328,21 @@ def _check_resolution(tables: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return norms
 
 
+_EXACT_ATOM_CAP = 2_000_000     # joint (state, noise) atoms exact mode may enumerate
+_MC_SLICE_STEPS = 1 << 22       # replicate-steps sampled at once in montecarlo mode
+
+
 def weak_variance_2q(problem: RegressionProblem, f_star_table, resolution_tables,
                      q: float, n: int, mode: str = "exact",
-                     replicates: int = 4000, seed: int = 0,
-                     size_cap: int = 2_000_000) -> WeakVariance:
+                     replicates: int = 4000, seed: int = 0) -> WeakVariance:
     """Noise level: sup over g of (E | S_g - E S_g |^(2q))^(1/q) where
     S_g = n^(-1/2) sum_i W_i g(X_i) / ||g||_{L2}.
 
     mode 'exact' enumerates the joint (state, noise) law (guarded by a size
     cap, so only tiny instances); mode 'montecarlo' uses seeded replicates and
     reports a delta-method standard error for the supremum-attaining member.
+    It samples at most _MC_SLICE_STEPS replicate-steps (one replicate at
+    least) at a time, so memory does not grow with replicates * n.
     """
     pi = problem.chain.stationary
     tables = np.atleast_2d(np.asarray(resolution_tables, dtype=float))
@@ -345,7 +350,7 @@ def weak_variance_2q(problem: RegressionProblem, f_star_table, resolution_tables
     offsets = _noise_offsets(problem, f_star_table)
 
     if mode == "exact":
-        p_arr, states_arr, w_arr = _interaction_atoms(problem, offsets, n, size_cap)
+        p_arr, states_arr, w_arr = _interaction_atoms(problem, offsets, n)
         vals = np.empty(tables.shape[0])
         for gi, g in enumerate(tables):
             z = (w_arr * g[states_arr]).sum(axis=1) / (math.sqrt(n) * norms[gi])
@@ -358,12 +363,18 @@ def weak_variance_2q(problem: RegressionProblem, f_star_table, resolution_tables
         raise ValueError("mode must be 'exact' or 'montecarlo'")
     from .processgen import _seed_sequence_state, sample_path_batch
     seeds = _seed_sequence_state([seed, range(replicates)], 1)[:, 0]  # SeedSequence([seed, r])
-    states, targets = sample_path_batch(problem, n, seeds)
-    w = targets - np.asarray(f_star_table, dtype=float)[states]
+    f_star = np.asarray(f_star_table, dtype=float)
+    sums = np.empty((tables.shape[0], replicates))     # sum_i W_i g(X_i) per replicate
+    rows = max(1, _MC_SLICE_STEPS // n)
+    for r0 in range(0, replicates, rows):
+        states, targets = sample_path_batch(problem, n, seeds[r0:r0 + rows])
+        w = targets - f_star[states]
+        for gi, g in enumerate(tables):
+            sums[gi, r0:r0 + rows] = (w * g[states]).sum(axis=1)
     vals = np.empty(tables.shape[0])
     ses = np.empty(tables.shape[0])
-    for gi, g in enumerate(tables):
-        z = (w * g[states]).sum(axis=1) / (math.sqrt(n) * norms[gi])
+    for gi in range(tables.shape[0]):
+        z = sums[gi] / (math.sqrt(n) * norms[gi])
         dev = np.abs(z - z.mean()) ** (2 * q)
         m = float(dev.mean())
         se_m = float(dev.std(ddof=1) / math.sqrt(replicates))
@@ -373,14 +384,13 @@ def weak_variance_2q(problem: RegressionProblem, f_star_table, resolution_tables
     return WeakVariance(float(vals[top]), q, "montecarlo", vals, float(ses[top]))
 
 
-def _interaction_atoms(problem: RegressionProblem, offsets: np.ndarray, n: int,
-                       size_cap: int):
+def _interaction_atoms(problem: RegressionProblem, offsets: np.ndarray, n: int):
     S = problem.n_states
     nv = problem.noise.values.shape[1]
-    if (S * nv) ** n > size_cap:
+    if (S * nv) ** n > _EXACT_ATOM_CAP:
         raise ValueError(
             f"exact joint enumeration needs (S*V)^n = {(S * nv) ** n} atoms, "
-            f"over the cap {size_cap}; use montecarlo mode")
+            f"over the cap {_EXACT_ATOM_CAP}; use montecarlo mode")
     P = problem.chain.transition
     pi = problem.chain.stationary
     nprob = problem.noise.probs
@@ -435,8 +445,11 @@ def weak_variance_q1_exact(problem: RegressionProblem, f_star_table,
 # covering numbers and chaining complexities
 # ---------------------------------------------------------------------------
 
+_QUAD_REL_TOL = 1e-6    # relative tolerance of the entropy-integral quadrature
+
+
 def gamma_alpha_quadrature(alpha: float, r: float, log_covering,
-                           c_alpha: float = 1.0, rel_tol: float = 1e-6) -> float:
+                           c_alpha: float = 1.0) -> float:
     """Entropy-integral complexity c_alpha * int_0^r (log N(s))^(1/alpha) ds.
 
     `log_covering` supplies log N(s) on (0, r]; negative values are clamped to
@@ -454,7 +467,7 @@ def gamma_alpha_quadrature(alpha: float, r: float, log_covering,
         return max(log_covering(s), 0.0) ** (1.0 / alpha)
 
     from scipy import integrate
-    val, _ = integrate.quad(integrand, 0.0, r, epsrel=rel_tol, limit=400)
+    val, _ = integrate.quad(integrand, 0.0, r, epsrel=_QUAD_REL_TOL, limit=400)
     return c_alpha * val
 
 
@@ -637,8 +650,9 @@ def _no_k_mix_message(model: MarkovChainModel, n: int, delta: float) -> str:
 
 def burn_ins(*, L: float, eta: float, p: float, q_prime: float, k: int,
              r_star: float, delta: float, noise_psi_norm: float,
-             gamma_eta_fn, gamma_quad_fn) -> BurnIns:
-    """Minimal sample sizes making the bound terms subordinate.
+             gamma_eta: float, gamma_quad: float) -> BurnIns:
+    """Minimal sample sizes making the bound terms subordinate, given the
+    chaining complexities gamma_eta and gamma_quad at r_star.
 
     n_quad: smallest n with the two-group quadratic remainder at most r^2.
     n_mult: smallest n with the moment-norm multiplier group at most r.
@@ -654,8 +668,7 @@ def burn_ins(*, L: float, eta: float, p: float, q_prime: float, k: int,
     r = r_star
     log_d = math.log(1.0 / delta)
     lt = 1.0 if p == INF else math.log(4.0 ** (2.0 / p + 0.5) * L / r) ** (1.0 / p)
-    g_quad = float(gamma_quad_fn(r))
-    g_eta = float(gamma_eta_fn(r))
+    g_quad, g_eta = float(gamma_quad), float(gamma_eta)
 
     t1 = (math.sqrt(k) * L ** 1.75 * r ** eta * lt
           * (g_quad + r ** ((1.0 + 3.0 * eta) / 4.0) * math.sqrt(log_d)))
@@ -790,12 +803,12 @@ def _ratio_for_directions(dirs: np.ndarray, problem: RegressionProblem, p: float
 
 
 CERTIFY_METHODS = ("auto", "finite-exact", "linear-exact", "sampled-fit")
+_REFINE_ROUNDS, _REFINE_SAMPLES = 3, 200    # linear-exact local refinement
 
 
 def certify_weak_subgaussian(cls: HypothesisClass, problem: RegressionProblem,
                              p: float = 2.0, method: str = "auto",
                              m_max: int = 200, directions: int = 10_000,
-                             refine_rounds: int = 3, refine_samples: int = 200,
                              seed: int = 0) -> ClassCertificate:
     """Certify the norm-comparison constant of a hypothesis class.
 
@@ -837,9 +850,9 @@ def certify_weak_subgaussian(cls: HypothesisClass, problem: RegressionProblem,
         best = float(ratios.max())
         best_dir = dirs[int(np.argmax(ratios))]
         last_gain = 0.0
-        for round_idx in range(refine_rounds):
+        for round_idx in range(_REFINE_ROUNDS):
             scale = 0.3 / (3.0 ** round_idx)
-            local = best_dir[None, :] + scale * rng.standard_normal((refine_samples, d))
+            local = best_dir[None, :] + scale * rng.standard_normal((_REFINE_SAMPLES, d))
             local /= np.linalg.norm(local, axis=1, keepdims=True)
             local_ratios = _ratio_for_directions(local, problem, p, m_max)
             cand = float(local_ratios.max())
@@ -850,7 +863,7 @@ def certify_weak_subgaussian(cls: HypothesisClass, problem: RegressionProblem,
         L = max(1.0, best)
         upper = L * (1.0 + max(last_gain, 1.0 / math.sqrt(directions)))
         return ClassCertificate(L=L, eta=1.0, p=p, method=method,
-                                n_witness=dirs.shape[0] + refine_rounds * refine_samples,
+                                n_witness=dirs.shape[0] + _REFINE_ROUNDS * _REFINE_SAMPLES,
                                 upper_estimate=upper)
 
     # sampled-fit
@@ -1028,14 +1041,15 @@ def compute_bound_report(problem: RegressionProblem, cls: HypothesisClass,
     if k is None:
         k = k_mix
     noise_psi = _noise_psi_norm(problem, pop.f_star_table, p)
+    gamma_eta = gamma_eta_fn(rad.value)
     burn = burn_ins(L=cert.L, eta=cert.eta, p=p, q_prime=q_prime, k=k,
                     r_star=rad.value, delta=delta, noise_psi_norm=noise_psi,
-                    gamma_eta_fn=gamma_eta_fn, gamma_quad_fn=gamma_quad_fn)
+                    gamma_eta=gamma_eta, gamma_quad=gamma_quad_fn(rad.value))
 
     return BoundReport(
         n=n, k=k, delta=delta, q=q, q_prime=q_prime, p=p, L=cert.L, eta=cert.eta,
         weak_variance=wv.value, noise_psi_norm=noise_psi, gamma2=gamma2_fn(rad.value),
-        gamma_eta=gamma_eta_fn(rad.value), r_star=rad.value, r_star_flag=rad.flag,
+        gamma_eta=gamma_eta, r_star=rad.value, r_star_flag=rad.flag,
         n_quad=burn.n_quad, n_mult=burn.n_mult, k_mix=k_mix,
         risk_bound=risk_bound(rad.value, wv.value, n, delta, constants.c2),
         constants=constants)

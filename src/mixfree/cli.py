@@ -5,9 +5,11 @@ Flag grammar: ``mixfree <command> --config <path> [--out <dir>] [--seed <n>]
 Exit codes: 0 on success, 1 on configuration errors (diagnostic names the
 offending key, or the line/column for malformed JSON; a model document the
 modules reject, a value that is not a number, a negative seed, a delta
-outside (0, 1) and an n below 1 count as well, and all are caught before any
-sampling), 2 on numeric failures propagated from the modules. Configs are
-validated strictly: unknown keys are rejected.
+outside (0, 1), an n or a replicate count below 1 (below 2 for diagnose,
+which calibrates on half its replicates) and a riskBound delta of 0.25 or
+more count as well, and all are caught before any sampling), 2 on numeric
+failures propagated from the modules. Configs are validated strictly:
+unknown keys are rejected.
 """
 
 from __future__ import annotations
@@ -52,11 +54,12 @@ def _number(value, key: str, kind=float):
                           f"got {value!r}") from None
 
 
-def _count(value, key: str) -> int:
-    """A config integer that must be at least 1 (a sample size)."""
+def _count(value, key: str, least: int = 1) -> int:
+    """A config integer that must be at least `least` (a sample size or a
+    replicate count)."""
     n = _number(value, key, int)
-    if n < 1:
-        raise ConfigError(f"{key!r} must be >= 1, got {n}")
+    if n < least:
+        raise ConfigError(f"{key!r} must be >= {least}, got {n}")
     return n
 
 
@@ -224,7 +227,7 @@ def _cmd_sweep(cfg: dict, out: str, seed: int | None) -> list:
         problems=tuple(problems), labels=tuple(labels),
         hypothesis=_parse_class(cfg["class"]),
         n_grid=tuple(_number(n, "n_grid", int) for n in cfg["n_grid"]),
-        replicates=_number(cfg["replicates"], "replicates", int),
+        replicates=_count(cfg["replicates"], "replicates"),
         master_seed=_seed(cfg, seed),
         delta=_fraction(cfg.get("delta", 0.05), "delta"), q=q, p=p,
         constants=_parse_constants(cfg.get("constants")),
@@ -259,18 +262,21 @@ def _cmd_coverage(cfg: dict, out: str, seed: int | None) -> list:
         report = harness.blocked_bernstein_coverage(
             model, np.asarray(cfg["values"], dtype=float), _count(cfg["n"], "n"),
             _number(cfg["k"], "k", int), _fraction(cfg["delta"], "delta"),
-            _number(cfg["replicates"], "replicates", int), _seed(cfg, seed))
+            _count(cfg["replicates"], "replicates"), _seed(cfg, seed))
     elif kind == "riskBound":
         _check_keys(cfg, {"kind", "model", "class", "n", "delta",
                           "calibration_replicates", "validation_replicates",
                           "seed"}, {"q", "p", "constants"}, "coverage config")
         q, p = _parse_q_p(cfg)
+        delta = _fraction(cfg["delta"], "delta")
+        if delta >= 0.25:
+            raise ConfigError(f"'delta' must be below 0.25 for riskBound coverage, "
+                              f"which tests at level 4 * delta, got {delta}")
         report = harness.risk_bound_coverage(
             _document(processgen.problem_from_dict, cfg["model"], "model"),
-            _parse_class(cfg["class"]),
-            _count(cfg["n"], "n"), _fraction(cfg["delta"], "delta"),
-            _number(cfg["calibration_replicates"], "calibration_replicates", int),
-            _number(cfg["validation_replicates"], "validation_replicates", int),
+            _parse_class(cfg["class"]), _count(cfg["n"], "n"), delta,
+            _count(cfg["calibration_replicates"], "calibration_replicates"),
+            _count(cfg["validation_replicates"], "validation_replicates"),
             _seed(cfg, seed),
             q=q, p=p, constants=_parse_constants(cfg.get("constants")))
     else:
@@ -296,7 +302,7 @@ def _cmd_diagnose(cfg: dict, out: str, seed: int | None) -> list:
     report = harness.process_diagnostics(
         _document(processgen.problem_from_dict, cfg["model"], "model"),
         _parse_class(cfg["class"]),
-        _count(cfg["n"], "n"), _number(cfg["replicates"], "replicates", int),
+        _count(cfg["n"], "n"), _count(cfg["replicates"], "replicates", least=2),
         _number(cfg["epsilon"], "epsilon"), _fraction(cfg["delta"], "delta"),
         _seed(cfg, seed),
         q=q, p=p, constants=_parse_constants(cfg.get("constants")),

@@ -40,15 +40,15 @@ def worker_count() -> int:
 def cell_seed(master_seed: int, level_index: int, n: int, replicate: int) -> int:
     """Stable 64-bit seed for one (cell, replicate) coordinate: the first
     uint64 word of SeedSequence([master_seed, level_index, n, replicate])."""
-    return int(_cell_seeds(master_seed, level_index, n, [replicate])[0])
+    return int(_seed_sequence_state([master_seed, level_index, n, replicate], 1,
+                                    dtype=np.uint64)[0, 0])
 
 
 def _cell_seeds(master_seed: int, level_index: int, n: int, replicates) -> np.ndarray:
     """cell_seed(master_seed, level_index, n, r) for every r in `replicates`,
     all derived in one vectorized pass (uint64)."""
-    w = _seed_sequence_state([int(master_seed), int(level_index), int(n), replicates],
-                             2).astype(np.uint64)
-    return w[:, 0] | w[:, 1] << np.uint64(32)
+    return _seed_sequence_state([master_seed, level_index, n, replicates], 1,
+                                dtype=np.uint64)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +486,12 @@ def process_diagnostics(problem: RegressionProblem, cls: HypothesisClass, n: int
 # minimal SVG plotting (log-log medians per level)
 # ---------------------------------------------------------------------------
 
-def svg_loglog(path, n_values, series: dict, width: int = 640, height: int = 480,
-               title: str = "median excess risk") -> None:
+_SVG_WIDTH, _SVG_HEIGHT, _SVG_TITLE = 640, 480, "median excess risk"
+
+
+def svg_loglog(path, n_values, series: dict) -> None:
     """Write a dependency-free SVG log-log plot of per-level medians."""
+    width, height, title = _SVG_WIDTH, _SVG_HEIGHT, _SVG_TITLE
     n_values = np.asarray(n_values, dtype=float)
     xs = np.log10(n_values)
     all_y = np.log10(np.concatenate([np.asarray(v, dtype=float)

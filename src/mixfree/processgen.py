@@ -6,14 +6,15 @@ This module builds the data-generating side of the lab:
 - ``NoiseSpec`` / ``RegressionProblem``: covariate embedding, true parameter or
   table, and finite-support noise per state.
 - ``sample_trajectory`` / ``kwise_independent_surrogate``: seeded, bit-reproducible
-  samplers (stationary start), plus batched and streaming variants used by the
-  experiment harness. All are views of one chunked core: the merged CDF
-  breakpoints cut [0, 1) into cells, within a cell each step is a fixed map
-  from state to state, so every time step is one cell-table lookup over all
-  replicates. A guide table finds each uniform's cell in O(1), and noise maps
-  to targets in one lookup per group of replicates. Every replicate's
-  SeedSequence/PCG64 seeding is derived in one vectorized pass, and one
-  Generator per sampler call draws all the streams.
+  samplers (stationary start), rows of the batched sampler; it and the
+  streaming statistics used by the experiment harness are views of one core
+  that walks all replicates through time chunks of one fixed length: the
+  merged CDF breakpoints cut [0, 1) into cells, within a cell each step is a
+  fixed map from state to state, so every time step is one cell-table lookup
+  over all replicates. A guide table finds each uniform's cell in O(1), and
+  noise maps to targets in one lookup per group of replicates. One
+  SeedSequence/PCG64 seeding pass derives every replicate's streams, and one
+  Generator per sampler call draws them all.
 - ``beta_at_lag`` / ``lag_weighted_sum``: exact mixing coefficients and lag
   sums, each from one matrix power. TV uses the (1/2)-l1 convention; the
   per-lag loop over all coefficients is the test oracle in tests/oracles.py.
@@ -357,8 +358,7 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32, _M64 = (1 << 32) - 1, (1 << 64) - 1
-_INT = (int, np.integer)    # an entropy part shared by every row
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 
 
 def _words(x: int) -> list[int]:
@@ -390,54 +390,44 @@ def _int_words(values) -> tuple[np.ndarray, np.ndarray]:
         counts += live
 
 
-def _entropy_lanes(parts, R: int, spawn_key: int | None):
-    """Entropy columns of R rows: the words of each part in turn, then the
-    spawn key at each row's own length; rows end at different words when
-    their values take different word counts (lengths, else None)."""
-    rows = np.arange(R)
-    split = [_int_words([p] if isinstance(p, _INT) else p) for p in parts]
-    lengths = sum(np.broadcast_to(c, R) for _, c in split)
-    words = np.zeros((R, max(int(lengths.max(initial=0)), 4) + 1), dtype=np.uint64)
-    at = np.zeros(R, dtype=np.intp)
-    for w, c in split:
-        w, c = np.broadcast_to(w, (R, w.shape[1])), np.broadcast_to(c, R)
-        for j in range(w.shape[1]):
-            live = c > j
-            words[rows[live], at[live] + j] = w[live, j]
-        at = at + c
-    if spawn_key is not None:
-        lengths = np.maximum(lengths, 4)
-        words[rows, lengths] = spawn_key
-        lengths = lengths + 1
-    width = int(lengths.max(initial=0))
-    return list(words[:, :max(width, 4)].T), None if np.all(lengths == width) else lengths
-
-
-def _seed_sequence_state(parts, n_words: int, spawn_key: int | None = None) -> np.ndarray:
-    """SeedSequence(entropy, spawn_key=(spawn_key,)).generate_state(n_words)
-    as uint32 words, for every row at once.
+def _seed_sequence_state(parts, n_words: int, spawn_key: int | None = None,
+                         dtype=np.uint32) -> np.ndarray:
+    """SeedSequence(entropy, spawn_key=(spawn_key,)).generate_state(n_words,
+    dtype) for every row at once, as an (R, n_words) array.
 
     Row r's entropy is the words of each part in turn: an int part is shared
-    by every row, a sequence part gives row r its r-th value. With a spawn
-    key, the entropy is zero-padded to the 4-word pool and the key appended,
-    as SeedSequence.spawn does. The arithmetic runs on one lane per entropy
-    word, a uint64 column over the rows (or a Python int when there is one
-    row, ten times faster than a 1-element array), masked to 32 bits after
-    every product. The hash constant's course depends only on the word
-    count, so rows mix in lock step; a row's words past the pool mix in only
-    while the row has them.
+    by every row (its words are Python ints), a sequence part gives row r its
+    r-th value (its words are uint64 columns). With a spawn key, the entropy
+    is zero-padded to the 4-word pool and the key appended, as
+    SeedSequence.spawn does. The hash constant's course depends only on the
+    word count, so rows whose per-row parts take the same word counts (one
+    layout) mix in lock step, one pass per layout; with no per-row part there
+    is one row, mixed on ints alone.
     """
-    seqs = [p for p in parts if not isinstance(p, _INT)]
-    R = len(seqs[0]) if seqs else 1
-    if R == 1:
-        lanes = [w for p in parts
-                 for w in _words(operator.index(p if isinstance(p, _INT) else p[0]))]
-        if spawn_key is not None:
-            lanes += [0] * (4 - len(lanes)) + [spawn_key]
-        lengths = None
-    else:
-        lanes, lengths = _entropy_lanes(parts, R, spawn_key)
+    split = [_words(operator.index(p)) if isinstance(p, (int, np.integer))
+             else _int_words(p) for p in parts]
+    per_row = [s for s in split if isinstance(s, tuple)]
+    dims = [int(c.max(initial=0)) + 1 for _, c in per_row]
+    key = np.atleast_1d(np.ravel_multi_index([c for _, c in per_row], dims))
+    wide = np.dtype(dtype).itemsize // 4
+    out = np.empty((len(key), n_words), dtype=dtype)
+    for layout in np.unique(key).tolist():
+        rows = key == layout
+        counts = iter(np.unravel_index(layout, dims))
+        lanes = []
+        for s in split:
+            lanes += s if isinstance(s, list) else [s[0][rows, j] for j in range(next(counts))]
+        lanes += [0] * (4 - len(lanes)) + ([] if spawn_key is None else [spawn_key])
+        words = _hash_mix(lanes, n_words * wide)
+        if wide == 2:   # uint64 words are pairs of uint32 words, low word first
+            words = [lo | hi << 32 for lo, hi in zip(words[0::2], words[1::2])]
+        for i, word in enumerate(words):
+            out[rows, i] = word
+    return out
 
+
+def _hash_mix(lanes: list, n_words: int) -> list:
+    """SeedSequence's mix of 4 or more lanes (ints or uint64 columns): n_words words."""
     hc = _INIT_A
 
     def hashmix(v):
@@ -451,15 +441,14 @@ def _seed_sequence_state(parts, n_words: int, spawn_key: int | None = None) -> n
         v = (x * _MIX_L - y * _MIX_R) & _M32
         return v ^ v >> 16
 
-    pool = [hashmix(lanes[i] if i < len(lanes) else 0) for i in range(4)]
+    pool = [hashmix(lanes[i]) for i in range(4)]
     for src in range(4):
         for dst in range(4):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for j in range(4, len(lanes)):
+    for lane in lanes[4:]:
         for dst in range(4):
-            new = mix(pool[dst], hashmix(lanes[j]))
-            pool[dst] = new if lengths is None else np.where(lengths > j, new, pool[dst])
+            pool[dst] = mix(pool[dst], hashmix(lane))
     hc = _INIT_B
     out = []
     for i in range(n_words):
@@ -467,23 +456,7 @@ def _seed_sequence_state(parts, n_words: int, spawn_key: int | None = None) -> n
         hc = hc * _MULT_B & _M32
         v = v * hc & _M32
         out.append(v ^ v >> 16)
-    return np.array(out, dtype=np.uint32).reshape(n_words, R).T
-
-
-def _mul128(hi: np.ndarray, lo: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) * m mod 2^128 in uint64 limbs, the high product from 32-bit halves."""
-    m_hi, m_lo = np.uint64(m >> 64), np.uint64(m & _M64)
-    b0, b1 = np.uint64(m & _M32), np.uint64(m >> 32 & _M32)
-    a0, a1 = lo & np.uint64(_M32), lo >> np.uint64(32)
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> np.uint64(32)) + (p01 & np.uint64(_M32)) + (p10 & np.uint64(_M32))
-    carry = a1 * b1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
-    return carry + lo * m_hi + hi * m_lo, lo * m_lo
-
-
-def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
-    lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < a_lo).astype(np.uint64), lo
+    return out
 
 
 def _pcg64_states(seeds) -> list[list[tuple[int, int]]]:
@@ -492,19 +465,16 @@ def _pcg64_states(seeds) -> list[list[tuple[int, int]]]:
 
     PCG64 takes four uint64 words w from its SeedSequence, sets
     inc = (w2 w3) << 1 | 1 and, from state 0, steps the LCG, adds
-    initstate = (w0 w1) and steps again: state = (initstate + inc) * M + inc.
+    initstate = (w0 w1) and steps again: state = (initstate + inc) * M + inc,
+    all mod 2^128.
     """
     streams = []
     for key in (0, 1):
-        w32 = _seed_sequence_state([seeds], 8, spawn_key=key).astype(np.uint64)
-        w = w32[:, 0::2] | w32[:, 1::2] << np.uint64(32)
-        one = np.uint64(1)
-        inc_hi = w[:, 2] << one | w[:, 3] >> np.uint64(63)
-        inc_lo = w[:, 3] << one | one
-        hi, lo = _add128(*_mul128(*_add128(w[:, 0], w[:, 1], inc_hi, inc_lo), _PCG_MULT),
-                         inc_hi, inc_lo)
-        streams.append([(h << 64 | l, ih << 64 | il) for h, l, ih, il
-                        in zip(hi.tolist(), lo.tolist(), inc_hi.tolist(), inc_lo.tolist())])
+        stream = []
+        for w0, w1, w2, w3 in _seed_sequence_state([seeds], 4, key, np.uint64).tolist():
+            inc = ((w2 << 64 | w3) << 1 | 1) & _M128
+            stream.append((((w0 << 64 | w1) + inc) * _PCG_MULT + inc & _M128, inc))
+        streams.append(stream)
     return streams
 
 
@@ -578,28 +548,27 @@ def _cell_ids(breaks: np.ndarray, guide, u: np.ndarray) -> np.ndarray:
 
 
 _SUB_BLOCK = 1 << 16    # replicate-steps per walk sub-block and per replicate group
+_TIME_CHUNK = 1 << 16   # time steps per chunk of every sampler
 
 
-def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | None,
-                  time_chunk: int):
-    """Yield (r0, states, targets) for each group of replicates r0, r0 + 1, ...
-    of each time chunk, one row per replicate.
+def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | None):
+    """Yield (t0, r0, states, targets) for each group of replicates r0, r0 + 1,
+    ... of each time chunk t0, t0 + 1, ..., one row per replicate.
 
     The one core of every sampler. Replicate r consumes its own state and
-    noise streams in order, so its chunks concatenate to
-    sample_trajectory(problem, n, seeds[r]) (or the k-wise surrogate when
-    block_len is given) bit for bit. Each group's state uniforms become cell
-    ids as soon as they are drawn, and each time step is one lookup over all
-    replicates, states[t] = table[cell[t], states[t - 1]], where t = 0 and
-    every multiple of block_len use the stationary rows. A group's noise is
-    one lookup too: its uniforms become noise cells, and the target table
-    holds mean[s] + values[s, draw] per (state s, noise cell). Groups hold
-    about _SUB_BLOCK replicate-steps, so per-call costs are shared by many
+    noise streams in order, so its path has the same bits whatever
+    _TIME_CHUNK is. Each group's state uniforms become cell ids as soon as
+    they are drawn, and each time step is one lookup over all replicates,
+    states[t] = table[cell[t], states[t - 1]], where t = 0 and every multiple
+    of block_len use the stationary rows. A group's noise is one lookup too:
+    its uniforms become noise cells, and the target table holds
+    mean[s] + values[s, draw] per (state s, noise cell). Groups hold about
+    _SUB_BLOCK replicate-steps, so per-call costs are shared by many
     replicates on short paths and buffers stay small on long ones.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    streams = _Streams(seeds, resume=n > time_chunk)
+    streams = _Streams(seeds, resume=n > _TIME_CHUNK)
     R, S = len(seeds), problem.n_states
     breaks, tab, guide = _cell_table(np.vstack([
         _cumulative_rows(problem.chain.transition),
@@ -616,8 +585,8 @@ def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | No
     period = block_len or n
     sub = max(1, _SUB_BLOCK // max(R, 1))
     x = np.zeros(R, dtype=np.intp)           # previous states; t = 0 restarts
-    for t0 in range(0, n, time_chunk):
-        T = min(time_chunk, n - t0)
+    for t0 in range(0, n, _TIME_CHUNK):
+        T = min(_TIME_CHUNK, n - t0)
         group = max(1, _SUB_BLOCK // T)
         u = np.empty((min(group, R), T))
         cid = np.empty((R, T), dtype=guide[0].dtype)
@@ -641,13 +610,12 @@ def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | No
             rows = states[r0:r0 + len(block)]
             at = rows * len(noise_tab)
             at += _cell_ids(noise_breaks, noise_guide, block)
-            yield r0, rows, ytab.take(at)
+            yield t0, r0, rows, ytab.take(at)
 
 
 def sample_trajectory(problem: RegressionProblem, n: int, seed: int) -> Trajectory:
     """Sample a stationary trajectory of length n; pure function of the seed."""
-    (_, states, targets), = _sample_paths(problem, n, [seed], None, n)
-    return Trajectory(n, states[0], problem.embedding[states[0]], targets[0], seed)
+    return kwise_independent_surrogate(problem, n, n, seed)
 
 
 def kwise_independent_surrogate(problem: RegressionProblem, n: int, k: int,
@@ -655,11 +623,13 @@ def kwise_independent_surrogate(problem: RegressionProblem, n: int, k: int,
     """Concatenate n/k independent stationary blocks of length k.
 
     Each block has the chain's joint law; blocks are mutually independent by
-    construction. k = n reproduces sample_trajectory exactly (same stream).
+    construction. k = n is sample_trajectory (same stream, one block).
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if k < 1 or n % k != 0:
         raise ValueError(f"block length k = {k} must divide n = {n}")
-    (_, states, targets), = _sample_paths(problem, n, [seed], k, n)
+    states, targets = sample_path_batch(problem, n, [seed], k)
     return Trajectory(n, states[0], problem.embedding[states[0]], targets[0], seed)
 
 
@@ -667,21 +637,21 @@ def sample_path_batch(problem: RegressionProblem, n: int, seeds,
                       block_len: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Batched sampler: states and targets for many seeds, no covariate matrix.
 
-    Row r reproduces sample_trajectory(problem, n, seeds[r]) (or the k-wise
-    surrogate when block_len is given) exactly: each replicate consumes its own
-    streams in the same order as the single-path sampler.
+    Row r is the trajectory of seeds[r] (sample_trajectory, or the k-wise
+    surrogate when block_len is given): each replicate consumes its own
+    streams in order.
     """
     seeds = list(seeds)
     states = np.empty((len(seeds), n), dtype=np.int64)
     targets = np.empty((len(seeds), n))
-    for r0, rows, y in _sample_paths(problem, n, seeds, block_len, n):
-        states[r0:r0 + len(rows)], targets[r0:r0 + len(rows)] = rows, y
+    for t0, r0, rows, y in _sample_paths(problem, n, seeds, block_len):
+        at = np.s_[r0:r0 + len(rows), t0:t0 + rows.shape[1]]
+        states[at], targets[at] = rows, y
     return states, targets
 
 
 def stream_state_stats(problem: RegressionProblem, n: int, seeds,
-                       block_len: int | None = None,
-                       time_chunk: int = 65536) -> tuple[np.ndarray, np.ndarray]:
+                       block_len: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-replicate sufficient statistics of a path batch, in O(R * chunk) memory.
 
     Walks the replicated chain through time chunks and accumulates, per
@@ -697,7 +667,7 @@ def stream_state_stats(problem: RegressionProblem, n: int, seeds,
     S = problem.n_states
     counts = np.zeros((len(seeds), S))
     ysums = np.zeros((len(seeds), S))
-    for r0, rows, y in _sample_paths(problem, n, seeds, block_len, time_chunk):
+    for _, r0, rows, y in _sample_paths(problem, n, seeds, block_len):
         g = len(rows)
         key = (rows + S * np.arange(g)[:, None]).ravel()
         counts[r0:r0 + g] += np.bincount(key, minlength=g * S).reshape(g, S)

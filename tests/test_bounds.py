@@ -558,8 +558,8 @@ class TestBurnIns:
     def test_smallest_n_property(self):
         g_eta, g_quad = self._gammas(4.0, 1.0)
         kwargs = dict(L=2.0, eta=1.0, p=INF, q_prime=INF, k=12, r_star=0.05,
-                      delta=0.1, noise_psi_norm=0.7, gamma_eta_fn=g_eta,
-                      gamma_quad_fn=g_quad)
+                      delta=0.1, noise_psi_norm=0.7, gamma_eta=g_eta(0.05),
+                      gamma_quad=g_quad(0.05))
         burn = mf.burn_ins(**kwargs)
         r = kwargs["r_star"]
         log_d = math.log(1 / kwargs["delta"])
@@ -583,10 +583,10 @@ class TestBurnIns:
         g_quad = lambda r: mf.gamma_alpha_parametric(2.0, r, d)
 
         def clears(n):
-            burn = mf.burn_ins(L=L, eta=1.0, p=INF, q_prime=INF, k=k,
-                               r_star=math.sqrt(V * d / n), delta=delta,
-                               noise_psi_norm=B, gamma_eta_fn=g_eta,
-                               gamma_quad_fn=g_quad)
+            r = math.sqrt(V * d / n)
+            burn = mf.burn_ins(L=L, eta=1.0, p=INF, q_prime=INF, k=k, r_star=r,
+                               delta=delta, noise_psi_norm=B, gamma_eta=g_eta(r),
+                               gamma_quad=g_quad(r))
             return burn.n_mult <= n
 
         n_fixed = next(n for n in range(2, 10 ** 6) if clears(n))
@@ -627,8 +627,8 @@ class TestBoundRhs:
         g_eta = lambda rr: mf.gamma_alpha_parametric(eta, rr, d)
         g_quad = lambda rr: mf.gamma_alpha_parametric((2 + 6 * eta) / 4, rr, d)
         burn = mf.burn_ins(L=L, eta=eta, p=INF, q_prime=INF, k=k, r_star=r,
-                           delta=delta, noise_psi_norm=psi_w, gamma_eta_fn=g_eta,
-                           gamma_quad_fn=g_quad)
+                           delta=delta, noise_psi_norm=psi_w, gamma_eta=g_eta(r),
+                           gamma_quad=g_quad(r))
 
         def psi_group(n):
             out = mf.multiplier_bound_rhs(weak_variance=0.0, gamma2=0.0,

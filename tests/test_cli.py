@@ -196,6 +196,30 @@ class TestOutOfRangeValues:
         assert not (tmp_path / "r").exists()
 
 
+    @pytest.mark.parametrize("name, key, value, least", [
+        ("blocked", "replicates", 0, 1), ("sweep", "replicates", 0, 1),
+        ("coverage", "calibration_replicates", 0, 1),
+        ("coverage", "validation_replicates", 0, 1),
+        ("diagnose", "replicates", 0, 2), ("diagnose", "replicates", 1, 2)])
+    def test_replicate_count_is_config_error(self, tmp_path, capsys, name, key, value,
+                                             least):
+        cfg = _write(tmp_path, "cfg.json", dict(self._configs()[name], **{key: value}))
+        command = "coverage" if name == "blocked" else name
+        assert run([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: '{key}' must be >= {least}, got {value}" in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("delta", [0.25, 0.3])
+    def test_risk_bound_delta_below_a_quarter(self, tmp_path, capsys, delta):
+        # riskBound coverage tests at level 4 * delta, which must stay below 1
+        cfg = _write(tmp_path, "cfg.json", dict(self._configs()["coverage"], delta=delta))
+        assert run(["coverage", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert "config error: 'delta' must be below 0.25" in err and f"got {delta}" in err
+        assert not (tmp_path / "r").exists()
+
+
 class TestNegativeSeeds:
     def test_simulate_seed_flag(self, tmp_path, capsys):
         cfg = _write(tmp_path, "cfg.json", {"model": _model_dict(), "n": 32, "seed": 9})

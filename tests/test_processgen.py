@@ -191,9 +191,19 @@ class TestSampling:
             assert np.array_equal(states[r], traj.states)
             assert np.array_equal(targets[r], traj.targets)
 
+    @pytest.mark.parametrize("sampler", [
+        lambda problem, n: mf.sample_trajectory(problem, n, 1),
+        lambda problem, n: mf.kwise_independent_surrogate(problem, n, 1, 1),
+        lambda problem, n: mf.stream_state_stats(problem, n, [1])])
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_nonpositive_n_is_named(self, sampler, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            sampler(_two_state_problem(), n)
+
     def test_stream_stats_match_trajectory(self):
         problem = _two_state_problem()
-        counts, ysums = mf.stream_state_stats(problem, 500, [42], time_chunk=37)
+        with mock.patch.object(processgen, "_TIME_CHUNK", 37):
+            counts, ysums = mf.stream_state_stats(problem, 500, [42])
         traj = mf.sample_trajectory(problem, 500, 42)
         assert np.array_equal(counts[0], np.bincount(traj.states, minlength=2))
         assert np.allclose(ysums[0], np.bincount(traj.states, weights=traj.targets,
@@ -317,10 +327,12 @@ class TestCellTableWalk:
         rows, ys = [[] for _ in range(R)], [[] for _ in range(R)]
         with mock.patch.object(processgen, "_Streams",
                                lambda seeds, resume: _Replay(U, V)), \
-                mock.patch.object(processgen, "_SUB_BLOCK", sub_block):
-            for r0, group, y in processgen._sample_paths(problem, n, range(R), block_len,
-                                                         time_chunk):
+                mock.patch.object(processgen, "_SUB_BLOCK", sub_block), \
+                mock.patch.object(processgen, "_TIME_CHUNK", time_chunk):
+            for t0, r0, group, y in processgen._sample_paths(problem, n, range(R),
+                                                             block_len):
                 for i in range(len(group)):
+                    assert sum(map(len, rows[r0 + i])) == t0
                     rows[r0 + i].append(group[i].copy())
                     ys[r0 + i].append(y[i].copy())
         states = np.array([np.concatenate(chunks) for chunks in rows])
