@@ -21,10 +21,10 @@ from .blocking import (BlockingScheme, blocked_bernstein_bound,
                        blocked_bernstein_terms, decoupling_gap_bound, make_blocks,
                        mixing_failure_term, odd_block_decoupling_gap_exact)
 from .erm import (ERMResult, HypothesisClass, PopulationQuantities,
-                  basic_inequality_sides, excess_l2, fit_erm_finite,
-                  fit_erm_linear, multiplier_process,
-                  population_quantities, quadratic_process, sphere_tables,
-                  star_hull_tables)
+                  basic_inequality_sides, excess_l2, excess_risks, fit_erm_finite,
+                  fit_erm_linear, multiplier_process, multiplier_processes,
+                  population_quantities, quadratic_process, quadratic_processes,
+                  sphere_tables, star_hull_tables)
 from .bounds import (INF, BoundBreakdown, BoundReport, BurnIns, ClassCertificate,
                      Constants, CriticalRadius, DiscreteLaw, PsiNormEstimate,
                      WeakVariance, bernstein_mgf_rhs, burn_ins,

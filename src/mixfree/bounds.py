@@ -30,7 +30,7 @@ import numpy as np
 
 from .processgen import (MarkovChainModel, RegressionProblem, beta_at_lag,
                          lag_weighted_sum)
-from .erm import HypothesisClass, PopulationQuantities, sphere_tables
+from .erm import HypothesisClass, sphere_tables
 
 INF = float("inf")
 
@@ -976,25 +976,20 @@ def resolution_directions(cls: HypothesisClass, f_star_table,
 
 
 def class_gamma_profiles(cls: HypothesisClass, problem: RegressionProblem,
-                         pop: PopulationQuantities, eta: float,
-                         c_alpha: float = 1.0):
+                         members: np.ndarray, eta: float, c_alpha: float = 1.0):
     """(gamma2, gamma_eta, gamma_quad) profiles as functions of the radius.
 
     Linear classes use the parametric closed form with d parameters; finite
-    classes use exact breakpoint entropy integrals of the normalized member
-    directions, scaled linearly in the radius.
+    classes use exact breakpoint entropy integrals of `members`, the
+    normalized member directions of `resolution_directions`, scaled linearly
+    in the radius.
     """
     alphas = (2.0, eta, (2.0 + 6.0 * eta) / 4.0)
     if cls.kind == "linear":
         d = cls.dim
         return tuple(
             (lambda r, a=a: gamma_alpha_parametric(a, r, d, c_alpha)) for a in alphas)
-    pi = problem.chain.stationary
-    diffs = cls.tables - pop.f_star_table[None, :]
-    norms = np.sqrt((diffs ** 2) @ pi)
-    keep = norms > 0
-    unit = diffs[keep] / norms[keep, None]
-    integrals = _breakpoint_integrals(unit, pi, alphas)
+    integrals = _breakpoint_integrals(members, problem.chain.stationary, alphas)
     return tuple((lambda r, v=v: c_alpha * r * v) for v in integrals)
 
 
@@ -1017,6 +1012,8 @@ def compute_bound_report(problem: RegressionProblem, cls: HypothesisClass,
     if not (0 < delta < 1):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     check_q_p(q, p)
+    if k is not None and k < 1:
+        raise ValueError(f"block length k must be >= 1, got {k}")
     q_prime = holder_conjugate(q)
     pop = population_quantities(problem, cls)
     cert = certify_weak_subgaussian(cls, problem, p=p, seed=seed)
@@ -1033,7 +1030,7 @@ def compute_bound_report(problem: RegressionProblem, cls: HypothesisClass,
                               seed=seed)
 
     gamma2_fn, gamma_eta_fn, gamma_quad_fn = class_gamma_profiles(
-        cls, problem, pop, cert.eta, constants.c_alpha)
+        cls, problem, members, cert.eta, constants.c_alpha)
 
     rad = _linear_profile_radius(wv.value, gamma2_fn(1.0), n, constants.c1)
 

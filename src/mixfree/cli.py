@@ -2,14 +2,22 @@
 
 Flag grammar: ``mixfree <command> --config <path> [--out <dir>] [--seed <n>]
 [--quiet]`` with commands simulate, bound, certify, sweep, coverage, diagnose.
-Exit codes: 0 on success, 1 on configuration errors (diagnostic names the
-offending key, or the line/column for malformed JSON; a model document the
-modules reject, a value that is not a number, a negative seed, a delta
-outside (0, 1), an n or a replicate count below 1 (below 2 for diagnose,
-which calibrates on half its replicates) and a riskBound delta of 0.25 or
-more count as well, and all are caught before any sampling), 2 on numeric
-failures propagated from the modules. Configs are validated strictly:
-unknown keys are rejected.
+Exit codes: 0 on success, 1 on configuration errors, 2 on numeric failures
+propagated from the modules. A configuration error names the offending key,
+or the line/column for malformed JSON, and is caught before any sampling.
+Configuration errors include:
+
+- a model document the modules reject, a value that is not a number, a
+  negative seed, unknown keys (configs are validated strictly);
+- a delta outside (0, 1), and a riskBound delta of 0.25 or more;
+- a diagnose epsilon outside [0, 1);
+- a count below 1: n, replicate counts (below 2 for diagnose, which
+  calibrates on half its replicates), the bound's k and resolution, the
+  certificate's directions and m_max; a diagnose rho_grid below 2; an empty
+  sweep n_grid;
+- a block length (coverage k, simulate kwise) that does not divide n;
+- blockedBernstein values that are not numbers, not one per state, or not
+  centered under the stationary law.
 """
 
 from __future__ import annotations
@@ -61,6 +69,14 @@ def _count(value, key: str, least: int = 1) -> int:
     if n < least:
         raise ConfigError(f"{key!r} must be >= {least}, got {n}")
     return n
+
+
+def _divisor(value, key: str, n: int) -> int:
+    """A config block length: an integer >= 1 that divides n."""
+    k = _count(value, key)
+    if n % k != 0:
+        raise ConfigError(f"{key!r} must divide 'n' = {n}, got {k}")
+    return k
 
 
 def _fraction(value, key: str) -> float:
@@ -149,7 +165,7 @@ def _cmd_simulate(cfg: dict, out: str, seed: int | None) -> list:
     use_seed = _seed(cfg, seed)
     if "kwise" in cfg:
         traj = processgen.kwise_independent_surrogate(
-            problem, n, _number(cfg["kwise"], "kwise", int), use_seed)
+            problem, n, _divisor(cfg["kwise"], "kwise", n), use_seed)
     else:
         traj = processgen.sample_trajectory(problem, n, use_seed)
     path = _out_path(out, "trajectory.csv")
@@ -167,9 +183,9 @@ def _cmd_bound(cfg: dict, out: str, seed: int | None) -> list:
     report = bounds.compute_bound_report(
         problem, cls, _count(cfg["n"], "n"), _fraction(cfg["delta"], "delta"),
         q=q, p=p,
-        k=None if cfg.get("k") is None else _number(cfg["k"], "k", int),
+        k=None if cfg.get("k") is None else _count(cfg["k"], "k"),
         constants=_parse_constants(cfg.get("constants")),
-        resolution=_number(cfg.get("resolution", 64), "resolution", int),
+        resolution=_count(cfg.get("resolution", 64), "resolution"),
         seed=_seed(cfg, seed))
     json_path = _out_path(out, "bound_report.json")
     with open(json_path, "w") as fh:
@@ -196,8 +212,8 @@ def _cmd_certify(cfg: dict, out: str, seed: int | None) -> list:
                           f"got {method!r}")
     cert = bounds.certify_weak_subgaussian(
         cls, problem, p=_parse_p(cfg.get("p", 2.0)), method=method,
-        directions=_number(cfg.get("directions", 10_000), "directions", int),
-        m_max=_number(cfg.get("m_max", 200), "m_max", int),
+        directions=_count(cfg.get("directions", 10_000), "directions"),
+        m_max=_count(cfg.get("m_max", 200), "m_max"),
         seed=_seed(cfg, seed))
     payload = asdict(cert)
     payload["p"] = "inf" if cert.p == INF else cert.p
@@ -220,8 +236,8 @@ def _cmd_sweep(cfg: dict, out: str, seed: int | None) -> list:
         problems.append(_document(processgen.problem_from_dict, level["model"],
                                   f"levels[{i}].model"))
         labels.append(level["label"])
-    if not isinstance(cfg["n_grid"], list):
-        raise ConfigError("'n_grid' must be a list of integers")
+    if not isinstance(cfg["n_grid"], list) or not cfg["n_grid"]:
+        raise ConfigError("'n_grid' must be a nonempty list of integers")
     q, p = _parse_q_p(cfg)
     config = _document(lambda fields: harness.SweepConfig(**fields), dict(
         problems=tuple(problems), labels=tuple(labels),
@@ -259,9 +275,11 @@ def _cmd_coverage(cfg: dict, out: str, seed: int | None) -> list:
         model = _document(processgen.MarkovChainModel.from_transition,
                           cfg["model"]["transition"] if isinstance(cfg["model"], dict)
                           else cfg["model"], "model")
+        n = _count(cfg["n"], "n")
         report = harness.blocked_bernstein_coverage(
-            model, np.asarray(cfg["values"], dtype=float), _count(cfg["n"], "n"),
-            _number(cfg["k"], "k", int), _fraction(cfg["delta"], "delta"),
+            model, _document(lambda v: harness.centered_values(model, v), cfg["values"],
+                             "'values'"),
+            n, _divisor(cfg["k"], "k", n), _fraction(cfg["delta"], "delta"),
             _count(cfg["replicates"], "replicates"), _seed(cfg, seed))
     elif kind == "riskBound":
         _check_keys(cfg, {"kind", "model", "class", "n", "delta",
@@ -299,14 +317,16 @@ def _cmd_diagnose(cfg: dict, out: str, seed: int | None) -> list:
                       "seed"}, {"q", "p", "constants", "rho_grid"},
                 "diagnose config")
     q, p = _parse_q_p(cfg)
+    epsilon = _number(cfg["epsilon"], "epsilon")
+    if not 0 <= epsilon < 1:
+        raise ConfigError(f"'epsilon' must lie in [0, 1), got {epsilon}")
     report = harness.process_diagnostics(
         _document(processgen.problem_from_dict, cfg["model"], "model"),
         _parse_class(cfg["class"]),
         _count(cfg["n"], "n"), _count(cfg["replicates"], "replicates", least=2),
-        _number(cfg["epsilon"], "epsilon"), _fraction(cfg["delta"], "delta"),
-        _seed(cfg, seed),
+        epsilon, _fraction(cfg["delta"], "delta"), _seed(cfg, seed),
         q=q, p=p, constants=_parse_constants(cfg.get("constants")),
-        rho_grid=_number(cfg.get("rho_grid", 64), "rho_grid", int))
+        rho_grid=_count(cfg.get("rho_grid", 64), "rho_grid", least=2))
     path = _out_path(out, "diagnostics.json")
     with open(path, "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)

@@ -6,6 +6,9 @@ population risks) is an exact finite sum under the stationary law. The two
 centered empirical processes tracked here are the one-sided gap between
 population and inflated empirical squared norms, and the centered
 noise-function inner-product average that dominates the excess-risk error.
+ERM excess risks and both processes are evaluated on per-state visit counts
+and target sums, a row per replicate (`processgen.stream_state_stats`); the
+one-trajectory forms are one-row views built from that trajectory's bincounts.
 """
 
 from __future__ import annotations
@@ -95,16 +98,25 @@ def fit_erm_linear(traj: Trajectory, problem: RegressionProblem | None = None
                      excess_l2_squared=excess, tie_broken=bool(rank < d))
 
 
+def _state_sums(traj: Trajectory, n_states: int) -> tuple[np.ndarray, np.ndarray]:
+    """One trajectory's per-state visit counts and target sums, as (1, S) rows
+    of the statistics `stream_state_stats` gives for a batch."""
+    counts = np.bincount(traj.states, minlength=n_states).astype(float)
+    ysums = np.bincount(traj.states, weights=traj.targets, minlength=n_states)
+    return counts[None, :], ysums[None, :]
+
+
+def _finite_scores(tables: np.ndarray, counts, ysums) -> np.ndarray:
+    """(M, R) ERM objective of every table on every replicate: n times the
+    empirical risk, less the constant sum of y^2."""
+    return tables ** 2 @ counts.T - 2.0 * (tables @ ysums.T)
+
+
 def finite_empirical_risks(tables: np.ndarray, traj: Trajectory) -> np.ndarray:
     """Empirical risk of every table hypothesis, via per-state sufficient stats."""
-    n = traj.n
-    n_states = tables.shape[1]
-    counts = np.bincount(traj.states, minlength=n_states).astype(float)
-    y_sums = np.bincount(traj.states, weights=traj.targets, minlength=n_states)
-    y_sq = float(np.sum(traj.targets ** 2))
-    # risk(f) = (1/n) [ sum_s c_s f(s)^2 - 2 f(s) Ysum_s ] + mean(y^2)
-    risks = (tables ** 2 @ counts - 2.0 * (tables @ y_sums) + y_sq) / n
-    return risks
+    counts, ysums = _state_sums(traj, tables.shape[1])
+    return (_finite_scores(tables, counts, ysums)[:, 0]
+            + float(np.sum(traj.targets ** 2))) / traj.n
 
 
 def fit_erm_finite(traj: Trajectory, cls: HypothesisClass,
@@ -115,15 +127,42 @@ def fit_erm_finite(traj: Trajectory, cls: HypothesisClass,
     """
     if cls.kind != "finite":
         raise ValueError("fit_erm_finite requires a finite class")
-    risks = finite_empirical_risks(cls.tables, traj)
-    idx = int(np.argmin(risks))
-    tie = bool(np.sum(risks == risks[idx]) > 1)
+    counts, ysums = _state_sums(traj, cls.tables.shape[1])
+    scores = _finite_scores(cls.tables, counts, ysums)[:, 0]
+    idx = int(np.argmin(scores))
+    tie = bool(np.sum(scores == scores[idx]) > 1)
+    risk = (scores[idx] + float(np.sum(traj.targets ** 2))) / traj.n
     excess = None
     if problem is not None:
-        pop = population_quantities(problem, cls)
-        excess = excess_l2(cls.tables[idx], pop.f_star_table, problem)
-    return ERMResult(param=None, index=idx, empirical_risk=float(max(risks[idx], 0.0)),
+        excess = float(excess_risks(problem, cls, counts, ysums)[0])
+    return ERMResult(param=None, index=idx, empirical_risk=float(max(risk, 0.0)),
                      excess_l2_squared=excess, tie_broken=tie)
+
+
+def excess_risks(problem: RegressionProblem, cls: HypothesisClass, counts, ysums
+                 ) -> np.ndarray:
+    """Exact excess risk of the ERM fit on each replicate, from its per-state
+    visit counts and target sums (rows of `counts`, `ysums`, each (R, S)).
+
+    Linear classes fit the min-norm least-squares parameter on the visited
+    design; finite classes pick the lowest-index minimizer of the empirical
+    risk.
+    """
+    pi = problem.chain.stationary
+    if cls.kind == "linear":
+        emb = problem.embedding
+        beta_star = _f_star_param(problem)
+        sigma = problem.second_moment_matrix()
+        out = np.empty(counts.shape[0])
+        for r in range(counts.shape[0]):
+            gram = emb.T @ (counts[r][:, None] * emb)
+            beta = np.linalg.pinv(gram) @ (emb.T @ ysums[r])
+            diff = beta - beta_star
+            out[r] = float(diff @ sigma @ diff)
+        return out
+    idx = np.argmin(_finite_scores(cls.tables, counts, ysums), axis=0)
+    f_star = population_quantities(problem, cls).f_star_table
+    return ((cls.tables[idx] - f_star[None, :]) ** 2) @ pi
 
 
 # ---------------------------------------------------------------------------
@@ -211,25 +250,36 @@ def excess_l2(f, f_star, problem: RegressionProblem) -> float:
 # empirical processes
 # ---------------------------------------------------------------------------
 
-def _quadratic_process_table(g_table, traj: Trajectory,
-                             problem: RegressionProblem, epsilon: float) -> float:
-    """Quadratic process at a difference function given as a per-state table."""
-    g = np.asarray(g_table, dtype=float)
-    pop = float(problem.chain.stationary @ g ** 2)
-    emp = float(np.mean(g[traj.states] ** 2))
-    return pop - (1.0 + epsilon) * emp
+def _check_epsilon(epsilon: float) -> None:
+    """The processes' inflation epsilon must lie in [0, 1)."""
+    if not 0 <= epsilon < 1:
+        raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
 
 
-def _multiplier_process_table(g_table, f_star_table, traj: Trajectory,
-                              problem: RegressionProblem, epsilon: float) -> float:
-    """Multiplier process at a per-state table member of the star hull."""
-    g = np.asarray(g_table, dtype=float)
-    fstar = np.asarray(f_star_table, dtype=float)
-    w = traj.targets - fstar[traj.states]
-    emp = float(np.mean(w * g[traj.states]))
-    bias = problem.regression_mean() - fstar       # E[W | state]
-    pop = float(problem.chain.stationary @ (bias * g))
-    return (1.0 + epsilon) * 2.0 * (emp - pop)
+def quadratic_processes(members, counts, n: int, problem: RegressionProblem,
+                        epsilon: float) -> np.ndarray:
+    """(R, M) quadratic process of each member table g on each replicate:
+    ||g||_{L2}^2 - (1 + epsilon)/n * sum_i g(X_i)^2, from the replicates'
+    per-state visit counts (R, S); the population term is exact."""
+    _check_epsilon(epsilon)
+    members = np.asarray(members, dtype=float)
+    pop = (members ** 2) @ problem.chain.stationary
+    return pop[None, :] - (1 + epsilon) * (counts @ (members ** 2).T / n)
+
+
+def multiplier_processes(members, f_star, counts, ysums, n: int,
+                         problem: RegressionProblem, epsilon: float) -> np.ndarray:
+    """(R, M) multiplier process of each member table g on each replicate:
+    (1 + epsilon) * 2 * [(1/n) sum_i W_i g(X_i) - E W g(X)] with
+    W_i = Y_i - f_star(X_i), from per-state visit counts and target sums
+    (R, S); the fresh-copy expectation is exact."""
+    _check_epsilon(epsilon)
+    members = np.asarray(members, dtype=float)
+    f_star = np.asarray(f_star, dtype=float)
+    wsums = ysums - counts * f_star[None, :]
+    bias = problem.regression_mean() - f_star       # E[W | state]
+    pop = members @ (problem.chain.stationary * bias)
+    return (1 + epsilon) * 2.0 * (wsums @ members.T / n - pop[None, :])
 
 
 def quadratic_process(f, f_star, traj: Trajectory, problem: RegressionProblem,
@@ -241,10 +291,9 @@ def quadratic_process(f, f_star, traj: Trajectory, problem: RegressionProblem,
     Nonpositive values mean the empirical norm dominates at this hypothesis.
     In linear mode f and f_star are parameter vectors.
     """
-    if not 0 <= epsilon < 1:
-        raise ValueError("epsilon must lie in [0, 1)")
     g = _to_table(f, problem) - _to_table(f_star, problem)
-    return _quadratic_process_table(g, traj, problem, epsilon)
+    counts, _ = _state_sums(traj, problem.n_states)
+    return float(quadratic_processes(g[None, :], counts, traj.n, problem, epsilon)[0, 0])
 
 
 def multiplier_process(g, f_star, traj: Trajectory, problem: RegressionProblem,
@@ -256,11 +305,10 @@ def multiplier_process(g, f_star, traj: Trajectory, problem: RegressionProblem,
     from the model rather than sampled. In linear mode g and f_star are
     parameter vectors.
     """
-    if not 0 <= epsilon < 1:
-        raise ValueError("epsilon must lie in [0, 1)")
-    return _multiplier_process_table(_to_table(g, problem),
-                                     _to_table(f_star, problem), traj, problem,
-                                     epsilon)
+    counts, ysums = _state_sums(traj, problem.n_states)
+    return float(multiplier_processes(_to_table(g, problem)[None, :],
+                                      _to_table(f_star, problem), counts, ysums,
+                                      traj.n, problem, epsilon)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +324,8 @@ def star_hull_tables(cls: HypothesisClass, f_star_table, problem: RegressionProb
     """
     if cls.kind != "finite":
         raise ValueError("star_hull_tables requires a finite class")
+    if rho_grid < 2:
+        raise ValueError(f"rho_grid must be >= 2 to hold both endpoints, got {rho_grid}")
     diffs = cls.tables - np.asarray(f_star_table, dtype=float)[None, :]
     rhos = np.linspace(0.0, 1.0, rho_grid)
     members = (rhos[:, None, None] * diffs[None, :, :]).reshape(-1, diffs.shape[1])
@@ -320,24 +370,20 @@ def basic_inequality_sides(traj: Trajectory, problem: RegressionProblem,
     supremum is at least 0).
     """
     pop = population_quantities(problem, cls)
+    counts, ysums = _state_sums(traj, problem.n_states)
     if cls.kind == "finite":
-        fit = fit_erm_finite(traj, cls, problem)
-        lhs = fit.excess_l2_squared
+        lhs = excess_risks(problem, cls, counts, ysums)[0]
         sphere = sphere_tables(cls, pop.f_star_table, problem, r)
         hull = star_hull_tables(cls, pop.f_star_table, problem, rho_grid)
     else:
-        fit = fit_erm_linear(traj, problem)
-        lhs = fit.excess_l2_squared
+        lhs = fit_erm_linear(traj, problem).excess_l2_squared
         sphere = sphere_tables(cls, pop.f_star_table, problem, r,
                                count=linear_grid, seed=seed)
         hull = sphere
 
-    zero = np.zeros((1, problem.n_states))
-    sup_m = max((_multiplier_process_table(g, pop.f_star_table, traj, problem,
-                                           epsilon) for g in sphere),
-                default=0.0)
-    sup_q = max(_quadratic_process_table(g, traj, problem, epsilon)
-                for g in np.vstack([hull, zero]))
-    rhs = r ** 2 + (max(sup_m, 0.0) / r) ** 2 + sup_q
+    sup_m = multiplier_processes(sphere, pop.f_star_table, counts, ysums, traj.n,
+                                 problem, epsilon).max(initial=0.0)
+    sup_q = quadratic_processes(np.vstack([hull, np.zeros((1, problem.n_states))]),
+                                counts, traj.n, problem, epsilon).max()
+    rhs = r ** 2 + (sup_m / r) ** 2 + sup_q
     return float(lhs), float(rhs)
-

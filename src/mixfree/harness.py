@@ -6,7 +6,9 @@ and diagnostics derive all their seeds in one vectorized pass), cells run
 concurrently, and results reduce in (cell, replicate) order regardless of
 completion order, so rerunning a sweep reproduces its CSV byte for byte.
 Excess risks are summarized by cell medians (heavy upper tails at small n
-would corrupt log-log fits).
+would corrupt log-log fits). Excess risks and the empirical processes are
+`erm`'s, evaluated on the sampler's per-state statistics; this module only
+draws seeds, samples and reduces.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import numpy as np
 from .processgen import (RegressionProblem, MarkovChainModel, NoiseSpec,
                          block_sum_second_moment, stream_state_stats,
                          _seed_sequence_state)
-from .erm import HypothesisClass, population_quantities, _f_star_param
+from .erm import (HypothesisClass, excess_risks, multiplier_processes,
+                  population_quantities, quadratic_processes, star_hull_tables,
+                  _check_epsilon)
 from .blocking import blocked_bernstein_bound
 from .bounds import INF, Constants, compute_bound_report
 
@@ -51,61 +55,12 @@ def _cell_seeds(master_seed: int, level_index: int, n: int, replicates) -> np.nd
                                 dtype=np.uint64)[:, 0]
 
 
-# ---------------------------------------------------------------------------
-# per-cell excess risk
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _LevelContext:
-    """Cached exact population objects for one mixing level."""
-
-    problem: RegressionProblem
-    f_star_table: np.ndarray
-    f_star_param: np.ndarray | None
-    sigma: np.ndarray | None
-
-
-def _level_context(problem: RegressionProblem, cls: HypothesisClass) -> _LevelContext:
-    if cls.kind == "linear":
-        beta = _f_star_param(problem)
-        return _LevelContext(problem, problem.embedding @ beta, beta,
-                             problem.second_moment_matrix())
-    pop = population_quantities(problem, cls)
-    return _LevelContext(problem, pop.f_star_table, None, None)
-
-
-def _excess_batch(ctx: _LevelContext, cls: HypothesisClass, n: int, seeds,
-                  block_len: int | None = None) -> np.ndarray:
-    """Exact excess risks for a batch of replicates, from streaming statistics."""
-    problem = ctx.problem
-    counts, ysums = stream_state_stats(problem, n, seeds, block_len=block_len)
-    pi = problem.chain.stationary
-    out = np.empty(counts.shape[0])
-    if cls.kind == "linear":
-        emb = problem.embedding
-        diff_dir = None
-        for r in range(counts.shape[0]):
-            gram = emb.T @ (counts[r][:, None] * emb)
-            xty = emb.T @ ysums[r]
-            beta = np.linalg.pinv(gram) @ xty         # min-norm on the visited design
-            diff = beta - ctx.f_star_param
-            out[r] = float(diff @ ctx.sigma @ diff)
-    else:
-        tables = cls.tables
-        sq = tables ** 2 @ counts.T                   # (M, R)
-        cross = tables @ ysums.T
-        # argmin over hypotheses of (sq - 2 cross); the y^2 term is constant
-        idx = np.argmin(sq - 2.0 * cross, axis=0)
-        diffs = tables[idx] - ctx.f_star_table[None, :]
-        out = (diffs ** 2) @ pi
-    return out
-
-
 def run_cell(config: "SweepConfig", n: int, mixing_level: int, replicate: int) -> float:
     """Exact excess risk of one replicate; pure in (master seed, cell, replicate)."""
-    ctx = _level_context(config.problems[mixing_level], config.hypothesis)
+    problem = config.problems[mixing_level]
     seed = cell_seed(config.master_seed, mixing_level, n, replicate)
-    return float(_excess_batch(ctx, config.hypothesis, n, [seed])[0])
+    return float(excess_risks(problem, config.hypothesis,
+                              *stream_state_stats(problem, n, [seed]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +121,13 @@ class SweepResult:
 def run_sweep(config: SweepConfig, max_workers: int | None = None) -> SweepResult:
     """Execute every cell of the sweep; concurrent but deterministically reduced."""
     cells = [(li, n) for li in range(len(config.problems)) for n in config.n_grid]
-    contexts = [_level_context(p, config.hypothesis) for p in config.problems]
 
     def one_cell(cell):
         li, n = cell
         seeds = [cell_seed(config.master_seed, li, n, r)
                  for r in range(config.replicates)]
-        exc = _excess_batch(contexts[li], config.hypothesis, n, seeds)
+        exc = excess_risks(config.problems[li], config.hypothesis,
+                           *stream_state_stats(config.problems[li], n, seeds))
         k = None if config.block_rule == "kmix" else config.block_rule
         report = compute_bound_report(
             config.problems[li], config.hypothesis, n, config.delta, q=config.q,
@@ -288,8 +243,7 @@ def mixing_free_check(result: SweepResult) -> MixingFreeReport:
         fits.append(fit_rate(window, meds))
     n_top = max(cfg.n_grid)
     kmix = [result.reports[(li, n_top)].k_mix for li in levels]
-    slow = int(np.argmax(kmix))
-    fast = int(np.argmin(kmix))
+    slow, fast = kmix.index(max(kmix)), kmix.index(min(kmix))
     ratio = math.exp(fits[slow].log_constant - fits[fast].log_constant)
     naive = kmix[slow] / kmix[fast]
     return MixingFreeReport(constant_ratio=ratio, naive_block_ratio=naive,
@@ -329,6 +283,20 @@ def _functional_problem(model: MarkovChainModel, values) -> RegressionProblem:
                              true_param=np.array([1.0]))
 
 
+def centered_values(model: MarkovChainModel, values) -> np.ndarray:
+    """values as one float per state of `model`, checked to have zero
+    stationary mean (to 1e-9)."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (model.n_states,):
+        raise ValueError(f"functional needs one value per state ({model.n_states}), "
+                         f"got shape {values.shape}")
+    mean_v = float(model.stationary @ values)
+    if not abs(mean_v) <= 1e-9:
+        raise ValueError(f"functional must be centered under the stationary law, "
+                         f"got mean {mean_v:.3e}")
+    return values
+
+
 def blocked_bernstein_coverage(model: MarkovChainModel, values, n: int, k: int,
                                delta: float, replicates: int,
                                master_seed: int) -> CoverageReport:
@@ -339,12 +307,8 @@ def blocked_bernstein_coverage(model: MarkovChainModel, values, n: int, k: int,
     stationary mean; the block-sum second moment is computed exactly from the
     kernel. Frequency should not exceed delta plus binomial noise.
     """
-    values = np.asarray(values, dtype=float)
-    mean_v = float(model.stationary @ values)
-    if abs(mean_v) > 1e-9:
-        raise ValueError(f"functional must be centered under the stationary law, "
-                         f"got mean {mean_v:.3e}")
-    if n % k != 0:
+    values = centered_values(model, values)
+    if k < 1 or n % k != 0:
         raise ValueError("k must divide n")
     problem = _functional_problem(model, values)
     seeds = _cell_seeds(master_seed, 0, n, range(replicates))
@@ -379,11 +343,9 @@ def risk_bound_coverage(problem: RegressionProblem, cls: HypothesisClass, n: int
                                                       c_alpha=constants.c_alpha),
                                   seed=master_seed)
     base = report.risk_bound          # r_star^2 + V log(1/delta) / n  (c2 = 1)
-    ctx = _level_context(problem, cls)
-    cal_seeds = _cell_seeds(master_seed, 0, n, range(cal_replicates))
-    val_seeds = _cell_seeds(master_seed, 1, n, range(val_replicates))
-    cal = _excess_batch(ctx, cls, n, cal_seeds)
-    val = _excess_batch(ctx, cls, n, val_seeds)
+    cal, val = (excess_risks(problem, cls, *stream_state_stats(problem, n, seeds))
+                for seeds in (_cell_seeds(master_seed, 0, n, range(cal_replicates)),
+                              _cell_seeds(master_seed, 1, n, range(val_replicates))))
 
     level = 4 * delta
     allowed = int(math.floor(level * cal_replicates))
@@ -436,37 +398,26 @@ def process_diagnostics(problem: RegressionProblem, cls: HypothesisClass, n: int
     """
     if cls.kind != "finite":
         raise ValueError("diagnostics currently require a finite class")
-    from .erm import star_hull_tables
+    _check_epsilon(epsilon)
     report = compute_bound_report(problem, cls, n, delta, q=q, p=p,
                                   constants=constants, seed=master_seed)
-    pop = population_quantities(problem, cls)
-    pi = problem.chain.stationary
-    hull = star_hull_tables(cls, pop.f_star_table, problem, rho_grid=rho_grid)
-    norms = np.sqrt((hull ** 2) @ pi)
+    f_star = population_quantities(problem, cls).f_star_table
+    hull = star_hull_tables(cls, f_star, problem, rho_grid=rho_grid)
+    norms = np.sqrt((hull ** 2) @ problem.chain.stationary)
     outside = hull[norms > report.r_star]
     sphere_keep = norms >= report.r_star
-    sphere = (report.r_star * hull[sphere_keep] / norms[sphere_keep, None]
-              if np.any(sphere_keep) else np.empty((0, hull.shape[1])))
+    sphere = report.r_star * hull[sphere_keep] / norms[sphere_keep, None]
 
     seeds = _cell_seeds(master_seed, 2, n, range(replicates))
     counts, ysums = stream_state_stats(problem, n, seeds)
-    wsums = ysums - counts * pop.f_star_table[None, :]
-
-    q_pos = 0
-    if outside.shape[0]:
-        pop_norms = (outside ** 2) @ pi
-        emp = counts @ (outside ** 2).T / n
-        q_vals = pop_norms[None, :] - (1 + epsilon) * emp
-        q_pos = int(np.sum(q_vals > 0))
+    q_pos = int(np.sum(quadratic_processes(outside, counts, n, problem, epsilon) > 0))
     q_frac = q_pos / max(1, replicates * outside.shape[0])
 
     mult_cov = 1.0
     c_mult = 0.0
     if sphere.shape[0]:
-        bias = problem.regression_mean() - pop.f_star_table
-        pop_terms = sphere @ (pi * bias)
-        sup_m = ((1 + epsilon) * 2.0
-                 * (wsums @ sphere.T / n - pop_terms[None, :])).max(axis=1)
+        sup_m = multiplier_processes(sphere, f_star, counts, ysums, n, problem,
+                                     epsilon).max(axis=1)
         rhs = report.multiplier_rhs().total
         half = replicates // 2
         cal, val = sup_m[:half], sup_m[half:]

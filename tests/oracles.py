@@ -6,7 +6,8 @@ import math
 import numpy as np
 
 from mixfree.bounds import CriticalRadius, _R_MIN
-from mixfree.processgen import MarkovChainModel, _beta_of_power
+from mixfree.processgen import (MarkovChainModel, RegressionProblem, Trajectory,
+                                _beta_of_power)
 
 
 def beta_coefficients(model: MarkovChainModel, horizon: int) -> np.ndarray:
@@ -95,3 +96,26 @@ def k_mix_search(betas, n: int, delta: float) -> int:
         f"no k <= n = {n} satisfies k/beta(k) >= n/delta = {n / delta:.3g}; "
         f"the chain needs beta(k) <= k delta / n (best achieved "
         f"{max(k / b for k, b in enumerate(betas[:n], 1) if b > 0):.3g})")
+
+
+def quadratic_process_steps(g, traj: Trajectory, problem: RegressionProblem,
+                            epsilon: float) -> float:
+    """Quadratic process at a per-state table g, summed over the path's steps:
+    ||g||_{L2}^2 - (1 + epsilon) mean(g[X]^2)."""
+    g = np.asarray(g, dtype=float)
+    pop = float(problem.chain.stationary @ g ** 2)
+    emp = float(np.mean(g[traj.states] ** 2))
+    return pop - (1.0 + epsilon) * emp
+
+
+def multiplier_process_steps(g, f_star, traj: Trajectory, problem: RegressionProblem,
+                             epsilon: float) -> float:
+    """Multiplier process at a per-state table g, summed over the path's steps:
+    (1 + epsilon) 2 [mean(W g[X]) - E W g(X)] with W = Y - f_star[X]."""
+    g = np.asarray(g, dtype=float)
+    f_star = np.asarray(f_star, dtype=float)
+    w = traj.targets - f_star[traj.states]
+    emp = float(np.mean(w * g[traj.states]))
+    bias = problem.regression_mean() - f_star       # E[W | state]
+    pop = float(problem.chain.stationary @ (bias * g))
+    return (1.0 + epsilon) * 2.0 * (emp - pop)

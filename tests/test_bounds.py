@@ -799,7 +799,8 @@ class TestBoundReport:
             pop = mf.population_quantities(problem, cls)
             for n in (16, 2048):
                 report = mf.compute_bound_report(problem, cls, n=n, delta=0.05)
-                gamma2, _, _ = bounds.class_gamma_profiles(cls, problem, pop,
+                members = bounds.resolution_directions(cls, pop.f_star_table, problem)
+                gamma2, _, _ = bounds.class_gamma_profiles(cls, problem, members,
                                                            report.eta)
                 oracle = critical_radius(lambda r: report.weak_variance, gamma2, n)
                 assert report.r_star_flag == oracle.flag
@@ -840,6 +841,14 @@ class TestBoundReport:
         with pytest.raises(ValueError, match=r"q = 1 .*p = 2"):
             mf.compute_bound_report(problem, mf.HypothesisClass.linear(1),
                                     n=256, delta=0.05, q=1.0, p=2.0)
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_nonpositive_block_length_rejected(self, k):
+        # k = 0 once zeroed every k-weighted term and gave n_quad = n_mult = 1
+        problem = self._two_state_problem(0.25)
+        with pytest.raises(ValueError, match=f"block length k must be >= 1, got {k}"):
+            mf.compute_bound_report(problem, mf.HypothesisClass.linear(1),
+                                    n=256, delta=0.05, k=k)
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError, match="conjugate"):

@@ -168,7 +168,23 @@ class TestOutOfRangeValues:
                         "replicates": 64, "seed": 3},
             "diagnose": {"model": _model_dict(), "n": 64, "class": self._finite,
                          "replicates": 64, "epsilon": 0.5, "delta": 0.1, "seed": 1},
+            "simulate": {"model": _model_dict(), "n": 64, "seed": 1},
+            "certify": {"model": _model_dict(), "class": self._linear},
         }
+
+    @pytest.fixture
+    def no_sampling(self, monkeypatch):
+        """Fail the test if anything reaches the sampler."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled before the config was checked")
+        monkeypatch.setattr(mf.processgen, "_sample_paths", refuse)
+
+    def _rejected(self, tmp_path, capsys, name, **changes) -> str:
+        cfg = _write(tmp_path, "cfg.json", dict(self._configs()[name], **changes))
+        command = "coverage" if name == "blocked" else name
+        assert run([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+        assert not (tmp_path / "r").exists()
+        return capsys.readouterr().err
 
     @pytest.mark.parametrize("delta", [0, 1, -0.5, 1.5, "nan"])
     @pytest.mark.parametrize("name", ["bound", "sweep", "coverage", "blocked", "diagnose"])
@@ -200,7 +216,13 @@ class TestOutOfRangeValues:
         ("blocked", "replicates", 0, 1), ("sweep", "replicates", 0, 1),
         ("coverage", "calibration_replicates", 0, 1),
         ("coverage", "validation_replicates", 0, 1),
-        ("diagnose", "replicates", 0, 2), ("diagnose", "replicates", 1, 2)])
+        ("diagnose", "replicates", 0, 2), ("diagnose", "replicates", 1, 2),
+        # other counts: block lengths, grids and sample budgets
+        ("bound", "k", 0, 1), ("bound", "k", -3, 1), ("bound", "resolution", 0, 1),
+        ("certify", "directions", 0, 1), ("certify", "directions", -5, 1),
+        ("certify", "m_max", 0, 1), ("blocked", "k", 0, 1), ("blocked", "k", -4, 1),
+        ("simulate", "kwise", 0, 1),
+        ("diagnose", "rho_grid", 0, 2), ("diagnose", "rho_grid", 1, 2)])
     def test_replicate_count_is_config_error(self, tmp_path, capsys, name, key, value,
                                              least):
         cfg = _write(tmp_path, "cfg.json", dict(self._configs()[name], **{key: value}))
@@ -209,6 +231,30 @@ class TestOutOfRangeValues:
         err = capsys.readouterr().err
         assert f"config error: '{key}' must be >= {least}, got {value}" in err
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("name, key", [("blocked", "k"), ("simulate", "kwise")])
+    def test_block_length_must_divide_n(self, tmp_path, capsys, no_sampling, name, key):
+        err = self._rejected(tmp_path, capsys, name, **{key: 5})
+        assert f"config error: '{key}' must divide 'n' = 64, got 5" in err
+
+    @pytest.mark.parametrize("epsilon", [1, 1.5, -0.5, "nan"])
+    def test_diagnose_epsilon_in_unit_interval(self, tmp_path, capsys, no_sampling,
+                                               epsilon):
+        err = self._rejected(tmp_path, capsys, "diagnose", epsilon=epsilon)
+        assert "config error: 'epsilon' must lie in [0, 1), got" in err
+
+    def test_empty_n_grid(self, tmp_path, capsys, no_sampling):
+        err = self._rejected(tmp_path, capsys, "sweep", n_grid=[])
+        assert "config error: 'n_grid' must be a nonempty list" in err
+
+    @pytest.mark.parametrize("values, message", [
+        ([-1.0, 1.5], "must be centered"), ([1.0, 1.0], "must be centered"),
+        ([-1.0, 1.0, 0.0], "one value per state (2)"), ([[-1.0, 1.0]], "per state"),
+        (["a", 1.0], "could not convert"), ([-1.0, "nan"], "must be centered"),
+        ({"a": 1.0}, "'values'")])
+    def test_blocked_values_named(self, tmp_path, capsys, no_sampling, values, message):
+        err = self._rejected(tmp_path, capsys, "blocked", values=values)
+        assert "config error: 'values': " in err and message in err
 
     @pytest.mark.parametrize("delta", [0.25, 0.3])
     def test_risk_bound_delta_below_a_quarter(self, tmp_path, capsys, delta):

@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import mixfree as mf
+from oracles import multiplier_process_steps, quadratic_process_steps
 
 
 def _orthonormal_problem(sigma=0.5, noise_kind="mds"):
@@ -261,6 +264,52 @@ class TestMultiplierProcess:
         vals = 1.5 * 2.0 * (emp - pop_term)
         se = vals.std(ddof=1) / math.sqrt(reps)
         assert abs(vals.mean()) <= 3 * se
+
+
+class TestProcessesMatchStepSums:
+    """The processes come from per-state counts and target sums; on any path
+    they equal the per-step averages mean(g[X]^2) and mean(W g[X])."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), S=st.integers(1, 5), n=st.integers(1, 300),
+           seed=st.integers(0, 2 ** 64), epsilon=st.floats(0.0, 0.999),
+           linear=st.booleans())
+    def test_equal_to_step_oracles(self, data, S, n, seed, epsilon, linear):
+        values = st.floats(-4.0, 4.0)
+        P = data.draw(hnp.arrays(float, (S, S), elements=st.floats(0.05, 1.0)))
+        chain = mf.MarkovChainModel.from_transition(P / P.sum(axis=1, keepdims=True))
+        noise = mf.NoiseSpec("state-dependent-bias",
+                             data.draw(hnp.arrays(float, (S, 2), elements=values)),
+                             np.full((S, 2), 0.5))
+        if linear:
+            emb = data.draw(hnp.arrays(float, (S, 2), elements=values))
+            problem = mf.RegressionProblem(chain=chain, embedding=emb, mode="linear",
+                                           noise=noise, true_param=np.array([0.5, -1.0]))
+            f, f_star = (data.draw(hnp.arrays(float, 2, elements=values))
+                         for _ in range(2))
+        else:
+            problem = mf.RegressionProblem(chain=chain, embedding=np.eye(S),
+                                           mode="tabular", noise=noise,
+                                           true_table=np.zeros(S))
+            f, f_star = (data.draw(hnp.arrays(float, S, elements=values))
+                         for _ in range(2))
+        traj = mf.sample_trajectory(problem, n, seed)
+        g = mf.erm._to_table(f, problem) - mf.erm._to_table(f_star, problem)
+        q = mf.quadratic_process(f, f_star, traj, problem, epsilon)
+        assert abs(q - quadratic_process_steps(g, traj, problem, epsilon)) <= 1e-12
+        m = mf.multiplier_process(f, f_star, traj, problem, epsilon)
+        oracle = multiplier_process_steps(mf.erm._to_table(f, problem),
+                                          mf.erm._to_table(f_star, problem), traj,
+                                          problem, epsilon)
+        assert abs(m - oracle) <= 1e-12
+
+    @pytest.mark.parametrize("epsilon", [-0.1, 1.0, 1.5])
+    def test_epsilon_outside_unit_interval(self, epsilon):
+        problem = _tabular_problem(seed=8)
+        traj = mf.sample_trajectory(problem, 30, 9)
+        for process in (mf.quadratic_process, mf.multiplier_process):
+            with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\)"):
+                process(problem.true_table, problem.true_table, traj, problem, epsilon)
 
 
 class TestBasicInequality:

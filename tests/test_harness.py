@@ -4,12 +4,12 @@ import json
 import math
 import os
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import mixfree as mf
-from mixfree.harness import _excess_batch, _level_context
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -69,10 +69,10 @@ class TestRunCell:
             embedding=problem.embedding, mode="linear", noise=problem.noise,
             true_param=problem.true_param)
         cls = mf.HypothesisClass.linear(5)
-        ctx = _level_context(problem, cls)
         seeds = [mf.cell_seed(payload["master_seed"], 0, payload["n"], r)
                  for r in range(payload["replicates"])]
-        exc = _excess_batch(ctx, cls, payload["n"], seeds)
+        exc = mf.excess_risks(problem, cls,
+                              *mf.stream_state_stats(problem, payload["n"], seeds))
         median = float(np.median(exc))
         assert abs(median - payload["median_excess"]) < 1e-15
         ref = payload["noise_sigma"] ** 2 * payload["d"] / payload["n"]
@@ -272,6 +272,23 @@ class TestDiagnostics:
         sphere = mf.sphere_tables(cls, pop.f_star_table, problem, radius=0.05)
         norms = np.sqrt((sphere ** 2) @ problem.chain.stationary)
         assert np.all(norms > 0)
+
+    @pytest.mark.parametrize("epsilon", [1.0, 1.5, -0.5])
+    def test_epsilon_checked_before_the_bound_report(self, epsilon):
+        problem, cls = self._tabular_setup()
+        with mock.patch.object(mf.harness, "compute_bound_report") as report:
+            with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\)"):
+                mf.process_diagnostics(problem, cls, n=64, replicates=4,
+                                       epsilon=epsilon, delta=0.1, master_seed=1)
+        report.assert_not_called()
+
+    @pytest.mark.parametrize("rho_grid", [0, 1])
+    def test_star_hull_needs_both_endpoints(self, rho_grid):
+        # a one-point grid is only the zero function, so every check passes
+        problem, cls = self._tabular_setup()
+        with pytest.raises(ValueError, match="rho_grid must be >= 2"):
+            mf.process_diagnostics(problem, cls, n=64, replicates=4, epsilon=0.5,
+                                   delta=0.1, master_seed=1, rho_grid=rho_grid)
 
     def test_requires_finite_class(self):
         problem = _product_problem(copies=2)

@@ -7,7 +7,10 @@ vectorized, so any drift in how seeds become streams, how uniforms become
 states or noise draws, or how chunks and blocks are cut fails here. The
 chunked-batch and sliced noise-level cases expect the digests of their
 unchunked and unsliced counterparts, and the mixed-word PCG64 states were
-recorded before seeding moved to one pass per word layout.
+recorded before seeding moved to one pass per word layout. The excess-risk,
+coverage and diagnostics cases were recorded before the empirical processes
+and ERM excess risks moved into `erm`, and pin the arithmetic on the
+per-state statistics as well as the streams.
 """
 
 import hashlib
@@ -69,6 +72,40 @@ def _pcg64_states():
     return _digest(np.array(limbs, dtype=np.uint64))
 
 
+def _linear_problem():
+    """The same chain and noise, seen through a two-feature embedding."""
+    base = _problem()
+    return mf.RegressionProblem(chain=base.chain,
+                                embedding=np.array([[1.0, 0.0], [0.5, 1.0], [-1.0, 0.5]]),
+                                mode="linear", noise=base.noise,
+                                true_param=np.array([0.5, -1.0]))
+
+
+_TABLES = np.array([[0.5, -1.0, 0.25], [0.75, 0.25, -0.5], [1.0, -0.5, 0.5],
+                    [0.25, -1.5, 1.0], [-0.5, 1.0, 0.0]])
+
+
+def _run_cells(problem, cls):
+    # n = 1 and 2 leave the visited design rank deficient
+    config = mf.SweepConfig(problems=(problem,), labels=("a",), hypothesis=cls,
+                            n_grid=(1, 2, 64, 300), replicates=1, master_seed=2 ** 64 + 5)
+    return _digest(np.array([mf.run_cell(config, n, 0, r)
+                             for n in config.n_grid for r in range(6)]))
+
+
+def _risk_coverage(problem, cls, n):
+    report = harness.risk_bound_coverage(problem, cls, n, 0.05, 30, 20,
+                                         master_seed=2 ** 40 + 3)
+    return _digest(report.realized)
+
+
+def _diagnostics():
+    report = mf.process_diagnostics(_problem(), mf.HypothesisClass.finite(_TABLES), 40,
+                                    24, 0.25, 0.1, master_seed=9, rho_grid=7)
+    return _digest(np.array([report.epsilon, report.r_star, report.q_positive_fraction,
+                             report.multiplier_coverage, report.multiplier_constant]))
+
+
 def _weak_variance_seeds(slice_rows=None):
     # n = 16 steps per replicate, so slice_rows rows take 16 * slice_rows steps
     steps = 16 * slice_rows if slice_rows else bounds._MC_SLICE_STEPS
@@ -104,6 +141,19 @@ CASES = {
     "pcg64-states-mixed-words": (
         _pcg64_states,
         "aedd7becdeef36f700b4c2a9f911944904b7b62099e47ae4e2bb96e84b1197e6"),
+    "run-cell-linear": (
+        lambda: _run_cells(_linear_problem(), mf.HypothesisClass.linear(2)),
+        "55d8940f8d37d820577b49f8518e1542b2b31763ab83cc7d1e9a123dc0401060"),
+    "run-cell-finite": (
+        lambda: _run_cells(_problem(), mf.HypothesisClass.finite(_TABLES)),
+        "faa4f8f4cbecf2944d6cb809b1398726a80a2840d79efa9a02bb1f691c7786c7"),
+    "risk-bound-coverage-linear": (
+        lambda: _risk_coverage(_linear_problem(), mf.HypothesisClass.linear(2), 200),
+        "7888c6afa2b5ca64b95731287dfa3b57203bc1ac858e9352806cfc1e9e86b5b2"),
+    "risk-bound-coverage-finite": (
+        lambda: _risk_coverage(_problem(), mf.HypothesisClass.finite(_TABLES), 20),
+        "36bbb9b513f472880f414442fdfa785b27ca3af429f2f85673032942549d7c88"),
+    "process-diagnostics": (_diagnostics, "97314dbeb2658e3303d71439d4157215ff6c3c7003347b6d8be9f35ddcd1a023"),
 }
 
 
