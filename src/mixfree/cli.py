@@ -272,9 +272,12 @@ def _cmd_coverage(cfg: dict, out: str, seed: int | None) -> list:
     if kind == "blockedBernstein":
         _check_keys(cfg, {"kind", "model", "values", "n", "k", "delta",
                           "replicates", "seed"}, set(), "coverage config")
-        model = _document(processgen.MarkovChainModel.from_transition,
-                          cfg["model"]["transition"] if isinstance(cfg["model"], dict)
-                          else cfg["model"], "model")
+        spec = cfg["model"]
+        if isinstance(spec, dict):
+            if "transition" not in spec:
+                raise ConfigError("model is missing required key(s): ['transition']")
+            spec = spec["transition"]
+        model = _document(processgen.MarkovChainModel.from_transition, spec, "model")
         n = _count(cfg["n"], "n")
         report = harness.blocked_bernstein_coverage(
             model, _document(lambda v: harness.centered_values(model, v), cfg["values"],

@@ -88,6 +88,8 @@ class SweepConfig:
             raise ValueError("replicates must be >= 1")
         if len(self.problems) != len(self.labels) or not self.problems:
             raise ValueError("need one label per mixing level")
+        if not len(self.n_grid):
+            raise ValueError("n_grid must hold at least one sample size")
         if any(int(n) < 1 for n in self.n_grid):
             raise ValueError("n grid entries must be positive")
         if not 0 < self.delta < 1:

@@ -11,10 +11,14 @@ This module builds the data-generating side of the lab:
   that walks all replicates through time chunks of one fixed length: the
   merged CDF breakpoints cut [0, 1) into cells, within a cell each step is a
   fixed map from state to state, so every time step is one cell-table lookup
-  over all replicates. A guide table finds each uniform's cell in O(1), and
-  noise maps to targets in one lookup per group of replicates. One
-  SeedSequence/PCG64 seeding pass derives every replicate's streams, and one
-  Generator per sampler call draws them all.
+  over all replicates. With few replicates a chunk of T steps is cut into
+  about sqrt(2T) blocks whose maps are composed (one pass from every state,
+  a loop that chains the blocks, one pass over all blocks at once), so even
+  a single path takes O(sqrt(T)) numpy steps per chunk, not T. A guide
+  table finds each uniform's cell in O(1), and noise maps to targets in one
+  lookup per group of replicates. One SeedSequence/PCG64 seeding pass
+  derives every replicate's streams, and one Generator per sampler call
+  draws them all.
 - ``beta_at_lag`` / ``lag_weighted_sum``: exact mixing coefficients and lag
   sums, each from one matrix power. TV uses the (1/2)-l1 convention; the
   per-lag loop over all coefficients is the test oracle in tests/oracles.py.
@@ -26,6 +30,7 @@ across threads; sampling is a pure function of the seed.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -549,6 +554,42 @@ def _cell_ids(breaks: np.ndarray, guide, u: np.ndarray) -> np.ndarray:
 
 _SUB_BLOCK = 1 << 16    # replicate-steps per walk sub-block and per replicate group
 _TIME_CHUNK = 1 << 16   # time steps per chunk of every sampler
+_WALK_CROSSOVER = 128   # largest R * S whose chunks are walked in blocks
+
+
+def _walk_blocks(R: int, S: int, T: int) -> tuple[int, int]:
+    """(nb, L): a T-step chunk of R replicates on S states is walked as nb
+    blocks of L steps, only the last one short.
+
+    Each step of the walk costs one numpy call over its lanes, so few lanes
+    leave the per-step overhead to dominate. Up to R * S = _WALK_CROSSOVER,
+    a chunk is walked in about sqrt(2T) blocks, which balances the 2L steps
+    of the two passes against the nb steps that chain them; above it the
+    extra S-fold work of the first pass costs more than the steps it saves,
+    and the chunk is one block.
+    """
+    if R * S > _WALK_CROSSOVER:
+        return 1, T
+    L = -(-T // max(1, math.isqrt(2 * T)))
+    return -(-T // L), L
+
+
+def _step_rows(cells: np.ndarray, blocks: int, a: int, steps: int, t0: int,
+               period: int, C: int, S: int) -> np.ndarray:
+    """Rows of flat for steps a, a + 1, ... (at most `steps`) of the first
+    `blocks` blocks of a chunk's cell ids cells (R, nb, L): an array
+    (steps, blocks * R) whose lane b * R + r is replicate r in block b,
+    holding S * cell, or S * (C + cell) where the global time t0 + b * L + a + j
+    is a restart."""
+    R, _, L = cells.shape
+    idx = cells[:, :blocks, a:a + steps].transpose(2, 1, 0).astype(np.intp, order="C")
+    idx = idx.reshape(len(idx), blocks * R)
+    for b in range(blocks):
+        first = -(t0 + b * L + a) % period
+        if first < len(idx):
+            idx[first::period, b * R:(b + 1) * R] += C
+    idx *= S
+    return idx
 
 
 def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | None):
@@ -565,6 +606,15 @@ def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | No
     mean[s] + values[s, draw] per (state s, noise cell). Groups hold about
     _SUB_BLOCK replicate-steps, so per-call costs are shared by many
     replicates on short paths and buffers stay small on long ones.
+
+    With few replicates (_walk_blocks) a chunk is walked as nb blocks of L
+    steps, each step a composition of random maps from state to state (Propp
+    & Wilson 1996): pass 1 walks every block but the last from all S states
+    at once, which gives each block's end state as a map of its entry state;
+    a loop over the blocks chains those maps into each block's entry state;
+    pass 2 is the walk above over R * nb lanes, each block from its entry
+    state. Steps past the chunk's end use an identity row, so the last block
+    ends on the chunk's last state. With nb = 1 only pass 2 runs.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -575,35 +625,60 @@ def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | No
         _cumulative_rows(problem.chain.stationary[None, :])]))
     C = len(tab)
     # row c < C maps each state to its successor for a uniform in cell c; row
-    # C + c is the constant map of a stationary draw, taken at restarts
-    flat = np.concatenate([tab[:, :S], np.repeat(tab[:, S:], S, axis=1)]).ravel()
+    # C + c is the constant map of a stationary draw, taken at restarts; row
+    # 2C is the identity, which pads a chunk that nb does not divide
+    flat = np.concatenate([tab[:, :S], np.repeat(tab[:, S:], S, axis=1),
+                           np.arange(S)[None, :]]).ravel()
     noise_breaks, noise_tab, noise_guide = _cell_table(_cumulative_rows(problem.noise.probs))
     mean = problem.structural_mean()
     # ytab[s, c] = mean[s] + values[s, draw]: the target of state s for a noise
     # uniform in noise cell c, the same sum the per-step formula takes
     ytab = (mean[:, None] + problem.noise.values[np.arange(S)[:, None], noise_tab.T]).ravel()
     period = block_len or n
-    sub = max(1, _SUB_BLOCK // max(R, 1))
     x = np.zeros(R, dtype=np.intp)           # previous states; t = 0 restarts
     for t0 in range(0, n, _TIME_CHUNK):
         T = min(_TIME_CHUNK, n - t0)
+        nb, L = _walk_blocks(R, S, T)
+        sub = max(1, _SUB_BLOCK // max(R * nb, 1))
         group = max(1, _SUB_BLOCK // T)
         u = np.empty((min(group, R), T))
-        cid = np.empty((R, T), dtype=guide[0].dtype)
+        cid = np.empty((R, nb * L), dtype=guide[0].dtype)
         for r0 in range(0, R, group):
             block = u[:R - r0]
             streams.fill(0, r0, block)
-            cid[r0:r0 + len(block)] = _cell_ids(breaks, guide, block)
-        states = np.empty((R, T), dtype=np.intp)
-        for a in range(0, T, sub):
-            idx = cid[:, a:a + sub].T.astype(np.intp, order="C")   # (steps, R)
-            idx[-(t0 + a) % period::period] += C
-            idx *= S
+            cid[r0:r0 + len(block), :T] = _cell_ids(breaks, guide, block)
+        cells = cid.reshape(R, nb, L)
+        lanes = x
+        if nb > 1:
+            # pass 1: ends[b, r, s] is where block b takes replicate r from state s
+            ends = np.empty((nb - 1, R, S), dtype=np.intp)
+            ends[:] = np.arange(S)
+            moved = np.empty_like(ends)
+            for a in range(0, L, sub):
+                for row in _step_rows(cells, nb - 1, a, sub, t0, period, C, S):
+                    np.add(row.reshape(nb - 1, R, 1), ends, out=moved)
+                    flat.take(moved, out=ends, mode="clip")
+            # chain: block b + 1 starts where block b ends
+            lanes = np.empty((nb, R), dtype=np.intp)
+            lanes[0] = x
+            replicates = np.arange(R)
+            for b in range(nb - 1):
+                lanes[b + 1] = ends[b, replicates, lanes[b]]
+            lanes = lanes.ravel()
+        # pass 2: every block from its entry state, lane b * R + r
+        states = np.empty((R, nb * L), dtype=np.intp)
+        for a in range(0, L, sub):
+            idx = _step_rows(cells, nb, a, sub, t0, period, C, S)
+            if nb * L > T:   # the last block's steps past the chunk: identity
+                idx[max(0, T - (nb - 1) * L - a):, -R:] = 2 * C * S
             for row in idx:
-                row += x
-                flat.take(row, out=x, mode="clip")   # in range; "raise" buffers out
-            states[:, a:a + sub] = flat.take(idx).T
-        del cid
+                row += lanes
+                flat.take(row, out=lanes, mode="clip")   # in range; "raise" buffers out
+            states.reshape(R, nb, L)[:, :, a:a + sub] = (
+                flat.take(idx).reshape(len(idx), nb, R).transpose(2, 1, 0))
+        x = lanes[len(lanes) - R:]   # the last block's lanes
+        del cid, cells
+        states = states[:, :T]
         for r0 in range(0, R, group):
             block = u[:R - r0]
             streams.fill(1, r0, block)
@@ -778,16 +853,25 @@ def problem_to_dict(problem: RegressionProblem) -> dict:
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write a trajectory as CSV with columns (t, state, x_1..x_d, y).
 
-    Floats are written with repr (shortest round-trip form); each column is
-    converted to a Python list once and the rows are joined from those lists.
+    Floats are written with repr (shortest round-trip form). Each distinct
+    value of a column is formatted once: values are told apart by their int64
+    bit pattern, so -0.0 and 0.0, or two NaNs, keep their own strings. One row
+    key over the columns after t, renumbered densely after each column so it
+    stays below n ** 2, indexes the text of each distinct row, and each line
+    is t followed by its row's text.
     """
     d = traj.covariates.shape[1]
     header = ["t", "state"] + [f"x_{j + 1}" for j in range(d)] + ["y"]
-    columns = [map(str, range(1, traj.n + 1)),
-               map(str, np.asarray(traj.states, dtype=np.int64).tolist())]
-    columns += [map(repr, col)
-                for col in np.asarray(traj.covariates, dtype=float).T.tolist()]
-    columns.append(map(repr, np.asarray(traj.targets, dtype=float).tolist()))
+    columns = [np.asarray(traj.states, dtype=np.int64)]
+    columns += list(np.asarray(traj.covariates, dtype=float).T)
+    columns.append(np.asarray(traj.targets, dtype=float))
+    texts, key = [""], np.zeros(traj.n, dtype=np.int64)
+    for col in columns:
+        values, code = np.unique(col.view(np.int64), return_inverse=True)
+        cells = list(map(str, values.view(col.dtype).tolist()))   # str is repr for floats
+        pairs, key = np.unique(key * len(cells) + code, return_inverse=True)
+        texts = [f"{texts[k // len(cells)]},{cells[k % len(cells)]}" for k in pairs.tolist()]
+    texts = [text + "\n" for text in texts]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
+        fh.writelines(f"{t}{texts[k]}" for t, k in enumerate(key.tolist(), 1))

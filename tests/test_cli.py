@@ -256,6 +256,11 @@ class TestOutOfRangeValues:
         err = self._rejected(tmp_path, capsys, "blocked", values=values)
         assert "config error: 'values': " in err and message in err
 
+    def test_blocked_model_without_transition(self, tmp_path, capsys, no_sampling):
+        err = self._rejected(tmp_path, capsys, "blocked",
+                             model={"P": [[0.75, 0.25], [0.25, 0.75]]})
+        assert "config error: model is missing required key(s): ['transition']" in err
+
     @pytest.mark.parametrize("delta", [0.25, 0.3])
     def test_risk_bound_delta_below_a_quarter(self, tmp_path, capsys, delta):
         # riskBound coverage tests at level 4 * delta, which must stay below 1

@@ -129,6 +129,10 @@ class TestSweep:
         with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
             _small_config(delta=delta)
 
+    def test_empty_n_grid_is_named(self):
+        with pytest.raises(ValueError, match="n_grid must hold at least one"):
+            _small_config(n_grid=())
+
     def test_medians_monotone_with_one_inversion_allowed(self):
         cfg = _small_config(n_grid=(64, 128, 256, 512, 1024), replicates=32)
         result = mf.run_sweep(cfg)

@@ -200,6 +200,12 @@ class TestSampling:
         with pytest.raises(ValueError, match="n must be >= 1"):
             sampler(_two_state_problem(), n)
 
+    @pytest.mark.parametrize("n, block_len", [(1, None), (300, None), (300, 10)])
+    def test_no_seeds_give_empty_batches(self, n, block_len):
+        states, targets = mf.sample_path_batch(_two_state_problem(), n, [], block_len)
+        counts, _ = mf.stream_state_stats(_two_state_problem(), n, [], block_len)
+        assert states.shape == targets.shape == (0, n) and counts.shape == (0, 2)
+
     def test_stream_stats_match_trajectory(self):
         problem = _two_state_problem()
         with mock.patch.object(processgen, "_TIME_CHUNK", 37):
@@ -295,7 +301,7 @@ class TestCellTableWalk:
         problem = mf.RegressionProblem(chain=chain, embedding=np.eye(S), mode="tabular",
                                        noise=noise, true_table=np.linspace(-1, 1, S))
         n = data.draw(st.integers(1, 120))
-        R = data.draw(st.integers(1, 4))
+        R = data.draw(st.integers(1, 5))
         block_len = data.draw(st.none() | st.integers(1, n))
         time_chunk = data.draw(st.integers(1, n + 2))
         sub_block = data.draw(st.integers(1, 64))
@@ -324,23 +330,37 @@ class TestCellTableWalk:
                                      + _argmax_noise(noise, expected[r], V[r])
                                      for r in range(R)])
 
-        rows, ys = [[] for _ in range(R)], [[] for _ in range(R)]
-        with mock.patch.object(processgen, "_Streams",
-                               lambda seeds, resume: _Replay(U, V)), \
-                mock.patch.object(processgen, "_SUB_BLOCK", sub_block), \
-                mock.patch.object(processgen, "_TIME_CHUNK", time_chunk):
-            for t0, r0, group, y in processgen._sample_paths(problem, n, range(R),
-                                                             block_len):
-                for i in range(len(group)):
-                    assert sum(map(len, rows[r0 + i])) == t0
-                    rows[r0 + i].append(group[i].copy())
-                    ys[r0 + i].append(y[i].copy())
-        states = np.array([np.concatenate(chunks) for chunks in rows])
-        targets = np.array([np.concatenate(chunks) for chunks in ys])
+        # crossover 0 walks every chunk as one block; a large one walks every
+        # chunk of two or more steps in _walk_blocks's nb > 1 blocks
+        for crossover in (0, 10 ** 6):
+            rows, ys = [[] for _ in range(R)], [[] for _ in range(R)]
+            with mock.patch.object(processgen, "_Streams",
+                                   lambda seeds, resume: _Replay(U, V)), \
+                    mock.patch.object(processgen, "_SUB_BLOCK", sub_block), \
+                    mock.patch.object(processgen, "_TIME_CHUNK", time_chunk), \
+                    mock.patch.object(processgen, "_WALK_CROSSOVER", crossover):
+                for t0, r0, group, y in processgen._sample_paths(problem, n, range(R),
+                                                                 block_len):
+                    for i in range(len(group)):
+                        assert sum(map(len, rows[r0 + i])) == t0
+                        rows[r0 + i].append(group[i].copy())
+                        ys[r0 + i].append(y[i].copy())
+            states = np.array([np.concatenate(chunks) for chunks in rows])
+            targets = np.array([np.concatenate(chunks) for chunks in ys])
 
-        assert np.array_equal(states, expected)
-        assert np.array_equal(states[:, -1], s_prev)
-        assert np.array_equal(targets, expected_targets)
+            assert np.array_equal(states, expected)
+            assert np.array_equal(states[:, -1], s_prev)
+            assert np.array_equal(targets, expected_targets)
+
+    def test_block_count_crossover(self):
+        # sweep cells (S = 4, 64 replicates) keep the one-block walk, while one
+        # long replicate is walked in about sqrt(2T) blocks
+        assert processgen._walk_blocks(64, 4, 2 ** 16) == (1, 2 ** 16)
+        nb, L = processgen._walk_blocks(1, 4, 2 ** 16)
+        assert 256 <= nb <= 512
+        for T in range(1, 3000):
+            nb, L = processgen._walk_blocks(1, 4, T)
+            assert (nb - 1) * L < T <= nb * L     # only the last block is short
 
     @settings(max_examples=100, deadline=None)
     @given(bins=st.lists(st.integers(0, processgen._GUIDE), min_size=1, max_size=6),
@@ -558,16 +578,23 @@ class TestTrajectoryCsv:
         rng = np.random.default_rng(3)
         n = 257
         states = rng.integers(0, 5, n)
-        covariates = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-30, 30, (n, 3))
-        covariates[:4] = [[-0.0, 1e-300, -2.5e-7], [1.5e300, -1.0, 0.1],
-                          [3.0, -7e22, 5e-324], [1e16, 123456789.0, -1e-5]]
+        covariates = rng.normal(size=(n, 4)) * 10.0 ** rng.integers(-30, 30, (n, 4))
+        covariates[:, 3] = rng.permutation(n) / 7.0     # every value distinct
+        covariates[:4, :3] = [[-0.0, 1e-300, -2.5e-7], [1.5e300, -1.0, 0.1],
+                              [3.0, -7e22, 5e-324], [1e16, 123456789.0, -1e-5]]
         targets = -np.abs(rng.standard_cauchy(n)) * 10.0 ** rng.integers(-20, 20, n)
+        # the special values, twice each, and NaNs of both signs
+        targets[4:18] = [np.nan, np.inf, -np.inf, -0.0, 0.0, -np.nan, 0.0,
+                         -0.0, np.inf, -np.inf, np.nan, 2.5, -0.0, -np.nan]
+        assert len(np.unique(covariates[:, 3])) == n
         traj = mf.Trajectory(n=n, states=states, covariates=covariates,
                              targets=targets, seed=0)
         mf.trajectory_to_csv(traj, tmp_path / "new.csv")
         _row_by_row_csv(traj, tmp_path / "old.csv")
         new = (tmp_path / "new.csv").read_bytes()
         assert b"e-" in new and b"e+" in new and b"-" in new
+        assert all(f",{text}\n".encode() in new
+                   for text in ("nan", "inf", "-inf", "-0.0", "0.0"))
         assert new == (tmp_path / "old.csv").read_bytes()
 
     def test_empty_trajectory_has_header_only(self, tmp_path):

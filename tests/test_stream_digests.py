@@ -10,10 +10,15 @@ unchunked and unsliced counterparts, and the mixed-word PCG64 states were
 recorded before seeding moved to one pass per word layout. The excess-risk,
 coverage and diagnostics cases were recorded before the empirical processes
 and ERM excess risks moved into `erm`, and pin the arithmetic on the
-per-state statistics as well as the streams.
+per-state statistics as well as the streams. The `simulate` CSV cases were
+recorded before long single-replicate paths were walked in blocks and before
+the CSV writer formatted each distinct value once, and pin both.
 """
 
 import hashlib
+import json
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -22,6 +27,7 @@ import pytest
 import mixfree as mf
 from mixfree import bounds, harness, processgen
 from mixfree.bounds import weak_variance_2q
+from mixfree.cli import run
 
 SEEDS = [0, 1, 2 ** 63 + 7, 2 ** 64 - 1, 2 ** 64, 2 ** 128 + 1]
 
@@ -115,6 +121,17 @@ def _weak_variance_seeds(slice_rows=None):
     return _digest(np.array(wv.per_member))
 
 
+def _simulate_csv(**overrides):
+    """SHA-256 of the `simulate` CLI's trajectory.csv for the demo config."""
+    demo = Path(__file__).resolve().parents[1] / "demos" / "configs"
+    cfg = dict(json.loads((demo / "simulate_trajectory.json").read_text()), **overrides)
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["simulate", "--config", str(path), "--out", out, "--quiet"]) == 0
+        return hashlib.sha256((Path(out) / "trajectory.csv").read_bytes()).hexdigest()
+
+
 CASES = {
     "batch": (lambda: _batch(None),
               "cb8d874f14c5e242d39f2b3bcdffbd6ae1dca30b087a9699cac3f8cddf80433c"),
@@ -154,6 +171,14 @@ CASES = {
         lambda: _risk_coverage(_problem(), mf.HypothesisClass.finite(_TABLES), 20),
         "36bbb9b513f472880f414442fdfa785b27ca3af429f2f85673032942549d7c88"),
     "process-diagnostics": (_diagnostics, "97314dbeb2658e3303d71439d4157215ff6c3c7003347b6d8be9f35ddcd1a023"),
+    # past one time chunk; neither chunk's length is a multiple of its block count
+    "simulate-csv-long": (
+        lambda: _simulate_csv(n=2 ** 16 + 3),
+        "0038ded1fd3b19ae736088f610ef23e44499864936ecb64653c1c49a75b3047b"),
+    # k-wise restarts every 1000 steps, across the chunk boundary at 2^16
+    "simulate-csv-kwise": (
+        lambda: _simulate_csv(n=66000, kwise=1000),
+        "b73349b00e42a6352d29de44533fef7d21aa2e31f4322815823463e5774b6d9f"),
 }
 
 
