@@ -17,28 +17,24 @@ from .processgen import (MarkovChainModel, NoiseSpec, RegressionProblem,
                          sample_path_batch, sample_trajectory,
                          stationary_distribution, stream_state_stats,
                          trajectory_to_csv, two_state_chain)
-from .blocking import (BlockingScheme, blocked_bernstein_bound,
-                       blocked_bernstein_terms, decoupling_gap_bound, make_blocks,
+from .blocking import (blocked_bernstein_bound, blocked_bernstein_terms,
                        mixing_failure_term, odd_block_decoupling_gap_exact)
-from .erm import (ERMResult, HypothesisClass, PopulationQuantities,
-                  basic_inequality_sides, excess_l2, excess_risks, fit_erm_finite,
-                  fit_erm_linear, multiplier_process, multiplier_processes,
-                  population_quantities, quadratic_process, quadratic_processes,
+from .erm import (HypothesisClass, PopulationQuantities, excess_risks,
+                  multiplier_processes, population_quantities, quadratic_processes,
                   sphere_tables, star_hull_tables)
 from .bounds import (INF, BoundBreakdown, BoundReport, BurnIns, ClassCertificate,
                      Constants, CriticalRadius, DiscreteLaw, PsiNormEstimate,
                      WeakVariance, bernstein_mgf_rhs, burn_ins,
                      certify_weak_subgaussian, check_holder_pair,
                      compute_bound_report, gamma_alpha_parametric,
-                     gamma_alpha_quadrature, greedy_cover_counts,
-                     holder_conjugate, k_mix_from_chain, multiplier_bound_rhs,
-                     psi_p_norm, psi_product_bound,
+                     greedy_cover_counts, holder_conjugate, k_mix_from_chain,
+                     multiplier_bound_rhs, psi_p_norm, psi_product_bound,
                      quadratic_bound_rhs, risk_bound, weak_variance_2q,
                      weak_variance_q1_exact)
 from .harness import (CoverageReport, DiagnosticsReport, MixingFreeReport,
                       RateFit, SweepConfig, SweepResult, cell_seed,
                       fit_rate, mixing_free_check,
-                      process_diagnostics, run_cell, run_sweep, sweep_summary,
+                      process_diagnostics, run_sweep, sweep_summary,
                       sweep_to_csv)
 
 __version__ = "0.1.0"

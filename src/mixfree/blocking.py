@@ -1,82 +1,21 @@
-"""Blocking partitions, the decoupling gap, and the blocked Bernstein bound.
+"""The decoupling gap and the blocked Bernstein bound.
 
 A trajectory of length n is split into consecutive equal blocks of length k.
 Alternate (odd/even) blocks of the decoupled version (sampled by
 processgen.kwise_independent_surrogate) are mutually independent with the
-original per-block marginals, at an additive total-variation cost
-controlled by the mixing coefficient at lag k. The blocked Bernstein bound
-gives the deviation rate for means of centered, b-bounded, k-wise independent
-data in terms of the second moment of a block sum.
+original per-block marginals, at an additive total-variation cost of
+(number of blocks of one parity - 1) * beta(k); on tiny chains
+odd_block_decoupling_gap_exact enumerates that gap exactly. The blocked
+Bernstein bound gives the deviation rate for means of centered, b-bounded,
+k-wise independent data in terms of the second moment of a block sum.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 from .processgen import MarkovChainModel, beta_at_lag
-
-
-@dataclass(frozen=True)
-class BlockingScheme:
-    """Partition of range(n) into 2m consecutive blocks of length k.
-
-    Block j (0-based) covers [j*k, (j+1)*k). Odd blocks are the 1st, 3rd, ...
-    in 1-based counting, i.e. 0-based blocks 0, 2, 4, ...
-    """
-
-    n: int
-    k: int
-    m: int
-    odd_indices: np.ndarray
-    even_indices: np.ndarray
-
-    def __post_init__(self):
-        if 2 * self.m * self.k != self.n:
-            raise ValueError("blocking must satisfy 2*m*k = n")
-        union = np.concatenate([self.odd_indices, self.even_indices])
-        if len(union) != self.n or len(np.unique(union)) != self.n:
-            raise ValueError("odd and even index sets must partition range(n)")
-        self.odd_indices.flags.writeable = False
-        self.even_indices.flags.writeable = False
-
-    def block(self, j: int) -> np.ndarray:
-        """Indices of 0-based block j."""
-        return np.arange(j * self.k, (j + 1) * self.k)
-
-    @property
-    def n_blocks(self) -> int:
-        return 2 * self.m
-
-
-def make_blocks(n: int, k: int) -> BlockingScheme:
-    """Equal-length consecutive blocking of range(n) with 2m blocks of length k."""
-    if k < 1:
-        raise ValueError("block length k must be >= 1")
-    if n < 2 or n % 2 != 0 or (n // 2) % k != 0:
-        raise ValueError(f"k = {k} must divide n/2 (n = {n}) to form 2m equal blocks")
-    m = n // (2 * k)
-    idx = np.arange(n).reshape(2 * m, k)
-    odd = idx[0::2].ravel()
-    even = idx[1::2].ravel()
-    return BlockingScheme(n=n, k=k, m=m, odd_indices=odd, even_indices=even)
-
-
-def decoupling_gap_bound(betas, scheme: BlockingScheme) -> float:
-    """Additive decoupling cost for functionals of one parity of blocks.
-
-    With equal block lengths, decoupling the m odd (or m even) blocks skips
-    m - 1 separating blocks of length k, each contributing beta(k):
-    the bound is (m - 1) * beta(k). `betas` must cover lags up to k
-    (betas[i-1] = beta(i)).
-    """
-    betas = np.asarray(betas, dtype=float)
-    if len(betas) < scheme.k:
-        raise ValueError(f"betas must cover lags up to k = {scheme.k}")
-    return float((scheme.m - 1) * betas[scheme.k - 1])
 
 
 def mixing_failure_term(n: int, k: int, beta_k: float) -> float:

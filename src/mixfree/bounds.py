@@ -4,19 +4,20 @@ critical radii, burn-ins, and the assembled excess-risk bound.
 Everything here is a deterministic numeric evaluation. Moment norms of
 finite-support laws are exact (log-domain moment sweeps that stop at the
 first order past which, since |Z| <= vmax, no later order can win); chaining
-complexities are entropy-integral upper bounds (adaptive quadrature, with a
-closed form for the parametric covering profile); a finite class's integrals
-are exact sums over its distance cuts, with the greedy cover counts at every
-cut from one pass over the members; the q = 1 noise level sums all lags in
-one matrix power; every profile the pipeline builds is linear in the radius,
-so the critical radius is a closed form; burn-ins come from monotone integer
-searches (tests/oracles.py keeps the plain loop forms as references). The
+complexities are entropy-integral upper bounds (a closed form for the
+parametric covering profile, which the tests check against quadrature); a
+finite class's integrals are exact sums over its distance cuts, with the
+greedy cover counts at every cut from one pass over the members; the q = 1
+noise level sums all lags in one matrix power; every profile the pipeline
+builds is linear in the radius, so the critical radius is a closed form;
+burn-ins come from monotone integer searches (tests/oracles.py keeps the
+plain loop forms as references). The
 mixing block length k_mix comes straight from the chain: k / beta(k) only
 grows with k, so a doubling search plus bisection over matrix powers finds
 it with no lag horizon. Universal constants are configuration values
 defaulting to 1, so quantitative use is either oracle-exactness or
-calibrated coverage, never absolute constants. scipy's quadrature and
-optimizer load only in the two functions that call them.
+calibrated coverage, never absolute constants. scipy's optimizer loads only
+in psi_p_norm, the one function that calls it.
 """
 
 from __future__ import annotations
@@ -109,17 +110,6 @@ class DiscreteLaw:
         scaled = np.abs(self.values) / vmax
         return vmax ** m * float(self.probs @ scaled ** m)
 
-    def lp_norm(self, m: float) -> float:
-        return self.abs_moment(m) ** (1.0 / m)
-
-    def mgf(self, lam: float) -> float:
-        return float(self.probs @ np.exp(lam * self.values))
-
-    @classmethod
-    def from_sample(cls, sample) -> "DiscreteLaw":
-        x = np.asarray(sample, dtype=float).ravel()
-        return cls(x, np.full(x.size, 1.0 / x.size))
-
     @classmethod
     def of_function(cls, table, pi) -> "DiscreteLaw":
         """Law of f(X) for a per-state table under the stationary law pi."""
@@ -139,7 +129,6 @@ class PsiNormEstimate:
     p: float
     value: float
     m_max: int
-    exact: bool
     at_m_max: float
     at_half_m_max: float
 
@@ -183,9 +172,9 @@ def _running_max_sweep(logpi: np.ndarray, logv: np.ndarray, p: float,
             return
 
 
-def psi_p_norm(dist, p: float, m_max: int = 200, refine: bool = True
+def psi_p_norm(law: DiscreteLaw, p: float, m_max: int = 200, refine: bool = True
                ) -> PsiNormEstimate:
-    """Moment-growth norm of a finite-support law or a plug-in sample.
+    """Moment-growth norm of a finite-support law.
 
     p = inf returns the essential supremum. Otherwise the supremum over moment
     orders is evaluated on the integer grid 1..m_max (stopping at the first
@@ -197,15 +186,13 @@ def psi_p_norm(dist, p: float, m_max: int = 200, refine: bool = True
         raise ValueError("m_max must be >= 1")
     if not (1 <= p):
         raise ValueError("p must lie in [1, inf]")
-    exact = isinstance(dist, DiscreteLaw)
-    law = dist if exact else DiscreteLaw.from_sample(dist)
     if p == INF:
         v = law.ess_sup()
-        return PsiNormEstimate(p, v, m_max, exact, v, v)
+        return PsiNormEstimate(p, v, m_max, v, v)
 
     vmax = law.ess_sup()
     if vmax == 0.0:
-        return PsiNormEstimate(p, 0.0, m_max, exact, 0.0, 0.0)
+        return PsiNormEstimate(p, 0.0, m_max, 0.0, 0.0)
     mask = (law.probs > 0) & (np.abs(law.values) > 0)
     with np.errstate(divide="ignore"):     # a ratio that underflows to 0
         logv = np.log(np.abs(law.values[mask])[None, :] / vmax)
@@ -231,8 +218,8 @@ def psi_p_norm(dist, p: float, m_max: int = 200, refine: bool = True
             best = max(best, -float(res.fun))
     at_half, at_max = math.log(vmax) + np.concatenate(
         list(_moment_sweep(logp, logv, p, (max(1, m_max // 2), m_max))))
-    return PsiNormEstimate(p, math.exp(best), m_max, exact,
-                           math.exp(at_max), math.exp(at_half))
+    return PsiNormEstimate(p, math.exp(best), m_max, math.exp(at_max),
+                           math.exp(at_half))
 
 
 def psi_norms_batch(value_rows: np.ndarray, pi: np.ndarray, p: float,
@@ -445,32 +432,6 @@ def weak_variance_q1_exact(problem: RegressionProblem, f_star_table,
 # covering numbers and chaining complexities
 # ---------------------------------------------------------------------------
 
-_QUAD_REL_TOL = 1e-6    # relative tolerance of the entropy-integral quadrature
-
-
-def gamma_alpha_quadrature(alpha: float, r: float, log_covering,
-                           c_alpha: float = 1.0) -> float:
-    """Entropy-integral complexity c_alpha * int_0^r (log N(s))^(1/alpha) ds.
-
-    `log_covering` supplies log N(s) on (0, r]; negative values are clamped to
-    zero. Uses adaptive quadrature (the endpoint singularity at s -> 0 is
-    integrable for covering profiles of polynomial classes).
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    if r == 0:
-        return 0.0
-
-    def integrand(s):
-        return max(log_covering(s), 0.0) ** (1.0 / alpha)
-
-    from scipy import integrate
-    val, _ = integrate.quad(integrand, 0.0, r, epsrel=_QUAD_REL_TOL, limit=400)
-    return c_alpha * val
-
-
 def parametric_log_covering(d: float, r: float):
     """Local covering profile log N(s) = d log(r / s) of a d-parameter class
     at radius r (one ball suffices at s = r)."""
@@ -521,9 +482,15 @@ def greedy_cover_counts(points: np.ndarray, pi: np.ndarray, scales) -> np.ndarra
     return counts
 
 
-def _breakpoint_integrals(points: np.ndarray, pi: np.ndarray, alphas) -> list:
-    """entropy_integral_breakpoints for each alpha, from one set of cuts and
-    one greedy_cover_counts pass."""
+def entropy_integral_breakpoints(points: np.ndarray, pi: np.ndarray, alphas
+                                 ) -> list:
+    """Exact entropy integral of a finite point set (piecewise-constant N(s)),
+    one per alpha in `alphas`.
+
+    Integrates (log N(s))^(1/alpha) over (0, diameter], evaluating the greedy
+    cover count between consecutive pairwise distances; every alpha shares
+    one set of cuts and one greedy_cover_counts pass.
+    """
     pts = np.unique(np.atleast_2d(np.asarray(points, dtype=float)), axis=0)
     if pts.shape[0] <= 1:
         return [0.0] * len(alphas)
@@ -539,16 +506,6 @@ def _breakpoint_integrals(points: np.ndarray, pi: np.ndarray, alphas) -> list:
                 total += (hi - lo) * math.log(count) ** (1.0 / alpha)
         totals.append(total)
     return totals
-
-
-def entropy_integral_breakpoints(points: np.ndarray, pi: np.ndarray,
-                                 alpha: float) -> float:
-    """Exact entropy integral of a finite point set (piecewise-constant N(s)).
-
-    Integrates (log N(s))^(1/alpha) over (0, diameter], evaluating the greedy
-    cover count between consecutive pairwise distances.
-    """
-    return _breakpoint_integrals(points, pi, (alpha,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -989,7 +946,7 @@ def class_gamma_profiles(cls: HypothesisClass, problem: RegressionProblem,
         d = cls.dim
         return tuple(
             (lambda r, a=a: gamma_alpha_parametric(a, r, d, c_alpha)) for a in alphas)
-    integrals = _breakpoint_integrals(members, problem.chain.stationary, alphas)
+    integrals = entropy_integral_breakpoints(members, problem.chain.stationary, alphas)
     return tuple((lambda r, v=v: c_alpha * r * v) for v in integrals)
 
 

@@ -55,14 +55,6 @@ def _cell_seeds(master_seed: int, level_index: int, n: int, replicates) -> np.nd
                                 dtype=np.uint64)[:, 0]
 
 
-def run_cell(config: "SweepConfig", n: int, mixing_level: int, replicate: int) -> float:
-    """Exact excess risk of one replicate; pure in (master seed, cell, replicate)."""
-    problem = config.problems[mixing_level]
-    seed = cell_seed(config.master_seed, mixing_level, n, replicate)
-    return float(excess_risks(problem, config.hypothesis,
-                              *stream_state_stats(problem, n, [seed]))[0])
-
-
 # ---------------------------------------------------------------------------
 # sweep configuration and execution
 # ---------------------------------------------------------------------------
@@ -312,6 +304,8 @@ def blocked_bernstein_coverage(model: MarkovChainModel, values, n: int, k: int,
     values = centered_values(model, values)
     if k < 1 or n % k != 0:
         raise ValueError("k must divide n")
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
     problem = _functional_problem(model, values)
     seeds = _cell_seeds(master_seed, 0, n, range(replicates))
     counts, _ = stream_state_stats(problem, n, seeds, block_len=k)
@@ -339,6 +333,12 @@ def risk_bound_coverage(problem: RegressionProblem, cls: HypothesisClass, n: int
     exceedance at or below 4 delta (an empirical quantile of excess / base
     ratios), then validated on fresh disjoint seeds.
     """
+    if not 0 < delta < 0.25:
+        raise ValueError(f"delta must lie in (0, 0.25) for riskBound coverage, "
+                         f"which tests at level 4 * delta, got {delta}")
+    if min(cal_replicates, val_replicates) < 1:
+        raise ValueError("cal_replicates and val_replicates must be >= 1, got "
+                         f"{cal_replicates} and {val_replicates}")
     report = compute_bound_report(problem, cls, n, delta, q=q, p=p,
                                   constants=Constants(c1=constants.c1, c2=1.0,
                                                       c3=constants.c3,
@@ -400,11 +400,14 @@ def process_diagnostics(problem: RegressionProblem, cls: HypothesisClass, n: int
     """
     if cls.kind != "finite":
         raise ValueError("diagnostics currently require a finite class")
+    if replicates < 2:
+        raise ValueError("replicates must be >= 2 (the multiplier constant is "
+                         f"calibrated on half of them), got {replicates}")
     _check_epsilon(epsilon)
     report = compute_bound_report(problem, cls, n, delta, q=q, p=p,
                                   constants=constants, seed=master_seed)
     f_star = population_quantities(problem, cls).f_star_table
-    hull = star_hull_tables(cls, f_star, problem, rho_grid=rho_grid)
+    hull = star_hull_tables(cls, f_star, rho_grid=rho_grid)
     norms = np.sqrt((hull ** 2) @ problem.chain.stationary)
     outside = hull[norms > report.r_star]
     sphere_keep = norms >= report.r_star
@@ -443,12 +446,20 @@ _SVG_WIDTH, _SVG_HEIGHT, _SVG_TITLE = 640, 480, "median excess risk"
 
 
 def svg_loglog(path, n_values, series: dict) -> None:
-    """Write a dependency-free SVG log-log plot of per-level medians."""
+    """Write a dependency-free SVG log-log plot of per-level medians.
+
+    A log axis has no place for a median of 0, so nonpositive points are left
+    out, and so is a level that has none (as sweep_summary skips its rate
+    fit); each level keeps its color either way."""
     width, height, title = _SVG_WIDTH, _SVG_HEIGHT, _SVG_TITLE
-    n_values = np.asarray(n_values, dtype=float)
-    xs = np.log10(n_values)
-    all_y = np.log10(np.concatenate([np.asarray(v, dtype=float)
-                                     for v in series.values()]))
+    xs = np.log10(np.asarray(n_values, dtype=float))
+    curves = {}
+    for i, (label, ys) in enumerate(series.items()):
+        ys = np.asarray(ys, dtype=float)
+        keep = ys > 0
+        if keep.any():
+            curves[label] = (i, xs[keep], np.log10(ys[keep]))
+    all_y = np.concatenate([c[2] for c in curves.values()] or [np.zeros(1)])
     x0, x1 = xs.min(), xs.max()
     y0, y1 = all_y.min(), all_y.max()
     y0, y1 = y0 - 0.05 * (y1 - y0 + 1e-9), y1 + 0.05 * (y1 - y0 + 1e-9)
@@ -472,13 +483,12 @@ def svg_loglog(path, n_values, series: dict) -> None:
              f'stroke="black"/>',
              f'<text x="{width / 2}" y="{height - 12}" text-anchor="middle" '
              f'font-family="monospace" font-size="12">log10 n</text>']
-    for i, (label, ys) in enumerate(series.items()):
-        ys = np.log10(np.asarray(ys, dtype=float))
-        pts = " ".join(f"{sx(x):.1f},{sy(y):.1f}" for x, y in zip(xs, ys))
+    for label, (i, px, py) in curves.items():
+        pts = " ".join(f"{sx(x):.1f},{sy(y):.1f}" for x, y in zip(px, py))
         color = colors[i % len(colors)]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="2"/>')
-        parts.append(f'<text x="{width - pad + 4}" y="{sy(ys[-1]):.1f}" '
+        parts.append(f'<text x="{width - pad + 4}" y="{sy(py[-1]):.1f}" '
                      f'font-family="monospace" font-size="12" fill="{color}">'
                      f'{label}</text>')
     parts.append("</svg>")

@@ -831,25 +831,6 @@ def problem_from_dict(spec: dict) -> RegressionProblem:
     )
 
 
-def problem_to_dict(problem: RegressionProblem) -> dict:
-    out = {
-        "transition": problem.chain.transition.tolist(),
-        "embedding": problem.embedding.tolist(),
-        "mode": problem.mode,
-        "noise": {
-            "kind": problem.noise.kind,
-            "values": problem.noise.values.tolist(),
-            "probs": problem.noise.probs.tolist(),
-            "bound": problem.noise.bound,
-        },
-    }
-    if problem.mode == "linear":
-        out["true_param"] = problem.true_param.tolist()
-    else:
-        out["true_table"] = problem.true_table.tolist()
-    return out
-
-
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write a trajectory as CSV with columns (t, state, x_1..x_d, y).
 

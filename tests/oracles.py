@@ -1,11 +1,16 @@
-"""Plain loop forms of quantities `mixfree` derives a faster way; the tests
-check the pipeline against them."""
+"""Reference forms the tests check `mixfree` against: plain loop forms of
+quantities the pipeline derives a faster way, the one-trajectory least-squares
+fit, the entropy-integral quadrature, and both sides of the basic inequality.
+Also `problem_to_dict`, which writes the model documents the CLI tests use."""
 
 import math
 
 import numpy as np
 
 from mixfree.bounds import CriticalRadius, _R_MIN
+from mixfree.erm import (HypothesisClass, excess_risks, multiplier_processes,
+                         population_quantities, quadratic_processes, sphere_tables,
+                         star_hull_tables, _f_star_param)
 from mixfree.processgen import (MarkovChainModel, RegressionProblem, Trajectory,
                                 _beta_of_power)
 
@@ -119,3 +124,106 @@ def multiplier_process_steps(g, f_star, traj: Trajectory, problem: RegressionPro
     bias = problem.regression_mean() - f_star       # E[W | state]
     pop = float(problem.chain.stationary @ (bias * g))
     return (1.0 + epsilon) * 2.0 * (emp - pop)
+
+
+def fit_erm_linear(traj: Trajectory) -> np.ndarray:
+    """Least-squares parameter on the path's full design, the reference for
+    the linear branch of `excess_risks` (which solves on per-state sums).
+
+    lstsq returns the minimum-Euclidean-norm minimizer when the design is
+    rank deficient; the gradient norm of the empirical risk is checked to be
+    at most 1e-9 on the natural problem scale.
+    """
+    X, y = traj.covariates, traj.targets
+    n = len(y)
+
+    def grad_norm(beta):
+        return float(np.linalg.norm((2.0 / n) * (X.T @ (X @ beta - y))))
+
+    beta = np.linalg.lstsq(X, y, rcond=None)[0]
+    scale = max(1.0, float(np.linalg.norm(X.T @ y) / n))
+    if grad_norm(beta) > 1e-9 * scale:
+        beta = beta + np.linalg.lstsq(X, y - X @ beta, rcond=None)[0]
+    if grad_norm(beta) > 1e-9 * scale:
+        raise ArithmeticError(f"least-squares solve left gradient norm "
+                              f"{grad_norm(beta):.3e}")
+    return beta
+
+
+def param_excess(beta, problem: RegressionProblem) -> float:
+    """Exact excess risk of a linear parameter: the pi-weighted squared
+    distance of its table from the population least-squares table."""
+    g = problem.embedding @ (np.asarray(beta, dtype=float) - _f_star_param(problem))
+    return float(problem.chain.stationary @ g ** 2)
+
+
+def gamma_alpha_quadrature(alpha: float, r: float, log_covering,
+                           c_alpha: float = 1.0) -> float:
+    """Entropy-integral complexity c_alpha * int_0^r (log N(s))^(1/alpha) ds.
+
+    `log_covering` supplies log N(s) on (0, r]; negative values are clamped to
+    zero. Uses adaptive quadrature (the endpoint singularity at s -> 0 is
+    integrable for covering profiles of polynomial classes). The reference
+    for `gamma_alpha_parametric`.
+    """
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    if r < 0:
+        raise ValueError("radius must be nonnegative")
+    if r == 0:
+        return 0.0
+
+    def integrand(s):
+        return max(log_covering(s), 0.0) ** (1.0 / alpha)
+
+    from scipy import integrate
+    val, _ = integrate.quad(integrand, 0.0, r, epsrel=1e-6, limit=400)
+    return c_alpha * val
+
+
+def basic_inequality_sides(problem: RegressionProblem, cls: HypothesisClass,
+                           counts, ysums, n: int, r: float, epsilon: float,
+                           linear_grid: int = 1000, rho_grid: int = 64,
+                           seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the localized deterministic risk decomposition, one pair
+    per replicate row of the per-state statistics (counts, ysums).
+
+    lhs is the exact excess risk of the fitted ERM; rhs is
+    r^2 + r^-2 (sup M_n over the radius-r sphere grid)^2 + sup Q_n over the
+    star-hull grid. Grid suprema are lower bounds on the true suprema (the
+    zero function is always included in the quadratic-process grid, so that
+    supremum is at least 0).
+    """
+    f_star = population_quantities(problem, cls).f_star_table
+    if cls.kind == "finite":
+        sphere = sphere_tables(cls, f_star, problem, r)
+        hull = star_hull_tables(cls, f_star, rho_grid)
+    else:
+        sphere = sphere_tables(cls, f_star, problem, r, count=linear_grid, seed=seed)
+        hull = sphere
+    sup_m = multiplier_processes(sphere, f_star, counts, ysums, n, problem,
+                                 epsilon).max(axis=1, initial=0.0)
+    sup_q = quadratic_processes(np.vstack([hull, np.zeros((1, problem.n_states))]),
+                                counts, n, problem, epsilon).max(axis=1)
+    lhs = excess_risks(problem, cls, counts, ysums)
+    return lhs, r ** 2 + (sup_m / r) ** 2 + sup_q
+
+
+def problem_to_dict(problem: RegressionProblem) -> dict:
+    """The model document `problem_from_dict` reads back into `problem`."""
+    out = {
+        "transition": problem.chain.transition.tolist(),
+        "embedding": problem.embedding.tolist(),
+        "mode": problem.mode,
+        "noise": {
+            "kind": problem.noise.kind,
+            "values": problem.noise.values.tolist(),
+            "probs": problem.noise.probs.tolist(),
+            "bound": problem.noise.bound,
+        },
+    }
+    if problem.mode == "linear":
+        out["true_param"] = problem.true_param.tolist()
+    else:
+        out["true_table"] = problem.true_table.tolist()
+    return out

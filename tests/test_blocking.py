@@ -17,41 +17,16 @@ def _problem(chain, d=1, sigma=0.0):
                                 noise=noise, true_param=np.array([1.0]))
 
 
-class TestMakeBlocks:
-    def test_n8_k2(self):
-        scheme = mf.make_blocks(8, 2)
-        assert scheme.m == 2
-        assert scheme.odd_indices.tolist() == [0, 1, 4, 5]
-        assert scheme.even_indices.tolist() == [2, 3, 6, 7]
-
-    def test_n6_k3(self):
-        scheme = mf.make_blocks(6, 3)
-        assert scheme.m == 1 and scheme.n_blocks == 2
-
-    def test_divisibility_error(self):
-        with pytest.raises(ValueError, match="divide n/2"):
-            mf.make_blocks(8, 3)
-        with pytest.raises(ValueError, match="divide n/2"):
-            mf.make_blocks(10, 2)
-
-    def test_union_reconstructs_everything(self):
-        scheme = mf.make_blocks(24, 3)
-        union = np.sort(np.concatenate([scheme.odd_indices, scheme.even_indices]))
-        assert np.array_equal(union, np.arange(24))
-
-
 class TestDecoupleResample:
     def test_two_blocks_uncorrelated(self):
         # k = n/2: one odd and one even block, independent by construction
         chain = mf.two_state_chain(0.05, 0.05)   # very sticky, strong dependence
         problem = _problem(chain)
-        scheme = mf.make_blocks(64, 32)
         reps = 4000
         firsts, seconds = np.empty(reps), np.empty(reps)
         dep_f, dep_s = np.empty(reps), np.empty(reps)
         for r in range(reps):
-            traj = mf.kwise_independent_surrogate(problem, scheme.n, scheme.k,
-                                                  10_000 + r)
+            traj = mf.kwise_independent_surrogate(problem, 64, 32, 10_000 + r)
             firsts[r] = traj.targets[:32].mean()
             seconds[r] = traj.targets[32:].mean()
             dep = mf.sample_trajectory(problem, 64, 10_000 + r)
@@ -68,14 +43,13 @@ class TestDecoupleResample:
         # permutation two-sample test on block means, 1% level
         chain = mf.iid_chain([0.3, 0.7])
         problem = _problem(chain)
-        scheme = mf.make_blocks(32, 8)
         rng = np.random.default_rng(5)
         runs, rejections = 100, 0
         for run in range(runs):
             orig = np.array([mf.sample_trajectory(problem, 32, 7000 + 31 * run + j
                                                   ).targets.mean() for j in range(24)])
             deco = np.array([mf.kwise_independent_surrogate(
-                problem, scheme.n, scheme.k, 9000 + 31 * run + j).targets.mean()
+                problem, 32, 8, 9000 + 31 * run + j).targets.mean()
                 for j in range(24)])
             stat = abs(orig.mean() - deco.mean())
             pooled = np.concatenate([orig, deco])
@@ -90,8 +64,7 @@ class TestDecoupleResample:
     def test_single_state_chain_identical(self):
         chain = mf.MarkovChainModel(np.array([[1.0]]), np.array([1.0]))
         problem = _problem(chain)
-        scheme = mf.make_blocks(16, 4)
-        a = mf.kwise_independent_surrogate(problem, scheme.n, scheme.k, 3)
+        a = mf.kwise_independent_surrogate(problem, 16, 4, 3)
         b = mf.sample_trajectory(problem, 16, 3)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.targets, b.targets)
@@ -99,32 +72,26 @@ class TestDecoupleResample:
     def test_per_block_marginals_preserved(self):
         chain = mf.two_state_chain(0.2, 0.4)
         problem = _problem(chain)
-        scheme = mf.make_blocks(12, 3)
         reps = 3000
         states, _ = mf.sample_path_batch(problem, 12, range(reps))
         dstates, _ = mf.sample_path_batch(problem, 12, range(reps), block_len=3)
-        for j in range(scheme.n_blocks):
-            block = scheme.block(j)
-            for t in block:
-                f_orig = np.mean(states[:, t] == 0)
-                f_dec = np.mean(dstates[:, t] == 0)
-                assert abs(f_orig - f_dec) <= 4 * math.sqrt(0.25 / reps) * 2
+        for t in range(12):
+            f_orig = np.mean(states[:, t] == 0)
+            f_dec = np.mean(dstates[:, t] == 0)
+            assert abs(f_orig - f_dec) <= 4 * math.sqrt(0.25 / reps) * 2
 
 
 class TestDecouplingGap:
     def test_zero_betas_zero_gap(self):
-        scheme = mf.make_blocks(20, 5)
-        assert mf.decoupling_gap_bound(np.zeros(5), scheme) == 0.0
+        # a single-state chain has beta(k) = 0 at every lag
+        chain = mf.MarkovChainModel(np.array([[1.0]]), np.array([1.0]))
+        assert mf.odd_block_decoupling_gap_exact(chain, 20, 5) == (0.0, 0.0)
 
     def test_m3_arithmetic(self):
-        scheme = mf.make_blocks(30, 5)   # m = 3
-        betas = np.full(5, 0.01)
-        assert abs(mf.decoupling_gap_bound(betas, scheme) - 0.02) < 1e-15
-
-    def test_bound_needs_enough_lags(self):
-        scheme = mf.make_blocks(30, 5)
-        with pytest.raises(ValueError, match="lags"):
-            mf.decoupling_gap_bound(np.zeros(3), scheme)
+        # n = 12, k = 2: six blocks, m = 3 of each parity, so (m - 1) beta(k)
+        model = mf.two_state_chain(0.3, 0.2)
+        _, bound = mf.odd_block_decoupling_gap_exact(model, 12, 2)
+        assert abs(bound - 2 * beta_coefficients(model, 2)[1]) < 1e-15
 
     def test_exact_enumeration_small_chains(self):
         for p, q in [(0.3, 0.2), (0.6, 0.7)]:
@@ -136,11 +103,11 @@ class TestDecouplingGap:
                     assert gap < 1e-14   # single odd block: marginal preserved
 
     def test_enumeration_agrees_with_scheme_bound(self):
+        # n = 8, k = 2: blocks 0 and 2 are the odd ones, m = 2
         model = mf.two_state_chain(0.3, 0.2)
-        scheme = mf.make_blocks(8, 2)
         betas = beta_coefficients(model, 2)
         _, bound = mf.odd_block_decoupling_gap_exact(model, 8, 2)
-        assert abs(bound - mf.decoupling_gap_bound(betas, scheme)) < 1e-15
+        assert abs(bound - (2 - 1) * betas[2 - 1]) < 1e-15
 
     def test_mixing_failure_term(self):
         assert abs(mf.mixing_failure_term(100, 10, 0.05) - 0.5) < 1e-15

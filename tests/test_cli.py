@@ -11,6 +11,7 @@ import pytest
 
 import mixfree as mf
 from mixfree.cli import run
+from oracles import problem_to_dict
 
 
 def _model_dict(copies=2, flip=0.25, sigma=0.5):
@@ -20,7 +21,7 @@ def _model_dict(copies=2, flip=0.25, sigma=0.5):
         chain=chain, embedding=mf.product_embedding([-1.0, 1.0], copies),
         mode="linear", noise=mf.NoiseSpec.symmetric(sigma, chain.n_states),
         true_param=np.array([1.0, -0.5])[:copies])
-    return mf.processgen.problem_to_dict(problem)
+    return problem_to_dict(problem)
 
 
 def _write(tmp_path, name, payload):
@@ -447,6 +448,25 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "config error" in err and "block_rule" in err
         assert not (tmp_path / "r").exists()
+
+    def test_plot_leaves_out_zero_medians(self, tmp_path):
+        # the truth is in the class and the noise is small, so ERM always
+        # picks it: every median is 0, and log10(0) has no place on the plot
+        truth = [1.0, -1.0]
+        model = {"transition": [[0.75, 0.25], [0.25, 0.75]], "mode": "tabular",
+                 "true_table": truth,
+                 "noise": {"kind": "martingale-difference",
+                           "values": [[-0.1, 0.1]] * 2, "probs": [[0.5, 0.5]] * 2}}
+        cfg = _write(tmp_path, "sweep.json", {
+            "levels": [{"label": "exact", "model": model}],
+            "class": {"kind": "finite", "tables": [[-1.0, 1.0], truth]},
+            "n_grid": [64, 128, 256], "replicates": 4, "seed": 1, "plot": True})
+        assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "r"),
+                    "--quiet"]) == 0
+        summary = json.loads((tmp_path / "r" / "summary.json").read_text())
+        assert summary["levels"][0]["medians"] == [0.0, 0.0, 0.0]
+        svg = (tmp_path / "r" / "sweep.svg").read_text()
+        assert "nan" not in svg and "<polyline" not in svg
 
 
 class TestCoverageCommand:

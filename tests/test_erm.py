@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import mixfree as mf
-from oracles import multiplier_process_steps, quadratic_process_steps
+from oracles import (basic_inequality_sides, fit_erm_linear,
+                     multiplier_process_steps, quadratic_process_steps)
 
 
 def _orthonormal_problem(sigma=0.5, noise_kind="mds"):
@@ -39,6 +40,14 @@ def _tabular_problem(seed=0, n_states=3, sigma=0.4, biased=False):
                                 mode="tabular", noise=noise, true_table=table)
 
 
+def _picking(table, weights):
+    """Per-state statistics (one row) on which the ERM of any class holding
+    `table` is `table` itself: targets equal it at every state, weighted by
+    `weights` > 0."""
+    counts = np.asarray(weights, dtype=float)[None, :]
+    return counts, counts * np.asarray(table, dtype=float)[None, :]
+
+
 class TestFitLinear:
     def test_noiseless_recovery(self):
         chain = mf.two_state_chain(0.4, 0.3)
@@ -46,36 +55,40 @@ class TestFitLinear:
             chain=chain, embedding=np.array([[1.0, 2.0], [-1.0, 0.5]]),
             mode="linear", noise=mf.NoiseSpec.zero(2),
             true_param=np.array([0.3, -1.1]))
-        traj = mf.sample_trajectory(problem, 50, 4)
-        fit = mf.fit_erm_linear(traj, problem)
-        assert np.max(np.abs(fit.param - problem.true_param)) < 1e-10
-        assert fit.excess_l2_squared < 1e-18
+        excess = mf.excess_risks(problem, mf.HypothesisClass.linear(2),
+                                 *mf.stream_state_stats(problem, 50, [4]))
+        assert excess[0] < 1e-18
+        beta = fit_erm_linear(mf.sample_trajectory(problem, 50, 4))
+        assert np.max(np.abs(beta - problem.true_param)) < 1e-10
 
     def test_min_norm_single_sample(self):
-        traj = mf.Trajectory(1, np.array([0]), np.array([[1.0, 0.0]]),
-                             np.array([2.0]), seed=0)
-        fit = mf.fit_erm_linear(traj)
-        assert np.allclose(fit.param, [2.0, 0.0], atol=1e-12)
-        assert fit.tie_broken
+        # one visit to state 0 of the orthonormal problem, x = (sqrt 2, 0),
+        # y = 2 sqrt 2: every (2, b) fits, the min-norm fit is (2, 0), and its
+        # excess over beta_star = (1, -0.5) under E[X X^T] = I is 1 + 0.25
+        problem = _orthonormal_problem()
+        excess = mf.excess_risks(problem, mf.HypothesisClass.linear(2),
+                                 np.array([[1.0, 0.0]]),
+                                 np.array([[2.0 * math.sqrt(2.0), 0.0]]))
+        assert abs(excess[0] - 1.25) < 1e-12
 
     def test_grid_search_oracle(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(50, 3))
         y = X @ np.array([1.0, -2.0, 0.5]) + rng.normal(size=50)
         traj = mf.Trajectory(50, np.zeros(50, dtype=int), X, y, seed=0)
-        fit = mf.fit_erm_linear(traj)
-        risk = fit.empirical_risk
+        beta = fit_erm_linear(traj)
+        risk = np.mean((X @ beta - y) ** 2)
         span = np.linspace(-0.5, 0.5, 21)
         for da, db, dc in itertools.product(span, span, span):
-            beta = fit.param + np.array([da, db, dc])
-            assert risk <= np.mean((X @ beta - y) ** 2) + 1e-12
+            other = beta + np.array([da, db, dc])
+            assert risk <= np.mean((X @ other - y) ** 2) + 1e-12
 
     def test_gradient_postcondition(self):
         problem = _orthonormal_problem()
         traj = mf.sample_trajectory(problem, 200, 5)
-        fit = mf.fit_erm_linear(traj)
+        beta = fit_erm_linear(traj)
         X, y = traj.covariates, traj.targets
-        grad = 2.0 / 200 * X.T @ (X @ fit.param - y)
+        grad = 2.0 / 200 * X.T @ (X @ beta - y)
         assert np.linalg.norm(grad) < 1e-9
 
 
@@ -91,29 +104,37 @@ class TestFitFinite:
                             problem.true_table + 0.5,
                             -problem.true_table])
         cls = mf.HypothesisClass.finite(tables)
-        traj = mf.sample_trajectory(noiseless, 60, 7)
-        fit = mf.fit_erm_finite(traj, cls, noiseless)
-        assert fit.index == 0
-        assert fit.excess_l2_squared == 0.0
+        stats = mf.stream_state_stats(noiseless, 60, [7])
+        assert mf.excess_risks(noiseless, cls, *stats)[0] == 0.0
 
     def test_tie_breaks_to_lowest_index(self):
+        # two tables that differ only at a state the path never visits tie on
+        # the path; the lowest index wins, whichever of the two comes first
         problem = _tabular_problem(seed=1)
-        tables = np.vstack([problem.true_table, problem.true_table])
-        traj = mf.sample_trajectory(problem, 40, 2)
-        fit = mf.fit_erm_finite(traj, mf.HypothesisClass.finite(tables))
-        assert fit.index == 0 and fit.tie_broken
+        counts, ysums = mf.stream_state_stats(problem, 2, [2])
+        unseen = int(np.flatnonzero(counts[0] == 0)[0])
+        other = problem.true_table.copy()
+        other[unseen] += 1.0
+        truth_first = mf.HypothesisClass.finite(np.vstack([problem.true_table, other]))
+        other_first = mf.HypothesisClass.finite(np.vstack([other, problem.true_table]))
+        assert mf.excess_risks(problem, truth_first, counts, ysums)[0] == 0.0
+        excess = mf.excess_risks(problem, other_first, counts, ysums)[0]
+        assert abs(excess - problem.chain.stationary[unseen]) < 1e-12
 
     def test_matches_rescan_oracle(self):
         problem = _tabular_problem(seed=9)
         rng = np.random.default_rng(10)
         tables = rng.normal(size=(8, 3))
         cls = mf.HypothesisClass.finite(tables)
+        stats = mf.stream_state_stats(problem, 100, [11])
+        excess = mf.excess_risks(problem, cls, *stats)
         traj = mf.sample_trajectory(problem, 100, 11)
-        fit = mf.fit_erm_finite(traj, cls)
         rescan = np.array([np.mean((tables[m][traj.states] - traj.targets) ** 2)
                            for m in range(8)])
-        assert fit.index == int(np.argmin(rescan))
-        assert abs(fit.empirical_risk - rescan.min()) < 1e-10
+        f_star = mf.population_quantities(problem, cls).f_star_table
+        best = tables[int(np.argmin(rescan))]
+        expected = ((best - f_star) ** 2) @ problem.chain.stationary
+        assert abs(excess[0] - expected) < 1e-12
 
     def test_empty_class_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -162,22 +183,30 @@ class TestPopulationQuantities:
 
 
 class TestExcessL2:
+    """The excess risk `excess_risks` reports for a fit is the exact squared
+    population L2 distance of the fit from f_star."""
+
     def test_zero_at_optimum(self):
         problem = _orthonormal_problem()
-        assert mf.excess_l2(problem.true_param, problem.true_param, problem) == 0.0
+        truth = problem.embedding @ problem.true_param
+        cls = mf.HypothesisClass.finite(np.vstack([truth + 1.0, truth]))
+        assert mf.excess_risks(problem, cls, *_picking(truth, [1.0, 1.0]))[0] == 0.0
 
     def test_identity_second_moment_is_param_distance(self):
         problem = _orthonormal_problem()
         assert np.allclose(problem.second_moment_matrix(), np.eye(2), atol=1e-15)
         beta = np.array([2.0, 1.0])
         expected = float(np.sum((beta - problem.true_param) ** 2))
-        assert abs(mf.excess_l2(beta, problem.true_param, problem) - expected) < 1e-12
+        excess = mf.excess_risks(problem, mf.HypothesisClass.linear(2),
+                                 *_picking(problem.embedding @ beta, [3.0, 5.0]))
+        assert abs(excess[0] - expected) < 1e-12
 
     def test_tabular_matches_monte_carlo(self):
         problem = _tabular_problem(seed=4)
         rng = np.random.default_rng(5)
         f = rng.normal(size=3)
-        exact = mf.excess_l2(f, problem.true_table, problem)
+        cls = mf.HypothesisClass.finite(np.vstack([problem.true_table, f]))
+        exact = mf.excess_risks(problem, cls, *_picking(f, [1.0, 2.0, 3.0]))[0]
         states, _ = mf.sample_path_batch(problem, 64, range(1600))
         samples = ((f - problem.true_table)[states] ** 2).ravel()[:100_000]
         mc = samples.mean()
@@ -197,38 +226,38 @@ class TestExcessL2:
                                              problem.noise.values[perm],
                                              problem.noise.probs[perm]),
                                          true_table=problem.true_table[perm])
-        a = mf.excess_l2(f, problem.true_table, problem)
-        b = mf.excess_l2(f[perm], problem.true_table[perm], problem_p)
+        cls = mf.HypothesisClass.finite(np.vstack([problem.true_table, f]))
+        cls_p = mf.HypothesisClass.finite(np.vstack([problem.true_table[perm],
+                                                     f[perm]]))
+        a = mf.excess_risks(problem, cls, *_picking(f, np.ones(3)))[0]
+        b = mf.excess_risks(problem_p, cls_p, *_picking(f[perm], np.ones(3)))[0]
         assert abs(a - b) < 1e-14
 
 
 class TestQuadraticProcess:
     def test_zero_at_optimum(self):
         problem = _tabular_problem(seed=8)
-        traj = mf.sample_trajectory(problem, 30, 9)
-        q = mf.quadratic_process(problem.true_table, problem.true_table, traj,
-                                 problem, 0.5)
-        assert q == 0.0
+        counts, _ = mf.stream_state_stats(problem, 30, [9])
+        q = mf.quadratic_processes(np.zeros((1, 3)), counts, 30, problem, 0.5)
+        assert q[0, 0] == 0.0
 
     def test_concentrates_at_minus_eps_norm(self):
         problem = _tabular_problem(seed=10)
-        f = problem.true_table + np.array([0.5, -0.3, 0.2])
+        g = np.array([0.5, -0.3, 0.2])
         eps = 0.5
-        norm_sq = mf.excess_l2(f, problem.true_table, problem)
+        norm_sq = float(problem.chain.stationary @ g ** 2)
         reps, n = 600, 2048
-        vals = np.array([mf.quadratic_process(f, problem.true_table,
-                                              mf.sample_trajectory(problem, n, 100 + r),
-                                              problem, eps) for r in range(reps)])
+        counts, _ = mf.stream_state_stats(problem, n, range(100, 100 + reps))
+        vals = mf.quadratic_processes(g[None, :], counts, n, problem, eps)[:, 0]
         se = vals.std(ddof=1) / math.sqrt(reps)
         assert abs(vals.mean() + eps * norm_sq) <= 3 * se
 
     def test_eps_zero_centered(self):
         problem = _tabular_problem(seed=12)
-        f = problem.true_table + np.array([0.4, -0.1, 0.3])
+        g = np.array([0.4, -0.1, 0.3])
         reps = 600
-        vals = np.array([mf.quadratic_process(f, problem.true_table,
-                                              mf.sample_trajectory(problem, 512, 300 + r),
-                                              problem, 0.0) for r in range(reps)])
+        counts, _ = mf.stream_state_stats(problem, 512, range(300, 300 + reps))
+        vals = mf.quadratic_processes(g[None, :], counts, 512, problem, 0.0)[:, 0]
         se = vals.std(ddof=1) / math.sqrt(reps)
         assert abs(vals.mean()) <= 3 * se + 1e-15
 
@@ -236,15 +265,18 @@ class TestQuadraticProcess:
 class TestMultiplierProcess:
     def test_zero_function(self):
         problem = _tabular_problem(seed=13)
-        traj = mf.sample_trajectory(problem, 64, 1)
-        assert mf.multiplier_process(np.zeros(3), problem.true_table, traj,
-                                     problem, 0.3) == 0.0
+        counts, ysums = mf.stream_state_stats(problem, 64, [1])
+        m = mf.multiplier_processes(np.zeros((1, 3)), problem.true_table, counts,
+                                    ysums, 64, problem, 0.3)
+        assert m[0, 0] == 0.0
 
     def test_martingale_difference_drops_population_term(self):
         problem = _tabular_problem(seed=14, sigma=0.6)
         g = np.array([1.0, -1.0, 2.0])
+        counts, ysums = mf.stream_state_stats(problem, 128, [15])
+        val = mf.multiplier_processes(g[None, :], problem.true_table, counts, ysums,
+                                      128, problem, 0.25)[0, 0]
         traj = mf.sample_trajectory(problem, 128, 15)
-        val = mf.multiplier_process(g, problem.true_table, traj, problem, 0.25)
         w = traj.targets - problem.true_table[traj.states]
         direct = 1.25 * 2.0 * np.mean(w * g[traj.states])
         assert abs(val - direct) < 1e-12
@@ -285,7 +317,7 @@ class TestProcessesMatchStepSums:
             emb = data.draw(hnp.arrays(float, (S, 2), elements=values))
             problem = mf.RegressionProblem(chain=chain, embedding=emb, mode="linear",
                                            noise=noise, true_param=np.array([0.5, -1.0]))
-            f, f_star = (data.draw(hnp.arrays(float, 2, elements=values))
+            f, f_star = (emb @ data.draw(hnp.arrays(float, 2, elements=values))
                          for _ in range(2))
         else:
             problem = mf.RegressionProblem(chain=chain, embedding=np.eye(S),
@@ -293,23 +325,26 @@ class TestProcessesMatchStepSums:
                                            true_table=np.zeros(S))
             f, f_star = (data.draw(hnp.arrays(float, S, elements=values))
                          for _ in range(2))
+        counts, ysums = mf.stream_state_stats(problem, n, [seed])
         traj = mf.sample_trajectory(problem, n, seed)
-        g = mf.erm._to_table(f, problem) - mf.erm._to_table(f_star, problem)
-        q = mf.quadratic_process(f, f_star, traj, problem, epsilon)
-        assert abs(q - quadratic_process_steps(g, traj, problem, epsilon)) <= 1e-12
-        m = mf.multiplier_process(f, f_star, traj, problem, epsilon)
-        oracle = multiplier_process_steps(mf.erm._to_table(f, problem),
-                                          mf.erm._to_table(f_star, problem), traj,
-                                          problem, epsilon)
-        assert abs(m - oracle) <= 1e-12
+        q = mf.quadratic_processes((f - f_star)[None, :], counts, n, problem, epsilon)
+        assert abs(q[0, 0] - quadratic_process_steps(f - f_star, traj, problem,
+                                                     epsilon)) <= 1e-12
+        m = mf.multiplier_processes(f[None, :], f_star, counts, ysums, n, problem,
+                                    epsilon)
+        oracle = multiplier_process_steps(f, f_star, traj, problem, epsilon)
+        assert abs(m[0, 0] - oracle) <= 1e-12
 
     @pytest.mark.parametrize("epsilon", [-0.1, 1.0, 1.5])
     def test_epsilon_outside_unit_interval(self, epsilon):
         problem = _tabular_problem(seed=8)
-        traj = mf.sample_trajectory(problem, 30, 9)
-        for process in (mf.quadratic_process, mf.multiplier_process):
-            with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\)"):
-                process(problem.true_table, problem.true_table, traj, problem, epsilon)
+        counts, ysums = mf.stream_state_stats(problem, 30, [9])
+        table = problem.true_table[None, :]
+        with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\)"):
+            mf.quadratic_processes(table, counts, 30, problem, epsilon)
+        with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\)"):
+            mf.multiplier_processes(table, problem.true_table, counts, ysums, 30,
+                                    problem, epsilon)
 
 
 class TestBasicInequality:
@@ -319,33 +354,36 @@ class TestBasicInequality:
         tables = np.vstack([problem.true_table,
                             problem.true_table + 0.5 * rng.normal(size=(7, 3))])
         cls = mf.HypothesisClass.finite(tables)
-        for seed in range(6):
-            traj = mf.sample_trajectory(problem, 256, 40 + seed)
-            for r in (0.05, 0.2, 0.8):
-                lhs, rhs = mf.basic_inequality_sides(traj, problem, cls, r,
-                                                     epsilon=0.5)
-                assert lhs <= rhs + 0.1 * abs(rhs) + 1e-12
+        stats = mf.stream_state_stats(problem, 256, range(40, 46))
+        for r in (0.05, 0.2, 0.8):
+            lhs, rhs = basic_inequality_sides(problem, cls, *stats, 256, r,
+                                              epsilon=0.5)
+            assert np.all(lhs <= rhs + 0.1 * abs(rhs) + 1e-12)
 
     def test_linear_class_grid(self):
         problem = _orthonormal_problem(sigma=0.4)
         cls = mf.HypothesisClass.linear(2)
-        for seed in range(4):
-            traj = mf.sample_trajectory(problem, 512, 70 + seed)
-            for r in (0.05, 0.3):
-                lhs, rhs = mf.basic_inequality_sides(traj, problem, cls, r,
-                                                     epsilon=0.5, linear_grid=1000)
-                assert lhs <= rhs + 0.1 * abs(rhs) + 1e-12
+        stats = mf.stream_state_stats(problem, 512, range(70, 74))
+        for r in (0.05, 0.3):
+            lhs, rhs = basic_inequality_sides(problem, cls, *stats, 512, r,
+                                              epsilon=0.5, linear_grid=1000)
+            assert np.all(lhs <= rhs + 0.1 * abs(rhs) + 1e-12)
 
     def test_erm_never_beats_optimum_in_population(self):
         problem = _tabular_problem(seed=20, sigma=0.7)
         rng = np.random.default_rng(21)
         tables = np.vstack([problem.true_table, rng.normal(size=(5, 3))])
         cls = mf.HypothesisClass.finite(tables)
-        for seed in range(10):
-            traj = mf.sample_trajectory(problem, 128, 400 + seed)
-            fit = mf.fit_erm_finite(traj, cls, problem)
-            risks = mf.erm.finite_empirical_risks(tables, traj)
-            assert fit.empirical_risk <= risks[0] + 1e-12   # index 0 is f_star
+        seeds = range(400, 410)
+        stats = mf.stream_state_stats(problem, 128, seeds)
+        excess = mf.excess_risks(problem, cls, *stats)
+        assert np.all(excess >= 0.0)     # index 0 is f_star
+        for seed, value in zip(seeds, excess):
+            traj = mf.sample_trajectory(problem, 128, seed)
+            risks = np.mean((tables[:, traj.states] - traj.targets) ** 2, axis=1)
+            fit = tables[int(np.argmin(risks))]
+            assert abs(value - ((fit - tables[0]) ** 2) @ problem.chain.stationary
+                       ) < 1e-12
 
 
 class TestStarHull:
@@ -353,7 +391,7 @@ class TestStarHull:
         problem = _tabular_problem(seed=23)
         tables = np.vstack([problem.true_table, problem.true_table + 1.0])
         cls = mf.HypothesisClass.finite(tables)
-        hull = mf.star_hull_tables(cls, problem.true_table, problem, rho_grid=5)
+        hull = mf.star_hull_tables(cls, problem.true_table, rho_grid=5)
         assert any(np.allclose(h, 0.0) for h in hull)
         assert any(np.allclose(h, 1.0) for h in hull)
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import mixfree as mf
+from oracles import fit_erm_linear, param_excess
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -34,11 +35,19 @@ def _small_config(**overrides):
     return mf.SweepConfig(**defaults)
 
 
+def _cell_excess(cfg, n, replicate):
+    """Exact excess risk of one replicate of a sweep cell at level 0."""
+    problem = cfg.problems[0]
+    seed = mf.cell_seed(cfg.master_seed, 0, n, replicate)
+    return mf.excess_risks(problem, cfg.hypothesis,
+                           *mf.stream_state_stats(problem, n, [seed]))[0]
+
+
 class TestRunCell:
     def test_deterministic(self):
         cfg = _small_config()
-        a = mf.run_cell(cfg, 128, 0, 3)
-        b = mf.run_cell(cfg, 128, 0, 3)
+        a = _cell_excess(cfg, 128, 3)
+        b = _cell_excess(cfg, 128, 3)
         assert a == b
 
     def test_noiseless_interpolation(self):
@@ -50,15 +59,15 @@ class TestRunCell:
                                          true_param=problem.true_param)
         cfg = _small_config(problems=(noiseless,))
         for rep in range(5):
-            assert mf.run_cell(cfg, 64, 0, rep) <= 1e-18
+            assert _cell_excess(cfg, 64, rep) <= 1e-18
 
     def test_matches_trajectory_fit(self):
         cfg = _small_config()
-        val = mf.run_cell(cfg, 256, 0, 7)
+        val = _cell_excess(cfg, 256, 7)
         seed = mf.cell_seed(cfg.master_seed, 0, 256, 7)
         traj = mf.sample_trajectory(cfg.problems[0], 256, seed)
-        fit = mf.fit_erm_linear(traj, cfg.problems[0])
-        assert abs(val - fit.excess_l2_squared) < 1e-9
+        beta = fit_erm_linear(traj)
+        assert abs(val - param_excess(beta, cfg.problems[0])) < 1e-9
 
     def test_golden_reference(self):
         payload = json.loads((GOLDEN / "run_cell_median.json").read_text())
@@ -247,6 +256,37 @@ class TestCoverage:
             cal_replicates=200, val_replicates=400, master_seed=21)
         assert report.c2 > 0
         assert report.frequency <= report.threshold + 0.05  # quick, noisy version
+
+
+_BAD_ARGUMENTS = {
+    "risk-bound-delta": ("delta", lambda: mf.harness.risk_bound_coverage(
+        _product_problem(copies=2), mf.HypothesisClass.linear(2), n=64, delta=0.3,
+        cal_replicates=20, val_replicates=20, master_seed=1)),
+    "risk-bound-replicates": ("val_replicates", lambda: mf.harness.risk_bound_coverage(
+        _product_problem(copies=2), mf.HypothesisClass.linear(2), n=64, delta=0.05,
+        cal_replicates=20, val_replicates=0, master_seed=1)),
+    "diagnostics-replicates": ("replicates", lambda: mf.process_diagnostics(
+        _product_problem(copies=2), mf.HypothesisClass.finite(np.eye(4)), n=64,
+        replicates=1, epsilon=0.5, delta=0.1, master_seed=1)),
+    "blocked-bernstein-replicates": ("replicates", lambda: (
+        mf.harness.blocked_bernstein_coverage(
+            mf.two_state_chain(0.25, 0.25), np.array([-1.0, 1.0]), n=64, k=4,
+            delta=0.1, replicates=0, master_seed=1))),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_ARGUMENTS))
+def test_bad_argument_is_named_before_any_work(case):
+    """Arguments the CLI checks are checked by the library calls too: each
+    raises a ValueError that names the argument before anything is sampled
+    or bounded."""
+    name, call = _BAD_ARGUMENTS[case]
+    with mock.patch.object(mf.harness, "compute_bound_report") as report, \
+            mock.patch.object(mf.harness, "stream_state_stats") as sample:
+        with pytest.raises(ValueError, match=name):
+            call()
+    report.assert_not_called()
+    sample.assert_not_called()
 
 
 class TestDiagnostics:

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 import mixfree as mf
 from mixfree import harness, processgen
-from oracles import beta_coefficients, k_mix_search
+from oracles import beta_coefficients, k_mix_search, problem_to_dict
 
 
 def _power_iteration_pi(P, iters=200_000, tol=1e-13):
@@ -531,13 +531,13 @@ class TestKwiseSurrogate:
 class TestModelDocuments:
     def test_problem_dict_round_trip(self):
         problem = _two_state_problem()
-        again = mf.problem_from_dict(mf.processgen.problem_to_dict(problem))
+        again = mf.problem_from_dict(problem_to_dict(problem))
         assert np.array_equal(again.chain.transition, problem.chain.transition)
         assert np.array_equal(again.embedding, problem.embedding)
         assert np.array_equal(again.true_param, problem.true_param)
 
     def test_unknown_keys_rejected(self):
-        spec = mf.processgen.problem_to_dict(_two_state_problem())
+        spec = problem_to_dict(_two_state_problem())
         spec["surprise"] = 1
         with pytest.raises(ValueError, match="surprise"):
             mf.problem_from_dict(spec)

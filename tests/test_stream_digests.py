@@ -93,10 +93,10 @@ _TABLES = np.array([[0.5, -1.0, 0.25], [0.75, 0.25, -0.5], [1.0, -0.5, 0.5],
 
 def _run_cells(problem, cls):
     # n = 1 and 2 leave the visited design rank deficient
-    config = mf.SweepConfig(problems=(problem,), labels=("a",), hypothesis=cls,
-                            n_grid=(1, 2, 64, 300), replicates=1, master_seed=2 ** 64 + 5)
-    return _digest(np.array([mf.run_cell(config, n, 0, r)
-                             for n in config.n_grid for r in range(6)]))
+    return _digest(np.array([
+        mf.excess_risks(problem, cls, *mf.stream_state_stats(
+            problem, n, [mf.cell_seed(2 ** 64 + 5, 0, n, r)]))[0]
+        for n in (1, 2, 64, 300) for r in range(6)]))
 
 
 def _risk_coverage(problem, cls, n):
