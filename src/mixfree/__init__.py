@@ -19,9 +19,9 @@ from .processgen import (MarkovChainModel, NoiseSpec, RegressionProblem,
                          trajectory_to_csv, two_state_chain)
 from .blocking import (blocked_bernstein_bound, blocked_bernstein_terms,
                        mixing_failure_term, odd_block_decoupling_gap_exact)
-from .erm import (HypothesisClass, PopulationQuantities, excess_risks,
-                  multiplier_processes, population_quantities, quadratic_processes,
-                  sphere_tables, star_hull_tables)
+from .erm import (HypothesisClass, PopulationQuantities, check_class_fits,
+                  excess_risks, multiplier_processes, population_quantities,
+                  quadratic_processes, sphere_tables, star_hull_tables)
 from .bounds import (INF, BoundBreakdown, BoundReport, BurnIns, ClassCertificate,
                      Constants, CriticalRadius, DiscreteLaw, PsiNormEstimate,
                      WeakVariance, bernstein_mgf_rhs, burn_ins,

@@ -29,9 +29,9 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .processgen import (MarkovChainModel, RegressionProblem, beta_at_lag,
-                         lag_weighted_sum)
-from .erm import HypothesisClass, sphere_tables
+from .processgen import (MarkovChainModel, RegressionProblem, _seed_sequence_state,
+                         beta_at_lag, lag_weighted_sum, sample_path_batch)
+from .erm import HypothesisClass, population_quantities, sphere_tables
 
 INF = float("inf")
 
@@ -172,8 +172,7 @@ def _running_max_sweep(logpi: np.ndarray, logv: np.ndarray, p: float,
             return
 
 
-def psi_p_norm(law: DiscreteLaw, p: float, m_max: int = 200, refine: bool = True
-               ) -> PsiNormEstimate:
+def psi_p_norm(law: DiscreteLaw, p: float, m_max: int = 200) -> PsiNormEstimate:
     """Moment-growth norm of a finite-support law.
 
     p = inf returns the essential supremum. Otherwise the supremum over moment
@@ -207,15 +206,13 @@ def psi_p_norm(law: DiscreteLaw, p: float, m_max: int = 200, refine: bool = True
         list(_running_max_sweep(logp, logv, p, m_max)))
     j = int(np.argmax(vals))
     best, m_best = vals[j], j + 1.0
-    if refine:
-        lo = max(1.0, m_best - 1.0)
-        hi = min(float(m_max), m_best + 1.0)
-        if hi > lo:
-            from scipy import optimize
-            res = optimize.minimize_scalar(lambda m: -phi(m), bounds=(lo, hi),
-                                           method="bounded",
-                                           options={"xatol": 1e-10})
-            best = max(best, -float(res.fun))
+    lo = max(1.0, m_best - 1.0)
+    hi = min(float(m_max), m_best + 1.0)
+    if hi > lo:
+        from scipy import optimize
+        res = optimize.minimize_scalar(lambda m: -phi(m), bounds=(lo, hi),
+                                       method="bounded", options={"xatol": 1e-10})
+        best = max(best, -float(res.fun))
     at_half, at_max = math.log(vmax) + np.concatenate(
         list(_moment_sweep(logp, logv, p, (max(1, m_max // 2), m_max))))
     return PsiNormEstimate(p, math.exp(best), m_max, math.exp(at_max),
@@ -247,13 +244,13 @@ def psi_norms_batch(value_rows: np.ndarray, pi: np.ndarray, p: float,
     return np.exp(best) * vmax
 
 
-def psi_product_bound(dist_z, dist_zp, p: float, m_max: int = 200) -> float:
+def psi_product_bound(dist_z, dist_zp, p: float) -> float:
     """Product-norm domination: 2^(2/p) ||Z||_psi_p ||Z'||_psi_p.
 
     The scalar product Z Z' has psi_{p/2} norm at most this value.
     """
-    nz = psi_p_norm(dist_z, p, m_max).value
-    nzp = psi_p_norm(dist_zp, p, m_max).value
+    nz = psi_p_norm(dist_z, p).value
+    nzp = psi_p_norm(dist_zp, p).value
     return 2.0 ** (0.0 if p == INF else 2.0 / p) * nz * nzp
 
 
@@ -348,7 +345,6 @@ def weak_variance_2q(problem: RegressionProblem, f_star_table, resolution_tables
 
     if mode != "montecarlo":
         raise ValueError("mode must be 'exact' or 'montecarlo'")
-    from .processgen import _seed_sequence_state, sample_path_batch
     seeds = _seed_sequence_state([seed, range(replicates)], 1)[:, 0]  # SeedSequence([seed, r])
     f_star = np.asarray(f_star_table, dtype=float)
     sums = np.empty((tables.shape[0], replicates))     # sum_i W_i g(X_i) per replicate
@@ -692,8 +688,7 @@ def multiplier_bound_rhs(*, weak_variance: float, gamma2: float, gamma_eta: floa
 
 def quadratic_bound_rhs(*, gamma_quad: float, gamma_eta: float, L: float,
                         eta: float, k: int, r: float, n: int, delta: float,
-                        p: float, q_prime: float, epsilon: float,
-                        c: float = 1.0) -> BoundBreakdown:
+                        p: float, q_prime: float, epsilon: float) -> BoundBreakdown:
     """Deficit subtracted from r^2 (1 - epsilon^2) in the lower uniform law.
 
     gamma_quad denotes the chaining complexity at index (2 + 6 eta)/4. At
@@ -705,8 +700,8 @@ def quadratic_bound_rhs(*, gamma_quad: float, gamma_eta: float, L: float,
         raise ValueError("epsilon must be positive")
     log_d = math.log(1.0 / delta)
     lt = 1.0 if p == INF else math.log(4.0 ** (2.0 / p) * L / (epsilon * r)) ** (1.0 / p)
-    c_sqrt = c * math.sqrt(k / n) * L ** 1.75 * r ** eta * lt
-    c_lin = c * (k / n) * _pow_1_over_p(q_prime, p) * r ** eta * lt * L ** 2
+    c_sqrt = math.sqrt(k / n) * L ** 1.75 * r ** eta * lt
+    c_lin = k / n * _pow_1_over_p(q_prime, p) * r ** eta * lt * L ** 2
     terms = {
         "sqrt_n_chaining": c_sqrt * gamma_quad,
         "sqrt_n_tail": c_sqrt * r ** ((1.0 + 3.0 * eta) / 4.0) * math.sqrt(log_d),
@@ -914,32 +909,13 @@ class BoundReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def resolution_directions(cls: HypothesisClass, f_star_table,
-                          problem: RegressionProblem, count: int = 64,
-                          seed: int = 0) -> np.ndarray:
-    """Unit-norm star-hull directions used as the noise-level resolution set.
-
-    Finite classes contribute every normalized member difference; linear
-    classes a pseudo-uniform sphere grid of `count` directions.
-    """
-    pi = problem.chain.stationary
-    if cls.kind == "finite":
-        diffs = cls.tables - np.asarray(f_star_table, dtype=float)[None, :]
-        norms = np.sqrt((diffs ** 2) @ pi)
-        keep = norms > 0
-        return np.unique(diffs[keep] / norms[keep, None], axis=0)
-    return sphere_tables(cls, f_star_table, problem, radius=1.0, count=count,
-                         seed=seed)
-
-
 def class_gamma_profiles(cls: HypothesisClass, problem: RegressionProblem,
                          members: np.ndarray, eta: float, c_alpha: float = 1.0):
     """(gamma2, gamma_eta, gamma_quad) profiles as functions of the radius.
 
     Linear classes use the parametric closed form with d parameters; finite
     classes use exact breakpoint entropy integrals of `members`, the
-    normalized member directions of `resolution_directions`, scaled linearly
-    in the radius.
+    resolution set of `erm.sphere_tables`, scaled linearly in the radius.
     """
     alphas = (2.0, eta, (2.0 + 6.0 * eta) / 4.0)
     if cls.kind == "linear":
@@ -950,20 +926,23 @@ def class_gamma_profiles(cls: HypothesisClass, problem: RegressionProblem,
     return tuple((lambda r, v=v: c_alpha * r * v) for v in integrals)
 
 
+_MC_REPLICATES = 4000   # replicates of the Monte Carlo noise level (q > 1)
+
+
 def compute_bound_report(problem: RegressionProblem, cls: HypothesisClass,
                          n: int, delta: float, q: float = 1.0,
                          p: float = INF, k: int | None = None,
                          constants: Constants = Constants(),
-                         resolution: int = 64, seed: int = 0,
-                         weak_variance_replicates: int = 4000) -> BoundReport:
+                         resolution: int = 64, seed: int = 0) -> BoundReport:
     """Wire the full pipeline: certificate, noise level, complexities, critical
     radius, burn-ins, and the assembled risk bound.
 
     The noise level uses the exact autocovariance formula when q = 1 and
-    seeded Monte Carlo otherwise; the resolution set is a sphere grid of
-    normalized star-hull directions. The critical radius is in closed form.
+    seeded Monte Carlo with _MC_REPLICATES replicates otherwise; the
+    resolution set is `erm.sphere_tables`, unit-norm star-hull directions
+    (`resolution` of them for a linear class). The critical radius is in
+    closed form.
     """
-    from .erm import population_quantities
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not (0 < delta < 1):
@@ -975,16 +954,15 @@ def compute_bound_report(problem: RegressionProblem, cls: HypothesisClass,
     pop = population_quantities(problem, cls)
     cert = certify_weak_subgaussian(cls, problem, p=p, seed=seed)
 
-    members = resolution_directions(cls, pop.f_star_table, problem,
-                                    count=resolution, seed=seed)
+    members = sphere_tables(cls, pop.f_star_table, problem, count=resolution,
+                            seed=seed)
     if members.shape[0] == 0:
         raise ValueError("empty resolution set: no class member differs from the optimum")
     if q == 1.0:
         wv = weak_variance_q1_exact(problem, pop.f_star_table, members, n)
     else:
         wv = weak_variance_2q(problem, pop.f_star_table, members, q, n,
-                              mode="montecarlo", replicates=weak_variance_replicates,
-                              seed=seed)
+                              mode="montecarlo", replicates=_MC_REPLICATES, seed=seed)
 
     gamma2_fn, gamma_eta_fn, gamma_quad_fn = class_gamma_profiles(
         cls, problem, members, cert.eta, constants.c_alpha)

@@ -16,6 +16,8 @@ Configuration errors include:
   certificate's directions and m_max; a diagnose rho_grid below 2; an empty
   sweep n_grid;
 - a block length (coverage k, simulate kwise) that does not divide n;
+- a class with the other kind's key or that does not fit its model (a
+  linear dim, finite table width); repeated sweep level labels;
 - blockedBernstein values that are not numbers, not one per state, or not
   centered under the stationary law.
 """
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import bounds, harness, processgen
 from .bounds import Constants, INF
-from .erm import HypothesisClass
+from .erm import HypothesisClass, check_class_fits
 
 COMMANDS = ("simulate", "bound", "certify", "sweep", "coverage", "diagnose")
 
@@ -44,12 +46,12 @@ class ConfigError(ValueError):
 def _check_keys(obj: dict, required: set, optional: set, where: str) -> None:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(obj) - required - optional
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
     missing = required - set(obj)
     if missing:
         raise ConfigError(f"{where} is missing required key(s): {sorted(missing)}")
+    unknown = set(obj) - required - optional
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
 
 def _number(value, key: str, kind=float):
@@ -122,17 +124,20 @@ def _parse_q_p(cfg: dict) -> tuple[float, float]:
     return q, p
 
 
-def _parse_class(spec) -> HypothesisClass:
+def _parse_class(spec, problems) -> HypothesisClass:
+    """The config's class, which must fit each model in `problems`."""
     _check_keys(spec, {"kind"}, {"dim", "tables"}, "class")
     if spec["kind"] == "linear":
-        if "dim" not in spec:
-            raise ConfigError("linear class requires key 'dim'")
-        return HypothesisClass.linear(_number(spec["dim"], "dim", int))
-    if spec["kind"] == "finite":
-        if "tables" not in spec:
-            raise ConfigError("finite class requires key 'tables'")
-        return _document(HypothesisClass.finite, spec["tables"], "class")
-    raise ConfigError(f"class kind must be 'linear' or 'finite', got {spec['kind']!r}")
+        _check_keys(spec, {"kind", "dim"}, set(), "linear class")
+        cls = _document(HypothesisClass.linear, _number(spec["dim"], "dim", int), "class")
+    elif spec["kind"] == "finite":
+        _check_keys(spec, {"kind", "tables"}, set(), "finite class")
+        cls = _document(HypothesisClass.finite, spec["tables"], "class")
+    else:
+        raise ConfigError(f"class kind must be 'linear' or 'finite', got {spec['kind']!r}")
+    for problem in problems:
+        _document(lambda c: check_class_fits(problem, c), cls, "class")
+    return cls
 
 
 def _parse_constants(spec) -> Constants:
@@ -178,7 +183,7 @@ def _cmd_bound(cfg: dict, out: str, seed: int | None) -> list:
                 {"q", "p", "k", "constants", "resolution", "seed"},
                 "bound config")
     problem = _document(processgen.problem_from_dict, cfg["model"], "model")
-    cls = _parse_class(cfg["class"])
+    cls = _parse_class(cfg["class"], [problem])
     q, p = _parse_q_p(cfg)
     report = bounds.compute_bound_report(
         problem, cls, _count(cfg["n"], "n"), _fraction(cfg["delta"], "delta"),
@@ -205,7 +210,7 @@ def _cmd_certify(cfg: dict, out: str, seed: int | None) -> list:
     _check_keys(cfg, {"model", "class"},
                 {"p", "method", "directions", "seed", "m_max"}, "certify config")
     problem = _document(processgen.problem_from_dict, cfg["model"], "model")
-    cls = _parse_class(cfg["class"])
+    cls = _parse_class(cfg["class"], [problem])
     method = cfg.get("method", "auto")
     if method not in bounds.CERTIFY_METHODS:
         raise ConfigError(f"'method' must be one of {list(bounds.CERTIFY_METHODS)}, "
@@ -241,7 +246,7 @@ def _cmd_sweep(cfg: dict, out: str, seed: int | None) -> list:
     q, p = _parse_q_p(cfg)
     config = _document(lambda fields: harness.SweepConfig(**fields), dict(
         problems=tuple(problems), labels=tuple(labels),
-        hypothesis=_parse_class(cfg["class"]),
+        hypothesis=_parse_class(cfg["class"], problems),
         n_grid=tuple(_number(n, "n_grid", int) for n in cfg["n_grid"]),
         replicates=_count(cfg["replicates"], "replicates"),
         master_seed=_seed(cfg, seed),
@@ -274,8 +279,7 @@ def _cmd_coverage(cfg: dict, out: str, seed: int | None) -> list:
                           "replicates", "seed"}, set(), "coverage config")
         spec = cfg["model"]
         if isinstance(spec, dict):
-            if "transition" not in spec:
-                raise ConfigError("model is missing required key(s): ['transition']")
+            _check_keys(spec, {"transition"}, set(), "model")
             spec = spec["transition"]
         model = _document(processgen.MarkovChainModel.from_transition, spec, "model")
         n = _count(cfg["n"], "n")
@@ -293,9 +297,9 @@ def _cmd_coverage(cfg: dict, out: str, seed: int | None) -> list:
         if delta >= 0.25:
             raise ConfigError(f"'delta' must be below 0.25 for riskBound coverage, "
                               f"which tests at level 4 * delta, got {delta}")
+        problem = _document(processgen.problem_from_dict, cfg["model"], "model")
         report = harness.risk_bound_coverage(
-            _document(processgen.problem_from_dict, cfg["model"], "model"),
-            _parse_class(cfg["class"]), _count(cfg["n"], "n"), delta,
+            problem, _parse_class(cfg["class"], [problem]), _count(cfg["n"], "n"), delta,
             _count(cfg["calibration_replicates"], "calibration_replicates"),
             _count(cfg["validation_replicates"], "validation_replicates"),
             _seed(cfg, seed),
@@ -323,9 +327,9 @@ def _cmd_diagnose(cfg: dict, out: str, seed: int | None) -> list:
     epsilon = _number(cfg["epsilon"], "epsilon")
     if not 0 <= epsilon < 1:
         raise ConfigError(f"'epsilon' must lie in [0, 1), got {epsilon}")
+    problem = _document(processgen.problem_from_dict, cfg["model"], "model")
     report = harness.process_diagnostics(
-        _document(processgen.problem_from_dict, cfg["model"], "model"),
-        _parse_class(cfg["class"]),
+        problem, _parse_class(cfg["class"], [problem]),
         _count(cfg["n"], "n"), _count(cfg["replicates"], "replicates", least=2),
         epsilon, _fraction(cfg["delta"], "delta"), _seed(cfg, seed),
         q=q, p=p, constants=_parse_constants(cfg.get("constants")),

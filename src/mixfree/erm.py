@@ -50,6 +50,16 @@ class HypothesisClass:
         return cls(kind="finite", tables=np.asarray(tables, dtype=float))
 
 
+def check_class_fits(problem: RegressionProblem, cls: HypothesisClass) -> None:
+    """A linear class's dim must be the embedding width; finite tables need one
+    value per state."""
+    if cls.kind == "linear" and cls.dim != problem.dim:
+        raise ValueError(f"linear class dim = {cls.dim}, embedding width {problem.dim}")
+    if cls.kind == "finite" and cls.tables.shape[1] != problem.n_states:
+        raise ValueError(f"finite class tables hold {cls.tables.shape[1]} values, "
+                         f"the model has {problem.n_states} states")
+
+
 def excess_risks(problem: RegressionProblem, cls: HypothesisClass, counts, ysums
                  ) -> np.ndarray:
     """Exact excess risk of the ERM fit on each replicate, from its per-state
@@ -106,6 +116,7 @@ def _f_star_param(problem: RegressionProblem) -> np.ndarray:
 def population_quantities(problem: RegressionProblem, cls: HypothesisClass
                           ) -> PopulationQuantities:
     """Exact best-in-class predictor, E[X X^T], noise variance, and optimal risk."""
+    check_class_fits(problem, cls)
     pi = problem.chain.stationary
     m = problem.regression_mean()
     var_y = problem.noise.var_per_state()
@@ -196,25 +207,22 @@ def star_hull_tables(cls: HypothesisClass, f_star_table, rho_grid: int = 64
 
 
 def sphere_tables(cls: HypothesisClass, f_star_table, problem: RegressionProblem,
-                  radius: float, count: int = 1000, seed: int = 0) -> np.ndarray:
-    """Grid of star-hull members with population L2 norm exactly `radius`.
+                  count: int = 64, seed: int = 0) -> np.ndarray:
+    """The resolution set: unit-norm star-hull directions, as per-state tables.
 
-    Finite classes: each difference f - f_star with norm >= radius is rescaled
-    onto the sphere (the exact intersection of its ray with the sphere).
-    Linear classes: `count` pseudo-uniform directions rescaled to the sphere
-    in the E[X X^T] geometry, returned as per-state tables.
+    Finite classes: every distinct normalized difference f - f_star of nonzero
+    population L2 norm. Linear classes: `count` pseudo-uniform directions
+    rescaled to the unit sphere in the E[X X^T] geometry.
     """
     pi = problem.chain.stationary
     if cls.kind == "finite":
         diffs = cls.tables - np.asarray(f_star_table, dtype=float)[None, :]
         norms = np.sqrt((diffs ** 2) @ pi)
-        keep = norms >= radius
-        if not np.any(keep):
-            return np.empty((0, diffs.shape[1]))
-        return radius * diffs[keep] / norms[keep, None]
+        keep = norms > 0
+        return np.unique(diffs[keep] / norms[keep, None], axis=0)
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((count, cls.dim))
     tables = dirs @ problem.embedding.T
     norms = np.sqrt((tables ** 2) @ pi)
     norms[norms == 0] = 1.0
-    return radius * tables / norms[:, None]
+    return tables / norms[:, None]

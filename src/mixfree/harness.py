@@ -23,9 +23,9 @@ import numpy as np
 from .processgen import (RegressionProblem, MarkovChainModel, NoiseSpec,
                          block_sum_second_moment, stream_state_stats,
                          _seed_sequence_state)
-from .erm import (HypothesisClass, excess_risks, multiplier_processes,
-                  population_quantities, quadratic_processes, star_hull_tables,
-                  _check_epsilon)
+from .erm import (HypothesisClass, check_class_fits, excess_risks,
+                  multiplier_processes, population_quantities, quadratic_processes,
+                  star_hull_tables, _check_epsilon)
 from .blocking import blocked_bernstein_bound
 from .bounds import INF, Constants, compute_bound_report
 
@@ -88,6 +88,11 @@ class SweepConfig:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         object.__setattr__(self, "problems", tuple(self.problems))
         object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
+        repeated = sorted({x for x in self.labels if self.labels.count(x) > 1})
+        if repeated:
+            raise ValueError(f"level labels must be distinct, repeated: {repeated}")
+        for problem in self.problems:
+            check_class_fits(problem, self.hypothesis)
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         if self.block_rule != "kmix":
             if (isinstance(self.block_rule, bool)
@@ -412,6 +417,10 @@ def process_diagnostics(problem: RegressionProblem, cls: HypothesisClass, n: int
     outside = hull[norms > report.r_star]
     sphere_keep = norms >= report.r_star
     sphere = report.r_star * hull[sphere_keep] / norms[sphere_keep, None]
+    rhs = report.multiplier_rhs().total if sphere.shape[0] else None
+    if rhs == 0:
+        raise ValueError("the multiplier bound is 0 (noiseless data, or c1 = c2 = 0): "
+                         "no multiplier constant can be calibrated against it")
 
     seeds = _cell_seeds(master_seed, 2, n, range(replicates))
     counts, ysums = stream_state_stats(problem, n, seeds)
@@ -423,7 +432,6 @@ def process_diagnostics(problem: RegressionProblem, cls: HypothesisClass, n: int
     if sphere.shape[0]:
         sup_m = multiplier_processes(sphere, f_star, counts, ysums, n, problem,
                                      epsilon).max(axis=1)
-        rhs = report.multiplier_rhs().total
         half = replicates // 2
         cal, val = sup_m[:half], sup_m[half:]
         allowed = int(math.floor(delta * len(cal)))

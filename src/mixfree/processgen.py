@@ -574,20 +574,14 @@ def _walk_blocks(R: int, S: int, T: int) -> tuple[int, int]:
     return -(-T // L), L
 
 
-def _step_rows(cells: np.ndarray, blocks: int, a: int, steps: int, t0: int,
-               period: int, C: int, S: int) -> np.ndarray:
+def _step_rows(cells: np.ndarray, blocks: int, a: int, steps: int, S: int) -> np.ndarray:
     """Rows of flat for steps a, a + 1, ... (at most `steps`) of the first
-    `blocks` blocks of a chunk's cell ids cells (R, nb, L): an array
+    `blocks` blocks of a chunk's row ids cells (R, nb, L): an array
     (steps, blocks * R) whose lane b * R + r is replicate r in block b,
-    holding S * cell, or S * (C + cell) where the global time t0 + b * L + a + j
-    is a restart."""
-    R, _, L = cells.shape
+    holding S times the row id."""
+    R = cells.shape[0]
     idx = cells[:, :blocks, a:a + steps].transpose(2, 1, 0).astype(np.intp, order="C")
     idx = idx.reshape(len(idx), blocks * R)
-    for b in range(blocks):
-        first = -(t0 + b * L + a) % period
-        if first < len(idx):
-            idx[first::period, b * R:(b + 1) * R] += C
     idx *= S
     return idx
 
@@ -601,11 +595,12 @@ def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | No
     _TIME_CHUNK is. Each group's state uniforms become cell ids as soon as
     they are drawn, and each time step is one lookup over all replicates,
     states[t] = table[cell[t], states[t - 1]], where t = 0 and every multiple
-    of block_len use the stationary rows. A group's noise is one lookup too:
-    its uniforms become noise cells, and the target table holds
-    mean[s] + values[s, draw] per (state s, noise cell). Groups hold about
-    _SUB_BLOCK replicate-steps, so per-call costs are shared by many
-    replicates on short paths and buffers stay small on long ones.
+    of block_len use the stationary rows: C is added to those cell ids once
+    per chunk. A group's noise is one lookup too: its uniforms become noise
+    cells, and the target table holds mean[s] + values[s, draw] per (state s,
+    noise cell). Groups hold about _SUB_BLOCK replicate-steps, so per-call
+    costs are shared by many replicates on short paths and buffers stay small
+    on long ones.
 
     With few replicates (_walk_blocks) a chunk is walked as nb blocks of L
     steps, each step a composition of random maps from state to state (Propp
@@ -613,8 +608,8 @@ def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | No
     at once, which gives each block's end state as a map of its entry state;
     a loop over the blocks chains those maps into each block's entry state;
     pass 2 is the walk above over R * nb lanes, each block from its entry
-    state. Steps past the chunk's end use an identity row, so the last block
-    ends on the chunk's last state. With nb = 1 only pass 2 runs.
+    state. Steps past the chunk's end get the identity row's id, so the last
+    block ends on the chunk's last state. With nb = 1 only pass 2 runs.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -642,11 +637,13 @@ def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | No
         sub = max(1, _SUB_BLOCK // max(R * nb, 1))
         group = max(1, _SUB_BLOCK // T)
         u = np.empty((min(group, R), T))
-        cid = np.empty((R, nb * L), dtype=guide[0].dtype)
+        cid = np.empty((R, nb * L), dtype=np.min_scalar_type(2 * C))
         for r0 in range(0, R, group):
             block = u[:R - r0]
             streams.fill(0, r0, block)
             cid[r0:r0 + len(block), :T] = _cell_ids(breaks, guide, block)
+        cid[:, -t0 % period:T:period] += C
+        cid[:, T:] = 2 * C
         cells = cid.reshape(R, nb, L)
         lanes = x
         if nb > 1:
@@ -655,7 +652,7 @@ def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | No
             ends[:] = np.arange(S)
             moved = np.empty_like(ends)
             for a in range(0, L, sub):
-                for row in _step_rows(cells, nb - 1, a, sub, t0, period, C, S):
+                for row in _step_rows(cells, nb - 1, a, sub, S):
                     np.add(row.reshape(nb - 1, R, 1), ends, out=moved)
                     flat.take(moved, out=ends, mode="clip")
             # chain: block b + 1 starts where block b ends
@@ -668,9 +665,7 @@ def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | No
         # pass 2: every block from its entry state, lane b * R + r
         states = np.empty((R, nb * L), dtype=np.intp)
         for a in range(0, L, sub):
-            idx = _step_rows(cells, nb, a, sub, t0, period, C, S)
-            if nb * L > T:   # the last block's steps past the chunk: identity
-                idx[max(0, T - (nb - 1) * L - a):, -R:] = 2 * C * S
+            idx = _step_rows(cells, nb, a, sub, S)
             for row in idx:
                 row += lanes
                 flat.take(row, out=lanes, mode="clip")   # in range; "raise" buffers out

@@ -1,6 +1,7 @@
 """Reference forms the tests check `mixfree` against: plain loop forms of
 quantities the pipeline derives a faster way, the one-trajectory least-squares
-fit, the entropy-integral quadrature, and both sides of the basic inequality.
+fit, the entropy-integral quadrature, the radius-r star-hull sphere, and both
+sides of the basic inequality.
 Also `problem_to_dict`, which writes the model documents the CLI tests use."""
 
 import math
@@ -9,8 +10,8 @@ import numpy as np
 
 from mixfree.bounds import CriticalRadius, _R_MIN
 from mixfree.erm import (HypothesisClass, excess_risks, multiplier_processes,
-                         population_quantities, quadratic_processes, sphere_tables,
-                         star_hull_tables, _f_star_param)
+                         population_quantities, quadratic_processes, star_hull_tables,
+                         _f_star_param)
 from mixfree.processgen import (MarkovChainModel, RegressionProblem, Trajectory,
                                 _beta_of_power)
 
@@ -181,6 +182,28 @@ def gamma_alpha_quadrature(alpha: float, r: float, log_covering,
     return c_alpha * val
 
 
+def sphere_at_radius(cls: HypothesisClass, f_star_table, problem: RegressionProblem,
+                     radius: float, count: int = 1000, seed: int = 0) -> np.ndarray:
+    """Grid of star-hull members with population L2 norm exactly `radius`.
+
+    Finite classes: each difference f - f_star with norm >= radius is rescaled
+    onto the sphere (the exact intersection of its ray with the sphere).
+    Linear classes: `count` pseudo-uniform directions rescaled to the sphere
+    in the E[X X^T] geometry, returned as per-state tables.
+    """
+    pi = problem.chain.stationary
+    if cls.kind == "finite":
+        diffs = cls.tables - np.asarray(f_star_table, dtype=float)[None, :]
+        norms = np.sqrt((diffs ** 2) @ pi)
+        keep = norms >= radius
+        return radius * diffs[keep] / norms[keep, None]
+    rng = np.random.default_rng(seed)
+    tables = rng.standard_normal((count, cls.dim)) @ problem.embedding.T
+    norms = np.sqrt((tables ** 2) @ pi)
+    norms[norms == 0] = 1.0
+    return radius * tables / norms[:, None]
+
+
 def basic_inequality_sides(problem: RegressionProblem, cls: HypothesisClass,
                            counts, ysums, n: int, r: float, epsilon: float,
                            linear_grid: int = 1000, rho_grid: int = 64,
@@ -196,10 +219,10 @@ def basic_inequality_sides(problem: RegressionProblem, cls: HypothesisClass,
     """
     f_star = population_quantities(problem, cls).f_star_table
     if cls.kind == "finite":
-        sphere = sphere_tables(cls, f_star, problem, r)
+        sphere = sphere_at_radius(cls, f_star, problem, r)
         hull = star_hull_tables(cls, f_star, rho_grid)
     else:
-        sphere = sphere_tables(cls, f_star, problem, r, count=linear_grid, seed=seed)
+        sphere = sphere_at_radius(cls, f_star, problem, r, count=linear_grid, seed=seed)
         hull = sphere
     sup_m = multiplier_processes(sphere, f_star, counts, ysums, n, problem,
                                  epsilon).max(axis=1, initial=0.0)

@@ -66,3 +66,78 @@ def test_every_public_name_is_used_or_kept():
     assert unused == [], (
         f"public names that nothing in src/ or demos/ uses: {unused}; delete "
         "them, make them private, or move them to tests/oracles.py")
+
+
+# Parameters with a default that no call in src/ or demos/ passes, with the
+# reason each stays.
+KEEP_PARAMETERS = {
+    "harness.run_sweep.max_workers": "duplicates MIXFREE_THREADS, but the "
+    "benchmark's tracer test pins the sweep's pool size with it",
+}
+
+
+def _sources():
+    return (sorted((ROOT / "src" / "mixfree").glob("*.py"))
+            + sorted((ROOT / "demos").glob("*.py")))
+
+
+def _defaulted_parameters():
+    """(qualified name, function name, positional index or None, parameter)
+    for every parameter with a default of every function in src/mixfree,
+    private ones and methods included; a method's index skips self or cls."""
+    out = []
+    for path in sorted((ROOT / "src" / "mixfree").glob("*.py")):
+        module = path.stem
+        tree = ast.parse(path.read_text())
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in c.body if isinstance(f, ast.FunctionDef)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            bound = id(fn) in methods and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in fn.decorator_list)
+            positional = fn.args.posonlyargs + fn.args.args
+            for i, arg in enumerate(positional):
+                if i >= len(positional) - len(fn.args.defaults):
+                    out.append((f"{module}.{fn.name}.{arg.arg}", fn.name,
+                                i - bound, arg.arg))
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    out.append((f"{module}.{fn.name}.{arg.arg}", fn.name, None,
+                                arg.arg))
+    return out
+
+
+def _passed_parameters():
+    """{function name: (largest positional count, keyword names)} over every
+    call in src/ or demos/; a * or ** splat counts as passing every
+    positional or every keyword parameter."""
+    calls = {}
+    for path in _sources():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            npos, keys = calls.setdefault(name, (0, set()))
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                npos = float("inf")
+            keys |= {k.arg for k in node.keywords}
+            calls[name] = (max(npos, len(node.args)), keys)
+    return calls
+
+
+def test_every_defaulted_parameter_is_passed_or_kept():
+    calls = _passed_parameters()
+    unset = []
+    for qualified, name, index, param in _defaulted_parameters():
+        npos, keys = calls.get(name, (0, set()))
+        if not (param in keys or None in keys
+                or (index is not None and npos > index)):
+            unset.append(qualified)
+    assert sorted(set(unset) - set(KEEP_PARAMETERS)) == [], (
+        "parameters with a default that no call in src/ or demos/ passes; "
+        "delete them or make them module constants")
+    assert sorted(set(KEEP_PARAMETERS) - set(unset)) == [], (
+        "kept parameters that a call now passes; drop them from KEEP_PARAMETERS")

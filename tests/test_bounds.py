@@ -164,10 +164,15 @@ class TestPsiNorm:
         rng = np.random.default_rng(4)
         rows = rng.normal(size=(6, 3))
         batch = psi_norms_batch(rows, pi, 2.0, m_max=150)
+        # the batch is the scalar's integer-order sweep: a real-order search
+        # that finds nothing leaves the two equal, and the real search can
+        # only raise the scalar
+        nothing = mock.Mock(fun=math.inf)
         for i, row in enumerate(rows):
-            single = mf.psi_p_norm(DiscreteLaw(row, pi), 2.0, m_max=150,
-                                   refine=False).value
+            with mock.patch("scipy.optimize.minimize_scalar", return_value=nothing):
+                single = mf.psi_p_norm(DiscreteLaw(row, pi), 2.0, m_max=150).value
             assert abs(batch[i] - single) < 1e-12
+            assert mf.psi_p_norm(DiscreteLaw(row, pi), 2.0, m_max=150).value >= single
 
     def test_batch_ignores_values_off_the_support(self):
         # zero on pi's support, nonzero where pi = 0: the law is a point mass at 0
@@ -799,7 +804,7 @@ class TestBoundReport:
             pop = mf.population_quantities(problem, cls)
             for n in (16, 2048):
                 report = mf.compute_bound_report(problem, cls, n=n, delta=0.05)
-                members = bounds.resolution_directions(cls, pop.f_star_table, problem)
+                members = mf.sphere_tables(cls, pop.f_star_table, problem)
                 gamma2, _, _ = bounds.class_gamma_profiles(cls, problem, members,
                                                            report.eta)
                 oracle = critical_radius(lambda r: report.weak_variance, gamma2, n)
@@ -819,9 +824,9 @@ class TestBoundReport:
         cls = (mf.HypothesisClass.linear(4) if kind == "linear" else
                mf.HypothesisClass.finite(np.vstack([
                    problem.true_table, np.random.default_rng(3).normal(size=(7, 4))])))
-        report = mf.compute_bound_report(problem, cls, n=2048, delta=0.05, q=q, p=p,
-                                         constants=mf.Constants(c1=1.3, c2=0.7),
-                                         weak_variance_replicates=200)
+        with mock.patch.object(bounds, "_MC_REPLICATES", 200):
+            report = mf.compute_bound_report(problem, cls, n=2048, delta=0.05, q=q,
+                                             p=p, constants=mf.Constants(c1=1.3, c2=0.7))
         # the call the CLI, the diagnostics and demo 04 each used to assemble
         pop = mf.population_quantities(problem, cls)
         noise_psi = bounds._noise_psi_norm(problem, pop.f_star_table, report.p)

@@ -262,6 +262,31 @@ class TestOutOfRangeValues:
                              model={"P": [[0.75, 0.25], [0.25, 0.75]]})
         assert "config error: model is missing required key(s): ['transition']" in err
 
+    def test_blocked_model_takes_only_transition(self, tmp_path, capsys, no_sampling):
+        # the blockedBernstein model object holds a transition and nothing else
+        err = self._rejected(tmp_path, capsys, "blocked", model={
+            "transition": [[0.75, 0.25], [0.25, 0.75]], "bogus": 1, "noise": "x"})
+        assert "config error: unknown key(s) in model: ['bogus', 'noise']" in err
+
+    @pytest.mark.parametrize("name", ["bound", "certify", "coverage", "diagnose", "sweep"])
+    @pytest.mark.parametrize("cls, key", [
+        ({"kind": "linear", "dim": 2, "tables": [[1.0, 2.0, 3.0, 4.0]]}, "tables"),
+        ({"kind": "finite", "dim": 2, "tables": [[1.0, 2.0, 3.0, 4.0]]}, "dim"),
+        ({"kind": "linear", "dim": 3}, "dim"),
+        ({"kind": "finite", "tables": [[1.0, 2.0], [0.0, 1.0]]}, "tables")],
+        ids=["linear-tables", "finite-dim", "linear-dim-3", "finite-width-2"])
+    def test_class_must_fit_the_model(self, tmp_path, capsys, no_sampling, name, cls,
+                                      key):
+        # the model has 4 states and a 2-wide embedding
+        err = self._rejected(tmp_path, capsys, name, **{"class": cls})
+        assert "config error" in err and key in err
+
+    def test_repeated_sweep_labels(self, tmp_path, capsys, no_sampling):
+        # two levels labelled "a" would share their CSV rows and one polyline
+        level = {"label": "a", "model": _model_dict()}
+        err = self._rejected(tmp_path, capsys, "sweep", levels=[level, level])
+        assert "config error" in err and "repeated: ['a']" in err
+
     @pytest.mark.parametrize("delta", [0.25, 0.3])
     def test_risk_bound_delta_below_a_quarter(self, tmp_path, capsys, delta):
         # riskBound coverage tests at level 4 * delta, which must stay below 1
@@ -511,3 +536,22 @@ class TestDiagnoseCommand:
         payload = json.loads((tmp_path / "diagnostics.json").read_text())
         assert 0 <= payload["q_positive_fraction"] <= 1
         assert payload["r_star"] > 0
+
+    def test_zero_multiplier_bound_exits_two(self, tmp_path, capsys, monkeypatch):
+        # noiseless data make the multiplier bound 0, which no constant scales
+        # to cover a process; it is known before any sampling
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled before the multiplier bound was checked")
+        monkeypatch.setattr(mf.processgen, "_sample_paths", refuse)
+        model = {"transition": [[0.7, 0.3], [0.3, 0.7]], "mode": "tabular",
+                 "true_table": [0.1, 0.7],
+                 "noise": {"kind": "bounded-iid", "values": [[0.0], [0.0]],
+                           "probs": [[1.0], [1.0]], "bound": 0}}
+        tables = [[0.1, 0.7], [0.3, 0.2], [0.0, 1.0]]
+        cfg = _write(tmp_path, "diag.json",
+                     {"model": model, "class": {"kind": "finite", "tables": tables},
+                      "n": 256, "replicates": 10, "epsilon": 0.5, "delta": 0.05,
+                      "seed": 0})
+        assert run(["diagnose", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert "numeric failure: the multiplier bound is 0" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()

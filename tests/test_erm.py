@@ -10,7 +10,8 @@ from hypothesis.extra import numpy as hnp
 
 import mixfree as mf
 from oracles import (basic_inequality_sides, fit_erm_linear,
-                     multiplier_process_steps, quadratic_process_steps)
+                     multiplier_process_steps, quadratic_process_steps,
+                     sphere_at_radius)
 
 
 def _orthonormal_problem(sigma=0.5, noise_kind="mds"):
@@ -396,16 +397,24 @@ class TestStarHull:
         assert any(np.allclose(h, 1.0) for h in hull)
 
     def test_sphere_tables_have_requested_norm(self):
+        # the resolution set is unit norm; the oracle's sphere has radius r
         problem = _orthonormal_problem()
         cls = mf.HypothesisClass.linear(2)
-        sphere = mf.sphere_tables(cls, problem.embedding @ problem.true_param,
-                                  problem, radius=0.25, count=64, seed=1)
-        norms = np.sqrt((sphere ** 2) @ problem.chain.stationary)
-        assert np.max(np.abs(norms - 0.25)) < 1e-12
+        f_star = problem.embedding @ problem.true_param
+        pi = problem.chain.stationary
+        unit = mf.sphere_tables(cls, f_star, problem, count=64, seed=1)
+        sphere = sphere_at_radius(cls, f_star, problem, 0.25, count=64, seed=1)
+        assert unit.shape == sphere.shape == (64, problem.n_states)
+        assert np.max(np.abs(np.sqrt((unit ** 2) @ pi) - 1.0)) < 1e-12
+        assert np.max(np.abs(np.sqrt((sphere ** 2) @ pi) - 0.25)) < 1e-12
 
     def test_finite_sphere_excludes_short_rays(self):
+        # a ray shorter than the radius misses the radius-1 sphere, but its
+        # direction is in the resolution set; f_star itself is in neither
         problem = _tabular_problem(seed=24)
         tables = np.vstack([problem.true_table, problem.true_table + 0.01])
         cls = mf.HypothesisClass.finite(tables)
-        sphere = mf.sphere_tables(cls, problem.true_table, problem, radius=1.0)
-        assert sphere.shape[0] == 0
+        assert sphere_at_radius(cls, problem.true_table, problem, 1.0).shape[0] == 0
+        unit = mf.sphere_tables(cls, problem.true_table, problem)
+        assert unit.shape == (1, problem.n_states)
+        assert abs(np.sqrt((unit[0] ** 2) @ problem.chain.stationary) - 1.0) < 1e-12

@@ -142,6 +142,16 @@ class TestSweep:
         with pytest.raises(ValueError, match="n_grid must hold at least one"):
             _small_config(n_grid=())
 
+    def test_every_level_must_fit_the_class(self):
+        # the second level has 8 states and a 3-wide embedding
+        wide = _product_problem(copies=3)
+        with pytest.raises(ValueError, match="linear class dim = 2, embedding width 3"):
+            _small_config(problems=(_product_problem(copies=2), wide),
+                          labels=("a", "b"))
+        with pytest.raises(ValueError, match="tables hold 4 values, the model has 8 states"):
+            _small_config(problems=(wide,),
+                          hypothesis=mf.HypothesisClass.finite(np.eye(4)))
+
     def test_medians_monotone_with_one_inversion_allowed(self):
         cfg = _small_config(n_grid=(64, 128, 256, 512, 1024), replicates=32)
         result = mf.run_sweep(cfg)
@@ -313,9 +323,10 @@ class TestDiagnostics:
     def test_sphere_excludes_zero_function(self):
         problem, cls = self._tabular_setup()
         pop = mf.population_quantities(problem, cls)
-        sphere = mf.sphere_tables(cls, pop.f_star_table, problem, radius=0.05)
+        sphere = mf.sphere_tables(cls, pop.f_star_table, problem)
         norms = np.sqrt((sphere ** 2) @ problem.chain.stationary)
-        assert np.all(norms > 0)
+        assert len(sphere) == len(cls.tables) - 1     # every member but f_star
+        assert np.all(np.abs(norms - 1.0) < 1e-12)
 
     @pytest.mark.parametrize("epsilon", [1.0, 1.5, -0.5])
     def test_epsilon_checked_before_the_bound_report(self, epsilon):

@@ -287,6 +287,47 @@ def _uniforms(rng, shape, cdfs):
     return u
 
 
+def _check_walk(problem, U, V, block_len, time_chunk, sub_block):
+    """_sample_paths, fed the state uniforms U and noise uniforms V (R, n),
+    gives the argmax oracle's states and targets, walked with each chunk as
+    one block and in _walk_blocks's nb > 1 blocks."""
+    chain, noise = problem.chain, problem.noise
+    R, n = U.shape
+    cum_rows = processgen._cumulative_rows(chain.transition)
+    cum_pi = processgen._cumulative_rows(chain.stationary[None, :])[0]
+    expected, s_prev = [], None
+    for t0 in range(0, n, time_chunk):
+        chunk, s_prev = _argmax_walk(cum_rows, cum_pi, U[:, t0:t0 + time_chunk],
+                                     s_prev, t0, block_len)
+        expected.append(chunk)
+    expected = np.concatenate(expected, axis=1)
+    expected_targets = np.array([problem.true_table[expected[r]]
+                                 + _argmax_noise(noise, expected[r], V[r])
+                                 for r in range(R)])
+
+    # crossover 0 walks every chunk as one block; a large one walks every
+    # chunk of two or more steps in _walk_blocks's nb > 1 blocks
+    for crossover in (0, 10 ** 6):
+        rows, ys = [[] for _ in range(R)], [[] for _ in range(R)]
+        with mock.patch.object(processgen, "_Streams",
+                               lambda seeds, resume: _Replay(U, V)), \
+                mock.patch.object(processgen, "_SUB_BLOCK", sub_block), \
+                mock.patch.object(processgen, "_TIME_CHUNK", time_chunk), \
+                mock.patch.object(processgen, "_WALK_CROSSOVER", crossover):
+            for t0, r0, group, y in processgen._sample_paths(problem, n, range(R),
+                                                             block_len):
+                for i in range(len(group)):
+                    assert sum(map(len, rows[r0 + i])) == t0
+                    rows[r0 + i].append(group[i].copy())
+                    ys[r0 + i].append(y[i].copy())
+        states = np.array([np.concatenate(chunks) for chunks in rows])
+        targets = np.array([np.concatenate(chunks) for chunks in ys])
+
+        assert np.array_equal(states, expected)
+        assert np.array_equal(states[:, -1], s_prev)
+        assert np.array_equal(targets, expected_targets)
+
+
 class TestCellTableWalk:
     @settings(max_examples=200, deadline=None)
     @given(chain=_chains(), data=st.data())
@@ -320,37 +361,27 @@ class TestCellTableWalk:
         U = _uniforms(rng, (R, n), [cum_rows, cum_pi])
         V = _uniforms(rng, (R, n), [cum_noise])
 
-        expected, s_prev = [], None
-        for t0 in range(0, n, time_chunk):
-            chunk, s_prev = _argmax_walk(cum_rows, cum_pi, U[:, t0:t0 + time_chunk],
-                                         s_prev, t0, block_len)
-            expected.append(chunk)
-        expected = np.concatenate(expected, axis=1)
-        expected_targets = np.array([problem.true_table[expected[r]]
-                                     + _argmax_noise(noise, expected[r], V[r])
-                                     for r in range(R)])
+        _check_walk(problem, U, V, block_len, time_chunk, sub_block)
 
-        # crossover 0 walks every chunk as one block; a large one walks every
-        # chunk of two or more steps in _walk_blocks's nb > 1 blocks
-        for crossover in (0, 10 ** 6):
-            rows, ys = [[] for _ in range(R)], [[] for _ in range(R)]
-            with mock.patch.object(processgen, "_Streams",
-                                   lambda seeds, resume: _Replay(U, V)), \
-                    mock.patch.object(processgen, "_SUB_BLOCK", sub_block), \
-                    mock.patch.object(processgen, "_TIME_CHUNK", time_chunk), \
-                    mock.patch.object(processgen, "_WALK_CROSSOVER", crossover):
-                for t0, r0, group, y in processgen._sample_paths(problem, n, range(R),
-                                                                 block_len):
-                    for i in range(len(group)):
-                        assert sum(map(len, rows[r0 + i])) == t0
-                        rows[r0 + i].append(group[i].copy())
-                        ys[r0 + i].append(y[i].copy())
-            states = np.array([np.concatenate(chunks) for chunks in rows])
-            targets = np.array([np.concatenate(chunks) for chunks in ys])
-
-            assert np.array_equal(states, expected)
-            assert np.array_equal(states[:, -1], s_prev)
-            assert np.array_equal(targets, expected_targets)
+    def test_row_ids_past_uint8(self):
+        # 12 states merge into 144 cells, so the identity row 2C = 288 and
+        # restart rows C + c need uint16 ids; 3 replicates walk each chunk of
+        # 100 steps in 13 blocks of 8, so the last block pads 4 steps, and
+        # restarts every 7 steps fall in every block
+        rng = np.random.default_rng(5)
+        P = rng.random((12, 12))
+        chain = mf.MarkovChainModel.from_transition(P / P.sum(axis=1, keepdims=True))
+        noise = mf.NoiseSpec("state-dependent-bias", np.arange(24.0).reshape(12, 2),
+                             np.full((12, 2), 0.5))
+        problem = mf.RegressionProblem(chain=chain, embedding=np.eye(12), mode="tabular",
+                                       noise=noise, true_table=np.linspace(-1, 1, 12))
+        _, tab, _ = processgen._cell_table(np.vstack([
+            processgen._cumulative_rows(chain.transition),
+            processgen._cumulative_rows(chain.stationary[None, :])]))
+        assert 128 <= len(tab) < 256
+        assert processgen._walk_blocks(3, 12, 100) == (13, 8)
+        U, V = rng.random((3, 300)), rng.random((3, 300))
+        _check_walk(problem, U, V, block_len=7, time_chunk=100, sub_block=64)
 
     def test_block_count_crossover(self):
         # sweep cells (S = 4, 64 replicates) keep the one-block walk, while one
