@@ -136,8 +136,10 @@ def run_sweep(config: SweepConfig, max_workers: int | None = None) -> SweepResul
 
     workers = max_workers or worker_count()
     results = {}
+    # largest n first, so that no long cell starts last and runs alone
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for cell, exc, report in pool.map(one_cell, cells):
+        for cell, exc, report in pool.map(one_cell, sorted(cells, key=lambda c: c[1],
+                                                           reverse=True)):
             results[cell] = (exc, report)
 
     excess = {cell: results[cell][0] for cell in cells}

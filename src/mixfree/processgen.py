@@ -12,13 +12,15 @@ This module builds the data-generating side of the lab:
   merged CDF breakpoints cut [0, 1) into cells, within a cell each step is a
   fixed map from state to state, so every time step is one cell-table lookup
   over all replicates. With few replicates a chunk of T steps is cut into
-  about sqrt(2T) blocks whose maps are composed (one pass from every state,
-  a loop that chains the blocks, one pass over all blocks at once), so even
-  a single path takes O(sqrt(T)) numpy steps per chunk, not T. A guide
-  table finds each uniform's cell in O(1), and noise maps to targets in one
-  lookup per group of replicates. One SeedSequence/PCG64 seeding pass
-  derives every replicate's streams, and one Generator per sampler call
-  draws them all.
+  about sqrt(2T) blocks whose maps are composed (one pass that carries each
+  block's composed map as an id into the problem's closure table, a loop
+  that chains the blocks, one pass over all blocks at once), so even a
+  single path takes O(sqrt(T)) numpy steps per chunk, not T, and each step
+  runs over R * sqrt(2T) lanes. A guide table finds each uniform's cell in
+  O(1), and noise maps to targets in one lookup per group of replicates.
+  The tables are built once per problem. One SeedSequence/PCG64 seeding
+  pass derives every replicate's streams, and one Generator per sampler
+  call draws them all.
 - ``beta_at_lag`` / ``lag_weighted_sum``: exact mixing coefficients and lag
   sums, each from one matrix power. TV uses the (1/2)-l1 convention; the
   per-lag loop over all coefficients is the test oracle in tests/oracles.py.
@@ -33,6 +35,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -333,6 +336,13 @@ class RegressionProblem:
         pi = self.chain.stationary
         return self.embedding.T @ (pi[:, None] * self.embedding)
 
+    @cached_property
+    def _sampler(self) -> "_Tables":
+        """The sampler's tables, built on first use and kept, since the
+        problem never changes; two threads may both build them, to the same
+        value."""
+        return _Tables(self)
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -514,13 +524,13 @@ class _Streams:
 _GUIDE = 1 << 12    # guide-table bins over [0, 1)
 
 
-def _cell_table(cum: np.ndarray):
+def _cell_table(cum: np.ndarray, breaks: np.ndarray):
     """Inverse-CDF draws of every row of `cum`, tabulated per cell of u, and
     the guide table that finds a uniform's cell.
 
-    `breaks` merges the values of all rows. A uniform u in [0, 1) falls in
-    cell c = searchsorted(breaks, u, side="right"), and every comparison
-    u < cum[i, k] is the same for all u of one cell, so row i draws
+    `breaks` = np.unique(cum) merges the values of all rows. A uniform u in
+    [0, 1) falls in cell c = searchsorted(breaks, u, side="right"), and every
+    comparison u < cum[i, k] is the same for all u of one cell, so row i draws
     tab[c, i] = argmax(u < cum[i]) throughout it. The running maximum keeps
     this exact for rows that float drift makes non-monotone. Only cells below
     1.0 = cum[:, -1] are listed, since u < 1.
@@ -530,14 +540,13 @@ def _cell_table(cum: np.ndarray):
     when the double just below (b+1)/_GUIDE lies in another cell. Cells grow
     with u, so every u of an unmarked bin has the bin's cell.
     """
-    breaks = np.unique(cum)
     pos = np.maximum.accumulate(np.searchsorted(breaks, cum), axis=1)
     cells = np.arange(np.searchsorted(breaks, 1.0) + 1)
     tab = np.stack([np.searchsorted(p, cells) for p in pos], axis=1)
     edges = np.arange(_GUIDE + 1) / _GUIDE
     lo = np.searchsorted(breaks, edges[:-1], side="right")
     hi = np.searchsorted(breaks, np.nextafter(edges[1:], 0), side="right")
-    return breaks, tab, (lo.astype(np.min_scalar_type(len(tab))), lo != hi)
+    return tab, (lo.astype(np.min_scalar_type(len(tab))), lo != hi)
 
 
 def _cell_ids(breaks: np.ndarray, guide, u: np.ndarray) -> np.ndarray:
@@ -552,38 +561,176 @@ def _cell_ids(breaks: np.ndarray, guide, u: np.ndarray) -> np.ndarray:
     return out
 
 
-_SUB_BLOCK = 1 << 16    # replicate-steps per walk sub-block and per replicate group
-_TIME_CHUNK = 1 << 16   # time steps per chunk of every sampler
-_WALK_CROSSOVER = 128   # largest R * S whose chunks are walked in blocks
+_SUB_BLOCK = 1 << 16        # replicate-steps per one-block walk sub-block and per replicate group
+_TIME_CHUNK = 1 << 16       # time steps per chunk of every sampler
+_WALK_CROSSOVER = 128       # most replicates (S-fold pass 1: R * S) walked in blocks
+_TABLE_BYTES = 1 << 27      # largest step tables (flat and flat_g together) of a chain
+_CLOSURE_BUDGET = 1 << 16   # largest composition table, in entries G * K
+_RUN = 16                   # pass-2 steps of a blocked walk per move to replicate-major
 
 
-def _walk_blocks(R: int, S: int, T: int) -> tuple[int, int]:
-    """(nb, L): a T-step chunk of R replicates on S states is walked as nb
-    blocks of L steps, only the last one short.
+def _closure(gens: np.ndarray, budget: int):
+    """The maps that the step maps gens (G, S) compose to from the identity,
+    and their composition table: (maps (K, S), comp (G, K)) with
+    maps[comp[g, m]] = gens[g][maps[m]], map 0 the identity; None once
+    G * K exceeds budget.
 
-    Each step of the walk costs one numpy call over its lanes, so few lanes
-    leave the per-step overhead to dominate. Up to R * S = _WALK_CROSSOVER,
-    a chunk is walked in about sqrt(2T) blocks, which balances the 2L steps
-    of the two passes against the nb steps that chain them; above it the
-    extra S-fold work of the first pass costs more than the steps it saves,
-    and the chunk is one block.
+    Built by frontier: each round applies every step map to the maps that
+    the round before found, and one np.unique over the rows (as byte
+    strings) of the known and the candidate maps tells the new ones. Maps
+    keep their order of discovery, so each round's frontier is a run of ids
+    and fills a run of comp's columns. A round over F <= K maps touches
+    G * F * S <= budget * S entries.
     """
-    if R * S > _WALK_CROSSOVER:
+    G, S = gens.shape
+    gens = gens.astype(np.min_scalar_type(S - 1))
+    row = np.dtype((np.void, S * gens.itemsize))
+    maps, comp, start = np.arange(S, dtype=gens.dtype)[None, :], [], 0
+    while G * len(maps) <= budget:
+        K = len(maps)
+        if start == K:
+            return maps, np.concatenate(comp, axis=1)
+        both = np.ascontiguousarray(np.concatenate([maps,
+                                                    gens[:, maps[start:]].reshape(-1, S)]))
+        _, first, inv = np.unique(both.view(row).ravel(), return_index=True,
+                                  return_inverse=True)
+        new = np.sort(first[first >= K])
+        ids = np.where(first < K, first, K + np.searchsorted(new, first))
+        comp.append(ids[inv[K:]].reshape(G, K - start))
+        maps, start = np.concatenate([maps, both[new]]), K
+    return None
+
+
+class _Tables:
+    """A problem's sampler tables, built once (RegressionProblem._sampler).
+
+    The state side merges the cells of the S transition rows and the
+    stationary row into G = 2C + 1 step maps over the states, the rows of
+    `gens`: row c < C maps each state to its successor for a uniform in cell
+    c; row C + c is the constant map of a stationary draw, taken at
+    restarts; row 2C is the identity, which pads a chunk that nb does not
+    divide. `flat` lists them map-major (flat[g * S + s]) for the one-block
+    walk; `flat_g` lists them state-major and times G
+    (flat_g[s * G + g] = G * gens[g, s]) for the blocked walk, whose lanes
+    hold G times their value. The noise side is one lookup: ytab[s, c] =
+    mean[s] + values[s, draw], the target of state s for a noise uniform in
+    noise cell c, the same sum the per-step formula takes.
+
+    Their size is checked before they are built: a chain whose step tables
+    pass _TABLE_BYTES is refused with a ValueError that names S.
+    """
+
+    def __init__(self, problem: RegressionProblem):
+        S = self.S = problem.n_states
+        cum = np.vstack([_cumulative_rows(problem.chain.transition),
+                         _cumulative_rows(problem.chain.stationary[None, :])])
+        self.breaks = np.unique(cum)
+        C = self.C = int(np.searchsorted(self.breaks, 1.0)) + 1
+        G = self.G = 2 * C + 1
+        size = 2 * G * S * np.dtype(np.intp).itemsize
+        if size > _TABLE_BYTES:
+            raise ValueError(f"a {S}-state chain needs {size / 2 ** 20:.0f} MiB of sampler "
+                             f"step tables ({C} cells), over the limit of "
+                             f"{_TABLE_BYTES / 2 ** 20:.0f} MiB")
+        tab, self.guide = _cell_table(cum, self.breaks)
+        self.gens = np.concatenate([tab[:, :S], np.repeat(tab[:, S:], S, axis=1),
+                                    np.arange(S)[None, :]])
+        self.flat = self.gens.ravel()
+        self.flat_g = (G * self.gens.T).ravel()
+        noise_cum = _cumulative_rows(problem.noise.probs)
+        self.noise_breaks = np.unique(noise_cum)
+        noise_tab, self.noise_guide = _cell_table(noise_cum, self.noise_breaks)
+        self.n_noise = len(noise_tab)
+        self.ytab = (problem.structural_mean()[:, None]
+                     + problem.noise.values[np.arange(S)[:, None], noise_tab.T]).ravel()
+
+    @cached_property
+    def closure(self):
+        """(maps (K, S), comp_g) with comp_g[m * G + g] = G * comp[g, m] (see
+        _closure), or None over _CLOSURE_BUDGET. Built on first use, which
+        is a blocked walk; two threads may both build it, to the same value."""
+        closure = _closure(self.gens, _CLOSURE_BUDGET)
+        if closure is None:
+            return None
+        maps, comp = closure
+        return maps, (self.G * comp.T).ravel()
+
+
+def _walk_blocks(R: int, T: int, tables: _Tables) -> tuple[int, int]:
+    """(nb, L): a T-step chunk of R replicates is walked as nb blocks of L
+    steps, only the last one short.
+
+    Each step of a walk costs numpy calls over its lanes, so few lanes leave
+    the per-step overhead to dominate. Up to R = _WALK_CROSSOVER, a chunk is
+    walked in about sqrt(2T) blocks, which balances the 2L steps of the two
+    passes against the nb steps that chain them; above it the chunk is one
+    block. When the problem's closure passes its budget, pass 1 walks every
+    block from all S states instead of carrying one map id, and that S-fold
+    work pays only up to R * S = _WALK_CROSSOVER.
+    """
+    L = -(-T // math.isqrt(2 * T))
+    nb = -(-T // L)
+    if nb == 1 or R > _WALK_CROSSOVER or (
+            R * tables.S > _WALK_CROSSOVER and tables.closure is None):
         return 1, T
-    L = -(-T // max(1, math.isqrt(2 * T)))
-    return -(-T // L), L
+    return nb, L
 
 
-def _step_rows(cells: np.ndarray, blocks: int, a: int, steps: int, S: int) -> np.ndarray:
-    """Rows of flat for steps a, a + 1, ... (at most `steps`) of the first
-    `blocks` blocks of a chunk's row ids cells (R, nb, L): an array
-    (steps, blocks * R) whose lane b * R + r is replicate r in block b,
-    holding S times the row id."""
-    R = cells.shape[0]
-    idx = cells[:, :blocks, a:a + steps].transpose(2, 1, 0).astype(np.intp, order="C")
-    idx = idx.reshape(len(idx), blocks * R)
-    idx *= S
-    return idx
+def _blocked_walk(tables: _Tables, cells: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """States (R, nb * L) of a chunk whose row ids are cells (R, nb, L), nb > 1,
+    replicate r entering it at state x[r].
+
+    Each step is a random map from state to state, and a block's steps
+    compose to one map (Propp & Wilson 1996), so the blocks are walked as a
+    prefix (Blelloch 1990). Lanes are laid out replicate-major, (R, nb), and
+    hold G times their value, so a step of all lanes is one add of its row
+    ids and one take from a state-major table; the row ids are made
+    time-major once, so that each step reads them in one run. Pass 1
+    composes every block but the last: with the problem's closure, one lane
+    per block holds its map's id and steps through comp_g; without it, S
+    lanes per block hold where the block takes each state and step through
+    flat_g. A loop over the blocks chains each block's entry state from the
+    one before, and pass 2 walks every block from its entry state through
+    flat_g, a run of _RUN steps at a time, whose states are divided by G
+    and moved to replicate-major order at once. Steps past the chunk's end
+    have the identity's row id, so the last block ends on the chunk's last
+    state.
+    """
+    R, nb, L = cells.shape
+    S, G = tables.S, tables.G
+    cells = cells.transpose(2, 0, 1).copy()   # cells[a, r, b]
+    closure = tables.closure
+    if closure is None:
+        table, lanes = tables.flat_g, np.tile(G * np.arange(S), (R, nb - 1, 1))
+    else:
+        maps, table = closure
+        lanes = np.zeros((R, nb - 1, 1), dtype=np.intp)
+    buf = np.empty_like(lanes)
+    for step in cells:
+        np.add(lanes, step[:, :-1, None], out=buf)
+        table.take(buf, out=lanes, mode="clip")   # in range; "raise" buffers out
+    lanes //= G
+    # block b takes state s to ends[key[r, b] + s]
+    if closure is None:
+        ends, key = lanes.ravel(), S * np.arange(R * (nb - 1)).reshape(R, nb - 1)
+    else:
+        ends, key = maps.ravel(), S * lanes[:, :, 0]
+    entry = np.empty((R, nb), dtype=np.intp)
+    entry[:, 0] = x
+    for b in range(nb - 1):
+        entry[:, b + 1] = ends[key[:, b] + entry[:, b]]
+    lanes, buf = G * entry, np.empty_like(entry)
+    states = np.empty((R, nb, L), dtype=np.min_scalar_type(S - 1))
+    run = np.empty((_RUN, R, nb), dtype=np.intp)
+    for a0 in range(0, L, _RUN):
+        steps = run[:L - a0]
+        for a, out in enumerate(steps, a0):
+            np.add(lanes, cells[a], out=buf)
+            tables.flat_g.take(buf, out=out, mode="clip")
+            lanes = out
+        np.floor_divide(steps.transpose(1, 2, 0), G, out=states[:, :, a0:a0 + len(steps)],
+                        casting="unsafe")   # states < S
+    return states.reshape(R, nb * L)
 
 
 def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | None):
@@ -596,91 +743,57 @@ def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | No
     they are drawn, and each time step is one lookup over all replicates,
     states[t] = table[cell[t], states[t - 1]], where t = 0 and every multiple
     of block_len use the stationary rows: C is added to those cell ids once
-    per chunk. A group's noise is one lookup too: its uniforms become noise
-    cells, and the target table holds mean[s] + values[s, draw] per (state s,
-    noise cell). Groups hold about _SUB_BLOCK replicate-steps, so per-call
-    costs are shared by many replicates on short paths and buffers stay small
-    on long ones.
+    per chunk. A group's noise is one lookup too, through the problem's
+    ytab (_Tables). Groups hold about _SUB_BLOCK replicate-steps, so
+    per-call costs are shared by many replicates on short paths and buffers
+    stay small on long ones. States are kept in the smallest unsigned dtype
+    that holds S - 1, so a chunk's states take R * T bytes on up to 256
+    states.
 
-    With few replicates (_walk_blocks) a chunk is walked as nb blocks of L
-    steps, each step a composition of random maps from state to state (Propp
-    & Wilson 1996): pass 1 walks every block but the last from all S states
-    at once, which gives each block's end state as a map of its entry state;
-    a loop over the blocks chains those maps into each block's entry state;
-    pass 2 is the walk above over R * nb lanes, each block from its entry
-    state. Steps past the chunk's end get the identity row's id, so the last
-    block ends on the chunk's last state. With nb = 1 only pass 2 runs.
+    Many replicates walk a chunk as one block, time-major in sub-blocks of
+    about _SUB_BLOCK lanes and steps. Up to _WALK_CROSSOVER replicates
+    (_walk_blocks) walk it as nb blocks of composed maps (_blocked_walk).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    tables = problem._sampler
     streams = _Streams(seeds, resume=n > _TIME_CHUNK)
-    R, S = len(seeds), problem.n_states
-    breaks, tab, guide = _cell_table(np.vstack([
-        _cumulative_rows(problem.chain.transition),
-        _cumulative_rows(problem.chain.stationary[None, :])]))
-    C = len(tab)
-    # row c < C maps each state to its successor for a uniform in cell c; row
-    # C + c is the constant map of a stationary draw, taken at restarts; row
-    # 2C is the identity, which pads a chunk that nb does not divide
-    flat = np.concatenate([tab[:, :S], np.repeat(tab[:, S:], S, axis=1),
-                           np.arange(S)[None, :]]).ravel()
-    noise_breaks, noise_tab, noise_guide = _cell_table(_cumulative_rows(problem.noise.probs))
-    mean = problem.structural_mean()
-    # ytab[s, c] = mean[s] + values[s, draw]: the target of state s for a noise
-    # uniform in noise cell c, the same sum the per-step formula takes
-    ytab = (mean[:, None] + problem.noise.values[np.arange(S)[:, None], noise_tab.T]).ravel()
+    R, S, C, flat = len(seeds), problem.n_states, tables.C, tables.flat
     period = block_len or n
     x = np.zeros(R, dtype=np.intp)           # previous states; t = 0 restarts
     for t0 in range(0, n, _TIME_CHUNK):
         T = min(_TIME_CHUNK, n - t0)
-        nb, L = _walk_blocks(R, S, T)
-        sub = max(1, _SUB_BLOCK // max(R * nb, 1))
+        nb, L = _walk_blocks(R, T, tables)
         group = max(1, _SUB_BLOCK // T)
         u = np.empty((min(group, R), T))
         cid = np.empty((R, nb * L), dtype=np.min_scalar_type(2 * C))
         for r0 in range(0, R, group):
             block = u[:R - r0]
             streams.fill(0, r0, block)
-            cid[r0:r0 + len(block), :T] = _cell_ids(breaks, guide, block)
+            cid[r0:r0 + len(block), :T] = _cell_ids(tables.breaks, tables.guide, block)
         cid[:, -t0 % period:T:period] += C
         cid[:, T:] = 2 * C
-        cells = cid.reshape(R, nb, L)
-        lanes = x
         if nb > 1:
-            # pass 1: ends[b, r, s] is where block b takes replicate r from state s
-            ends = np.empty((nb - 1, R, S), dtype=np.intp)
-            ends[:] = np.arange(S)
-            moved = np.empty_like(ends)
-            for a in range(0, L, sub):
-                for row in _step_rows(cells, nb - 1, a, sub, S):
-                    np.add(row.reshape(nb - 1, R, 1), ends, out=moved)
-                    flat.take(moved, out=ends, mode="clip")
-            # chain: block b + 1 starts where block b ends
-            lanes = np.empty((nb, R), dtype=np.intp)
-            lanes[0] = x
-            replicates = np.arange(R)
-            for b in range(nb - 1):
-                lanes[b + 1] = ends[b, replicates, lanes[b]]
-            lanes = lanes.ravel()
-        # pass 2: every block from its entry state, lane b * R + r
-        states = np.empty((R, nb * L), dtype=np.intp)
-        for a in range(0, L, sub):
-            idx = _step_rows(cells, nb, a, sub, S)
-            for row in idx:
-                row += lanes
-                flat.take(row, out=lanes, mode="clip")   # in range; "raise" buffers out
-            states.reshape(R, nb, L)[:, :, a:a + sub] = (
-                flat.take(idx).reshape(len(idx), nb, R).transpose(2, 1, 0))
-        x = lanes[len(lanes) - R:]   # the last block's lanes
-        del cid, cells
-        states = states[:, :T]
+            states = _blocked_walk(tables, cid.reshape(R, nb, L), x)[:, :T]
+            x = states[:, -1].astype(np.intp)
+        else:
+            states = np.empty((R, T), dtype=np.min_scalar_type(S - 1))
+            sub = max(1, _SUB_BLOCK // max(R, 1))
+            for a in range(0, T, sub):
+                idx = cid[:, a:a + sub].T.astype(np.intp, order="C")   # time-major
+                idx *= S
+                for row in idx:
+                    row += x
+                    flat.take(row, out=x, mode="clip")
+                states[:, a:a + sub] = flat.take(idx).T
+        del cid
         for r0 in range(0, R, group):
             block = u[:R - r0]
             streams.fill(1, r0, block)
             rows = states[r0:r0 + len(block)]
-            at = rows * len(noise_tab)
-            at += _cell_ids(noise_breaks, noise_guide, block)
-            yield t0, r0, rows, ytab.take(at)
+            at = np.multiply(rows, tables.n_noise, dtype=np.intp)
+            at += _cell_ids(tables.noise_breaks, tables.noise_guide, block)
+            yield t0, r0, rows, tables.ytab.take(at)
 
 
 def sample_trajectory(problem: RegressionProblem, n: int, seed: int) -> Trajectory:

@@ -102,6 +102,12 @@ class TestConfigErrors:
         assert code == 2
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_oversized_step_tables_exit_two(self, tmp_path, capsys, monkeypatch):
+        # a low table budget stands in for a chain too large to sample
+        monkeypatch.setattr(mf.processgen, "_TABLE_BYTES", 64)
+        cfg = _write(tmp_path, "cfg.json", {"model": _model_dict(), "n": 64, "seed": 1})
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert "numeric failure: a 4-state chain needs" in capsys.readouterr().err
 
     def test_epsilon_is_unknown_to_bound_and_sweep(self, tmp_path, capsys):
         linear = {"kind": "linear", "dim": 2}

@@ -1,5 +1,8 @@
 """Data-generator tests: stationary laws, mixing coefficients, samplers."""
 
+import dataclasses
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -290,7 +293,8 @@ def _uniforms(rng, shape, cdfs):
 def _check_walk(problem, U, V, block_len, time_chunk, sub_block):
     """_sample_paths, fed the state uniforms U and noise uniforms V (R, n),
     gives the argmax oracle's states and targets, walked with each chunk as
-    one block and in _walk_blocks's nb > 1 blocks."""
+    one block and in _walk_blocks's nb > 1 blocks, whose pass 1 carries map
+    ids or, with the closure over budget, walks from every state."""
     chain, noise = problem.chain, problem.noise
     R, n = U.shape
     cum_rows = processgen._cumulative_rows(chain.transition)
@@ -306,15 +310,20 @@ def _check_walk(problem, U, V, block_len, time_chunk, sub_block):
                                  for r in range(R)])
 
     # crossover 0 walks every chunk as one block; a large one walks every
-    # chunk of two or more steps in _walk_blocks's nb > 1 blocks
-    for crossover in (0, 10 ** 6):
+    # chunk of two or more steps in _walk_blocks's nb > 1 blocks, through the
+    # closure or, with its budget 0, from every state. Each run samples a
+    # fresh copy of the problem, whose tables are built under its budget.
+    for crossover, budget in ((0, 1 << 16), (10 ** 6, 0), (10 ** 6, 1 << 20)):
         rows, ys = [[] for _ in range(R)], [[] for _ in range(R)]
         with mock.patch.object(processgen, "_Streams",
                                lambda seeds, resume: _Replay(U, V)), \
                 mock.patch.object(processgen, "_SUB_BLOCK", sub_block), \
+                mock.patch.object(processgen, "_RUN", sub_block), \
                 mock.patch.object(processgen, "_TIME_CHUNK", time_chunk), \
-                mock.patch.object(processgen, "_WALK_CROSSOVER", crossover):
-            for t0, r0, group, y in processgen._sample_paths(problem, n, range(R),
+                mock.patch.object(processgen, "_WALK_CROSSOVER", crossover), \
+                mock.patch.object(processgen, "_CLOSURE_BUDGET", budget):
+            fresh = dataclasses.replace(problem)
+            for t0, r0, group, y in processgen._sample_paths(fresh, n, range(R),
                                                              block_len):
                 for i in range(len(group)):
                     assert sum(map(len, rows[r0 + i])) == t0
@@ -351,7 +360,8 @@ class TestCellTableWalk:
         cum_pi = processgen._cumulative_rows(chain.stationary[None, :])[0]
         cum_noise = processgen._cumulative_rows(noise.probs)
         for cum in (np.vstack([cum_rows, cum_pi]), cum_noise):
-            breaks, tab, guide = processgen._cell_table(cum)
+            breaks = np.unique(cum)
+            tab, guide = processgen._cell_table(cum, breaks)
             u = _edges([cum])
             cells = np.searchsorted(breaks, u, side="right")
             assert np.array_equal(processgen._cell_ids(breaks, guide, u), cells)
@@ -375,23 +385,104 @@ class TestCellTableWalk:
                              np.full((12, 2), 0.5))
         problem = mf.RegressionProblem(chain=chain, embedding=np.eye(12), mode="tabular",
                                        noise=noise, true_table=np.linspace(-1, 1, 12))
-        _, tab, _ = processgen._cell_table(np.vstack([
-            processgen._cumulative_rows(chain.transition),
-            processgen._cumulative_rows(chain.stationary[None, :])]))
-        assert 128 <= len(tab) < 256
-        assert processgen._walk_blocks(3, 12, 100) == (13, 8)
+        tables = problem._sampler
+        assert 128 <= tables.C < 256
+        assert processgen._walk_blocks(3, 100, tables) == (13, 8)
         U, V = rng.random((3, 300)), rng.random((3, 300))
         _check_walk(problem, U, V, block_len=7, time_chunk=100, sub_block=64)
 
     def test_block_count_crossover(self):
-        # sweep cells (S = 4, 64 replicates) keep the one-block walk, while one
-        # long replicate is walked in about sqrt(2T) blocks
-        assert processgen._walk_blocks(64, 4, 2 ** 16) == (1, 2 ** 16)
-        nb, L = processgen._walk_blocks(1, 4, 2 ** 16)
-        assert 256 <= nb <= 512
+        # with its closure, a sweep cell (S = 4, 64 replicates) is walked in
+        # about sqrt(2T) blocks, as one long replicate is, up to
+        # _WALK_CROSSOVER replicates; without it, up to R * S = _WALK_CROSSOVER
+        problem = _two_state_problem()
+        tables = problem._sampler
+        assert tables.closure is not None
+        for R in (1, 64, 128):
+            nb, L = processgen._walk_blocks(R, 2 ** 16, tables)
+            assert 256 <= nb <= 512
+        assert processgen._walk_blocks(129, 2 ** 16, tables) == (1, 2 ** 16)
         for T in range(1, 3000):
-            nb, L = processgen._walk_blocks(1, 4, T)
+            nb, L = processgen._walk_blocks(1, T, tables)
             assert (nb - 1) * L < T <= nb * L     # only the last block is short
+        with mock.patch.object(processgen, "_CLOSURE_BUDGET", 0):
+            tables = dataclasses.replace(problem)._sampler
+            assert tables.closure is None
+            assert processgen._walk_blocks(64, 2 ** 16, tables)[0] > 1
+            assert processgen._walk_blocks(65, 2 ** 16, tables) == (1, 2 ** 16)
+
+    def test_closure_is_built_only_for_blocked_chunks(self):
+        problem = _two_state_problem()
+        mf.sample_path_batch(problem, 300, range(129))
+        mf.sample_path_batch(problem, 1, range(3))
+        assert "closure" not in vars(problem._sampler)
+        mf.sample_path_batch(problem, 300, range(3))
+        assert vars(problem._sampler)["closure"] is not None
+
+    @settings(max_examples=100, deadline=None)
+    @given(chain=_chains())
+    def test_closure_composes_its_maps(self, chain):
+        problem = mf.RegressionProblem(chain=chain, embedding=np.eye(chain.n_states),
+                                       mode="tabular", noise=mf.NoiseSpec.zero(chain.n_states),
+                                       true_table=np.zeros(chain.n_states))
+        tables = problem._sampler
+        gens, G, S = tables.gens, tables.G, tables.S
+        closure = processgen._closure(gens, 1 << 16)
+        if closure is None:
+            return
+        maps, comp = closure
+        K = len(maps)
+        assert G * K <= 1 << 16 and comp.shape == (G, K)
+        assert np.array_equal(maps[0], np.arange(S))
+        assert len(np.unique(maps, axis=0)) == K
+        for g in range(G):
+            assert np.array_equal(maps[comp[g]], gens[g][maps])
+        assert np.array_equal(maps[comp[:, 0]], gens)     # every one-step map
+        _, comp_g = tables.closure
+        assert np.array_equal(comp_g.reshape(K, G), G * comp.T)
+
+    def test_closure_stops_at_its_budget(self):
+        # five independent two-state copies: 32 states, far more composed maps
+        # than the budget allows; no round may work on more than it
+        problem = mf.RegressionProblem(
+            chain=mf.product_chain(mf.two_state_chain(0.25, 0.25), 5),
+            embedding=np.eye(32), mode="tabular", noise=mf.NoiseSpec.zero(32),
+            true_table=np.zeros(32))
+        gens = problem._sampler.gens
+        G = len(gens)
+        for budget in (0, G, 4096, processgen._CLOSURE_BUDGET):
+            with mock.patch.object(np, "unique", wraps=np.unique) as spy:
+                assert processgen._closure(gens, budget) is None
+            assert all(len(c.args[0]) <= budget // G + budget for c in spy.call_args_list)
+        assert problem._sampler.closure is None
+
+    def test_table_budget_refuses_before_building(self):
+        problem = _two_state_problem()
+        with mock.patch.object(processgen, "_TABLE_BYTES", 64), \
+                mock.patch.object(processgen, "_cell_table") as cell_table:
+            with pytest.raises(ValueError, match=r"a 2-state chain needs .* MiB"):
+                mf.sample_trajectory(problem, 10, 0)
+            cell_table.assert_not_called()
+        assert mf.sample_trajectory(problem, 10, 0).n == 10
+
+    def test_threads_building_tables_agree(self):
+        # more threads than cores sample fresh problems at once, with a short
+        # switch interval so that table and closure builds interleave
+        expected = mf.stream_state_stats(_two_state_problem(), 3000, range(8))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                problem = _two_state_problem()
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    futures = [pool.submit(mf.stream_state_stats, problem, 3000, range(8))
+                               for _ in range(4)]
+                    results = [f.result(timeout=60) for f in futures]
+                for counts, ysums in results:
+                    assert np.array_equal(counts, expected[0])
+                    assert np.array_equal(ysums, expected[1])
+        finally:
+            sys.setswitchinterval(interval)
 
     @settings(max_examples=100, deadline=None)
     @given(bins=st.lists(st.integers(0, processgen._GUIDE), min_size=1, max_size=6),
@@ -404,7 +495,8 @@ class TestCellTableWalk:
             if step:
                 edges[i] = np.nextafter(edges[i], step)
         cum = np.append(np.sort(np.clip(edges, 0.0, 1.0)), 1.0)[None, :]
-        breaks, _, guide = processgen._cell_table(cum)
+        breaks = np.unique(cum)
+        _, guide = processgen._cell_table(cum, breaks)
         u = np.concatenate([_edges([cum]), np.random.default_rng(seed).random(4096)])
         assert np.array_equal(processgen._cell_ids(breaks, guide, u),
                               np.searchsorted(breaks, u, side="right"))
