@@ -11,9 +11,10 @@ This module builds the data-generating side of the lab:
   that walks all replicates through time chunks of one fixed length: the
   merged CDF breakpoints cut [0, 1) into cells, within a cell each step is a
   fixed map from state to state, so every time step is one cell-table lookup
-  over all replicates. With few replicates a chunk of T steps is cut into
-  about sqrt(2T) blocks whose maps are composed (one pass that carries each
-  block's composed map as an id into the problem's closure table, a loop
+  over all replicates. With few replicates, on a chain whose composed maps
+  fit the closure budget, a chunk of T steps is cut into about sqrt(2T)
+  blocks whose maps are composed (one pass that carries each block's
+  composed map as an id into the problem's closure table, a loop
   that chains the blocks, one pass over all blocks at once), so even a
   single path takes O(sqrt(T)) numpy steps per chunk, not T, and each step
   runs over R * sqrt(2T) lanes. A guide table finds each uniform's cell in
@@ -542,11 +543,13 @@ def _cell_table(cum: np.ndarray, breaks: np.ndarray):
     """
     pos = np.maximum.accumulate(np.searchsorted(breaks, cum), axis=1)
     cells = np.arange(np.searchsorted(breaks, 1.0) + 1)
-    tab = np.stack([np.searchsorted(p, cells) for p in pos], axis=1)
+    tab = np.empty((len(pos), len(cells)), dtype=np.intp)   # one copy, filled in place
+    for row, p in zip(tab, pos):
+        row[:] = np.searchsorted(p, cells)
     edges = np.arange(_GUIDE + 1) / _GUIDE
     lo = np.searchsorted(breaks, edges[:-1], side="right")
     hi = np.searchsorted(breaks, np.nextafter(edges[1:], 0), side="right")
-    return tab, (lo.astype(np.min_scalar_type(len(tab))), lo != hi)
+    return tab.T, (lo.astype(np.min_scalar_type(len(cells))), lo != hi)
 
 
 def _cell_ids(breaks: np.ndarray, guide, u: np.ndarray) -> np.ndarray:
@@ -563,8 +566,8 @@ def _cell_ids(breaks: np.ndarray, guide, u: np.ndarray) -> np.ndarray:
 
 _SUB_BLOCK = 1 << 16        # replicate-steps per one-block walk sub-block and per replicate group
 _TIME_CHUNK = 1 << 16       # time steps per chunk of every sampler
-_WALK_CROSSOVER = 128       # most replicates (S-fold pass 1: R * S) walked in blocks
-_TABLE_BYTES = 1 << 27      # largest step tables (flat and flat_g together) of a chain
+_WALK_CROSSOVER = 128       # most replicates walked in blocks
+_TABLE_BYTES = 1 << 29      # largest step table and cell table of a chain, together
 _CLOSURE_BUDGET = 1 << 16   # largest composition table, in entries G * K
 _RUN = 16                   # pass-2 steps of a blocked walk per move to replicate-major
 
@@ -583,7 +586,7 @@ def _closure(gens: np.ndarray, budget: int):
     G * F * S <= budget * S entries.
     """
     G, S = gens.shape
-    gens = gens.astype(np.min_scalar_type(S - 1))
+    gens = gens.astype(np.min_scalar_type(S - 1), copy=False)
     row = np.dtype((np.void, S * gens.itemsize))
     maps, comp, start = np.arange(S, dtype=gens.dtype)[None, :], [], 0
     while G * len(maps) <= budget:
@@ -609,15 +612,17 @@ class _Tables:
     `gens`: row c < C maps each state to its successor for a uniform in cell
     c; row C + c is the constant map of a stationary draw, taken at
     restarts; row 2C is the identity, which pads a chunk that nb does not
-    divide. `flat` lists them map-major (flat[g * S + s]) for the one-block
-    walk; `flat_g` lists them state-major and times G
-    (flat_g[s * G + g] = G * gens[g, s]) for the blocked walk, whose lanes
-    hold G times their value. The noise side is one lookup: ytab[s, c] =
-    mean[s] + values[s, draw], the target of state s for a noise uniform in
-    noise cell c, the same sum the per-step formula takes.
+    divide. The one step table `flat_g` lists them state-major and times G,
+    flat_g[s * G + g] = G * gens[g, s], so a walk's lanes hold G times their
+    state and a step of all lanes is one add of its row ids and one take.
+    The noise side is one lookup: ytab[s, c] = mean[s] + values[s, draw],
+    the target of state s for a noise uniform in noise cell c, the same sum
+    the per-step formula takes.
 
-    Their size is checked before they are built: a chain whose step tables
-    pass _TABLE_BYTES is refused with a ValueError that names S.
+    Their size is checked before they are built: a chain whose step table
+    and the cell table it is filled from pass _TABLE_BYTES together is
+    refused with a ValueError that names S. Every chain of up to 256 states
+    fits.
     """
 
     def __init__(self, problem: RegressionProblem):
@@ -627,16 +632,18 @@ class _Tables:
         self.breaks = np.unique(cum)
         C = self.C = int(np.searchsorted(self.breaks, 1.0)) + 1
         G = self.G = 2 * C + 1
-        size = 2 * G * S * np.dtype(np.intp).itemsize
+        size = (G * S + C * (S + 1)) * np.dtype(np.intp).itemsize
         if size > _TABLE_BYTES:
             raise ValueError(f"a {S}-state chain needs {size / 2 ** 20:.0f} MiB of sampler "
-                             f"step tables ({C} cells), over the limit of "
+                             f"tables ({C} cells), over the limit of "
                              f"{_TABLE_BYTES / 2 ** 20:.0f} MiB")
         tab, self.guide = _cell_table(cum, self.breaks)
-        self.gens = np.concatenate([tab[:, :S], np.repeat(tab[:, S:], S, axis=1),
-                                    np.arange(S)[None, :]])
-        self.flat = self.gens.ravel()
-        self.flat_g = (G * self.gens.T).ravel()
+        flat_g = np.empty((S, G), dtype=np.intp)
+        flat_g[:, :C] = tab[:, :S].T
+        flat_g[:, C:2 * C] = tab[:, S]
+        flat_g[:, 2 * C] = np.arange(S)
+        flat_g *= G
+        self.flat_g = flat_g.ravel()
         noise_cum = _cumulative_rows(problem.noise.probs)
         self.noise_breaks = np.unique(noise_cum)
         noise_tab, self.noise_guide = _cell_table(noise_cum, self.noise_breaks)
@@ -644,11 +651,21 @@ class _Tables:
         self.ytab = (problem.structural_mean()[:, None]
                      + problem.noise.values[np.arange(S)[:, None], noise_tab.T]).ravel()
 
+    @property
+    def gens(self) -> np.ndarray:
+        """The step maps (G, S), in the smallest dtype that holds a state."""
+        S, G = self.S, self.G
+        return np.floor_divide(self.flat_g.reshape(S, G).T, G, casting="unsafe",
+                               out=np.empty((G, S), dtype=np.min_scalar_type(S - 1)))
+
     @cached_property
     def closure(self):
         """(maps (K, S), comp_g) with comp_g[m * G + g] = G * comp[g, m] (see
-        _closure), or None over _CLOSURE_BUDGET. Built on first use, which
-        is a blocked walk; two threads may both build it, to the same value."""
+        _closure), or None over _CLOSURE_BUDGET. Built on the first chunk of
+        at most _WALK_CROSSOVER replicates and two or more blocks, since
+        _walk_blocks needs it to decide whether to block; a chain over the
+        budget builds it once, to the budget, and then walks such chunks as
+        one block. Two threads may both build it, to the same value."""
         closure = _closure(self.gens, _CLOSURE_BUDGET)
         if closure is None:
             return None
@@ -663,15 +680,13 @@ def _walk_blocks(R: int, T: int, tables: _Tables) -> tuple[int, int]:
     Each step of a walk costs numpy calls over its lanes, so few lanes leave
     the per-step overhead to dominate. Up to R = _WALK_CROSSOVER, a chunk is
     walked in about sqrt(2T) blocks, which balances the 2L steps of the two
-    passes against the nb steps that chain them; above it the chunk is one
-    block. When the problem's closure passes its budget, pass 1 walks every
-    block from all S states instead of carrying one map id, and that S-fold
-    work pays only up to R * S = _WALK_CROSSOVER.
+    passes against the nb steps that chain them, if the problem's closure
+    fits its budget; otherwise, and above the crossover, the chunk is one
+    block.
     """
     L = -(-T // math.isqrt(2 * T))
     nb = -(-T // L)
-    if nb == 1 or R > _WALK_CROSSOVER or (
-            R * tables.S > _WALK_CROSSOVER and tables.closure is None):
+    if nb == 1 or R > _WALK_CROSSOVER or tables.closure is None:
         return 1, T
     return nb, L
 
@@ -686,35 +701,25 @@ def _blocked_walk(tables: _Tables, cells: np.ndarray, x: np.ndarray) -> np.ndarr
     hold G times their value, so a step of all lanes is one add of its row
     ids and one take from a state-major table; the row ids are made
     time-major once, so that each step reads them in one run. Pass 1
-    composes every block but the last: with the problem's closure, one lane
-    per block holds its map's id and steps through comp_g; without it, S
-    lanes per block hold where the block takes each state and step through
-    flat_g. A loop over the blocks chains each block's entry state from the
-    one before, and pass 2 walks every block from its entry state through
-    flat_g, a run of _RUN steps at a time, whose states are divided by G
-    and moved to replicate-major order at once. Steps past the chunk's end
-    have the identity's row id, so the last block ends on the chunk's last
-    state.
+    composes every block but the last: one lane per block holds the id of
+    its map in the problem's closure and steps through comp_g. A loop over
+    the blocks chains each block's entry state from the one before, and
+    pass 2 walks every block from its entry state through flat_g, a run of
+    _RUN steps at a time, whose states are divided by G and moved to
+    replicate-major order at once. Steps past the chunk's end have the
+    identity's row id, so the last block ends on the chunk's last state.
     """
     R, nb, L = cells.shape
     S, G = tables.S, tables.G
+    maps, comp_g = tables.closure
     cells = cells.transpose(2, 0, 1).copy()   # cells[a, r, b]
-    closure = tables.closure
-    if closure is None:
-        table, lanes = tables.flat_g, np.tile(G * np.arange(S), (R, nb - 1, 1))
-    else:
-        maps, table = closure
-        lanes = np.zeros((R, nb - 1, 1), dtype=np.intp)
+    lanes = np.zeros((R, nb - 1), dtype=np.intp)
     buf = np.empty_like(lanes)
     for step in cells:
-        np.add(lanes, step[:, :-1, None], out=buf)
-        table.take(buf, out=lanes, mode="clip")   # in range; "raise" buffers out
-    lanes //= G
+        np.add(lanes, step[:, :-1], out=buf)
+        comp_g.take(buf, out=lanes, mode="clip")   # in range; "raise" buffers out
     # block b takes state s to ends[key[r, b] + s]
-    if closure is None:
-        ends, key = lanes.ravel(), S * np.arange(R * (nb - 1)).reshape(R, nb - 1)
-    else:
-        ends, key = maps.ravel(), S * lanes[:, :, 0]
+    ends, key = maps.ravel(), lanes // G * S
     entry = np.empty((R, nb), dtype=np.intp)
     entry[:, 0] = x
     for b in range(nb - 1):
@@ -758,7 +763,7 @@ def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | No
         raise ValueError("n must be >= 1")
     tables = problem._sampler
     streams = _Streams(seeds, resume=n > _TIME_CHUNK)
-    R, S, C, flat = len(seeds), problem.n_states, tables.C, tables.flat
+    R, S, C, G = len(seeds), problem.n_states, tables.C, tables.G
     period = block_len or n
     x = np.zeros(R, dtype=np.intp)           # previous states; t = 0 restarts
     for t0 in range(0, n, _TIME_CHUNK):
@@ -779,13 +784,15 @@ def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | No
         else:
             states = np.empty((R, T), dtype=np.min_scalar_type(S - 1))
             sub = max(1, _SUB_BLOCK // max(R, 1))
+            x *= G
             for a in range(0, T, sub):
                 idx = cid[:, a:a + sub].T.astype(np.intp, order="C")   # time-major
-                idx *= S
                 for row in idx:
                     row += x
-                    flat.take(row, out=x, mode="clip")
-                states[:, a:a + sub] = flat.take(idx).T
+                    tables.flat_g.take(row, out=x, mode="clip")
+                np.floor_divide(tables.flat_g.take(idx).T, G, out=states[:, a:a + sub],
+                                casting="unsafe")   # states < S
+            x //= G
         del cid
         for r0 in range(0, R, group):
             block = u[:R - r0]

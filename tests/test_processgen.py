@@ -293,8 +293,7 @@ def _uniforms(rng, shape, cdfs):
 def _check_walk(problem, U, V, block_len, time_chunk, sub_block):
     """_sample_paths, fed the state uniforms U and noise uniforms V (R, n),
     gives the argmax oracle's states and targets, walked with each chunk as
-    one block and in _walk_blocks's nb > 1 blocks, whose pass 1 carries map
-    ids or, with the closure over budget, walks from every state."""
+    one block and in _walk_blocks's nb > 1 blocks."""
     chain, noise = problem.chain, problem.noise
     R, n = U.shape
     cum_rows = processgen._cumulative_rows(chain.transition)
@@ -309,11 +308,11 @@ def _check_walk(problem, U, V, block_len, time_chunk, sub_block):
                                  + _argmax_noise(noise, expected[r], V[r])
                                  for r in range(R)])
 
-    # crossover 0 walks every chunk as one block; a large one walks every
-    # chunk of two or more steps in _walk_blocks's nb > 1 blocks, through the
-    # closure or, with its budget 0, from every state. Each run samples a
-    # fresh copy of the problem, whose tables are built under its budget.
-    for crossover, budget in ((0, 1 << 16), (10 ** 6, 0), (10 ** 6, 1 << 20)):
+    # crossover 0 walks every chunk as one block; a large one, with a closure
+    # budget large enough for most small chains, walks every chunk of two or
+    # more steps in _walk_blocks's nb > 1 blocks. Each run samples a fresh
+    # copy of the problem, whose tables are built under its budget.
+    for crossover, budget in ((0, 1 << 16), (10 ** 6, 1 << 20)):
         rows, ys = [[] for _ in range(R)], [[] for _ in range(R)]
         with mock.patch.object(processgen, "_Streams",
                                lambda seeds, resume: _Replay(U, V)), \
@@ -374,27 +373,33 @@ class TestCellTableWalk:
         _check_walk(problem, U, V, block_len, time_chunk, sub_block)
 
     def test_row_ids_past_uint8(self):
-        # 12 states merge into 144 cells, so the identity row 2C = 288 and
-        # restart rows C + c need uint16 ids; 3 replicates walk each chunk of
-        # 100 steps in 13 blocks of 8, so the last block pads 4 steps, and
-        # restarts every 7 steps fall in every block
+        # past 127 cells, the identity row 2C and restart rows C + c need
+        # uint16 ids. 12 dense states merge into 144 cells and compose to more
+        # maps than the closure budget, so 3 replicates walk each chunk of 100
+        # steps as one block; 100 independent states (197 cells, as float
+        # drift parts the stationary row from the others) compose to the
+        # identity and 100 constant maps, so they walk it in 13 blocks of 8,
+        # the last padding 4 steps. Restarts every 7 steps fall in every block.
         rng = np.random.default_rng(5)
         P = rng.random((12, 12))
-        chain = mf.MarkovChainModel.from_transition(P / P.sum(axis=1, keepdims=True))
-        noise = mf.NoiseSpec("state-dependent-bias", np.arange(24.0).reshape(12, 2),
-                             np.full((12, 2), 0.5))
-        problem = mf.RegressionProblem(chain=chain, embedding=np.eye(12), mode="tabular",
-                                       noise=noise, true_table=np.linspace(-1, 1, 12))
-        tables = problem._sampler
-        assert 128 <= tables.C < 256
-        assert processgen._walk_blocks(3, 100, tables) == (13, 8)
-        U, V = rng.random((3, 300)), rng.random((3, 300))
-        _check_walk(problem, U, V, block_len=7, time_chunk=100, sub_block=64)
+        dense = mf.MarkovChainModel.from_transition(P / P.sum(axis=1, keepdims=True))
+        pi = np.random.default_rng(6).random(100)
+        for chain, blocks in ((dense, (1, 100)), (mf.iid_chain(pi / pi.sum()), (13, 8))):
+            S = chain.n_states
+            noise = mf.NoiseSpec("state-dependent-bias", np.arange(2.0 * S).reshape(S, 2),
+                                 np.full((S, 2), 0.5))
+            problem = mf.RegressionProblem(chain=chain, embedding=np.eye(S), mode="tabular",
+                                           noise=noise, true_table=np.linspace(-1, 1, S))
+            tables = problem._sampler
+            assert 128 <= tables.C < 256
+            assert processgen._walk_blocks(3, 100, tables) == blocks
+            U, V = rng.random((3, 300)), rng.random((3, 300))
+            _check_walk(problem, U, V, block_len=7, time_chunk=100, sub_block=64)
 
     def test_block_count_crossover(self):
         # with its closure, a sweep cell (S = 4, 64 replicates) is walked in
         # about sqrt(2T) blocks, as one long replicate is, up to
-        # _WALK_CROSSOVER replicates; without it, up to R * S = _WALK_CROSSOVER
+        # _WALK_CROSSOVER replicates; over its closure budget, in one block
         problem = _two_state_problem()
         tables = problem._sampler
         assert tables.closure is not None
@@ -407,11 +412,10 @@ class TestCellTableWalk:
             assert (nb - 1) * L < T <= nb * L     # only the last block is short
         with mock.patch.object(processgen, "_CLOSURE_BUDGET", 0):
             tables = dataclasses.replace(problem)._sampler
+            assert processgen._walk_blocks(1, 2 ** 16, tables) == (1, 2 ** 16)
             assert tables.closure is None
-            assert processgen._walk_blocks(64, 2 ** 16, tables)[0] > 1
-            assert processgen._walk_blocks(65, 2 ** 16, tables) == (1, 2 ** 16)
 
-    def test_closure_is_built_only_for_blocked_chunks(self):
+    def test_closure_is_built_only_for_chunks_it_may_block(self):
         problem = _two_state_problem()
         mf.sample_path_batch(problem, 300, range(129))
         mf.sample_path_batch(problem, 1, range(3))
@@ -464,6 +468,20 @@ class TestCellTableWalk:
                 mf.sample_trajectory(problem, 10, 0)
             cell_table.assert_not_called()
         assert mf.sample_trajectory(problem, 10, 0).n == 10
+
+    def test_table_budget_admits_256_states(self):
+        # a dense 256-state chain, about 2^16 cells, passes the check; its
+        # tables are not built here
+        class Checked(Exception):
+            pass
+
+        P = np.random.default_rng(0).random((256, 256))
+        chain = mf.MarkovChainModel.from_transition(P / P.sum(axis=1, keepdims=True))
+        problem = mf.RegressionProblem(chain=chain, embedding=np.eye(256), mode="tabular",
+                                       noise=mf.NoiseSpec.zero(256), true_table=np.zeros(256))
+        with mock.patch.object(processgen, "_cell_table", side_effect=Checked):
+            with pytest.raises(Checked):
+                problem._sampler
 
     def test_threads_building_tables_agree(self):
         # more threads than cores sample fresh problems at once, with a short
