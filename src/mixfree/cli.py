@@ -9,6 +9,9 @@ Configuration errors include:
 
 - a model document the modules reject, a value that is not a number, a
   negative seed, unknown keys (configs are validated strictly);
+- an integer key (n, seed, replicate counts, k, kwise, dim, resolution,
+  directions, m_max, rho_grid, the sweep's n_grid entries) given a
+  boolean, a string or a number that is not integral; 1e2 reads as 100;
 - a delta outside (0, 1), and a riskBound delta of 0.25 or more;
 - a diagnose epsilon outside [0, 1);
 - a count below 1: n, replicate counts (below 2 for diagnose, which
@@ -56,12 +59,17 @@ def _check_keys(obj: dict, required: set, optional: set, where: str) -> None:
 
 def _number(value, key: str, kind=float):
     """A config value converted by `kind` (int or float); one that does not
-    convert is a config error naming its key."""
+    convert is a config error naming its key. An integer must be a JSON
+    number of integral value (1e2 is 100), not a boolean, a string or 2.5."""
+    if kind is int:
+        if isinstance(value, bool) or not (
+                isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+            raise ConfigError(f"{key!r} must be an integer, got {value!r}")
+        return int(value)
     try:
         return kind(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{key!r} must be {'an integer' if kind is int else 'a number'}, "
-                          f"got {value!r}") from None
+        raise ConfigError(f"{key!r} must be a number, got {value!r}") from None
 
 
 def _count(value, key: str, least: int = 1) -> int:

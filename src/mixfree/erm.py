@@ -66,21 +66,21 @@ def excess_risks(problem: RegressionProblem, cls: HypothesisClass, counts, ysums
     visit counts and target sums (rows of `counts`, `ysums`, each (R, S)).
 
     Linear classes fit the min-norm least-squares parameter on the visited
-    design; finite classes pick the lowest-index minimizer of the empirical
-    risk.
+    design, every replicate in one stacked solve; finite classes pick the
+    lowest-index minimizer of the empirical risk.
     """
     pi = problem.chain.stationary
     if cls.kind == "linear":
         emb = problem.embedding
         beta_star = _f_star_param(problem)
         sigma = problem.second_moment_matrix()
-        out = np.empty(counts.shape[0])
-        for r in range(counts.shape[0]):
-            gram = emb.T @ (counts[r][:, None] * emb)
-            beta = np.linalg.pinv(gram) @ (emb.T @ ysums[r])
-            diff = beta - beta_star
-            out[r] = float(diff @ sigma @ diff)
-        return out
+        # stacked forms that run each replicate through the same BLAS calls
+        # as a loop over replicates; ysums @ emb or einsum can differ in the
+        # last bit
+        grams = emb.T @ (counts[:, :, None] * emb)
+        beta = (np.linalg.pinv(grams) @ (emb.T @ ysums[:, :, None]))[..., 0]
+        diff = (beta - beta_star)[:, None, :]
+        return (diff @ sigma @ diff.transpose(0, 2, 1))[:, 0, 0]
     # (M, R) ERM objective: n times the empirical risk, less the sum of y^2
     scores = cls.tables ** 2 @ counts.T - 2.0 * (cls.tables @ ysums.T)
     idx = np.argmin(scores, axis=0)

@@ -18,10 +18,12 @@ This module builds the data-generating side of the lab:
   that chains the blocks, one pass over all blocks at once), so even a
   single path takes O(sqrt(T)) numpy steps per chunk, not T, and each step
   runs over R * sqrt(2T) lanes. A guide table finds each uniform's cell in
-  O(1), and noise maps to targets in one lookup per group of replicates.
-  The tables are built once per problem. One SeedSequence/PCG64 seeding
-  pass derives every replicate's streams, and one Generator per sampler
-  call draws them all.
+  O(1), and noise maps to targets in one lookup per group of replicates;
+  a noise table of one cell (noiseless problems) draws no noise stream,
+  since every uniform would fall in that cell. The tables are built once
+  per problem. One SeedSequence/PCG64 seeding pass per stream derives
+  every replicate's streams, and one Generator per sampler call draws them
+  all.
 - ``beta_at_lag`` / ``lag_weighted_sum``: exact mixing coefficients and lag
   sums, each from one matrix power. TV uses the (1/2)-l1 convention; the
   per-lag loop over all coefficients is the test oracle in tests/oracles.py.
@@ -475,9 +477,10 @@ def _hash_mix(lanes: list, n_words: int) -> list:
     return out
 
 
-def _pcg64_states(seeds) -> list[list[tuple[int, int]]]:
+def _pcg64_states(seeds, keys=(0, 1)) -> list[list[tuple[int, int]]]:
     """PCG64 (state, inc) of default_rng(SeedSequence(s).spawn(2)[k]) for
-    every seed s, as streams[k][r], k = 0 (states) and 1 (noise).
+    every seed s and each spawn key k in keys, as streams[i][r] for k =
+    keys[i]: key 0 is the state stream and key 1 the noise stream.
 
     PCG64 takes four uint64 words w from its SeedSequence, sets
     inc = (w2 w3) << 1 | 1 and, from state 0, steps the LCG, adds
@@ -485,7 +488,7 @@ def _pcg64_states(seeds) -> list[list[tuple[int, int]]]:
     all mod 2^128.
     """
     streams = []
-    for key in (0, 1):
+    for key in keys:
         stream = []
         for w0, w1, w2, w3 in _seed_sequence_state([seeds], 4, key, np.uint64).tolist():
             inc = ((w2 << 64 | w3) << 1 | 1) & _M128
@@ -498,13 +501,16 @@ class _Streams:
     """The state (0) and noise (1) uniform streams of every replicate.
 
     One Generator, owned by one sampler call, draws them all: each draw
-    assigns the stream's PCG64 state and fills one row. When a later time
-    chunk continues the streams (resume), the state is read back after each
-    draw. Never share an instance across threads.
+    assigns the stream's PCG64 state and fills one row. A stream's states
+    are derived on its first draw, so a problem whose noise table has one
+    cell never derives its noise stream. When a later time chunk continues
+    the streams (resume), the state is read back after each draw. Never
+    share an instance across threads.
     """
 
     def __init__(self, seeds, resume: bool):
-        self._streams = _pcg64_states(seeds)
+        self._seeds = seeds
+        self._streams = [None, None]
         self._gen = np.random.Generator(np.random.PCG64(0))
         self._inner = {"state": 0, "inc": 0}
         self._state = {"bit_generator": "PCG64", "state": self._inner,
@@ -513,6 +519,8 @@ class _Streams:
 
     def fill(self, stream: int, r0: int, out: np.ndarray) -> None:
         """Draw each row out[i] from replicate r0 + i's stream."""
+        if self._streams[stream] is None:
+            self._streams[stream] = _pcg64_states(self._seeds, (stream,))[0]
         states, bitgen, inner = self._streams[stream], self._gen.bit_generator, self._inner
         for i in range(len(out)):
             inner["state"], inner["inc"] = states[r0 + i]
@@ -749,7 +757,9 @@ def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | No
     states[t] = table[cell[t], states[t - 1]], where t = 0 and every multiple
     of block_len use the stationary rows: C is added to those cell ids once
     per chunk. A group's noise is one lookup too, through the problem's
-    ytab (_Tables). Groups hold about _SUB_BLOCK replicate-steps, so
+    ytab (_Tables). When the noise table has one cell, every noise uniform
+    falls in it, so no noise is drawn (nor its stream derived) and the
+    targets are ytab[state]. Groups hold about _SUB_BLOCK replicate-steps, so
     per-call costs are shared by many replicates on short paths and buffers
     stay small on long ones. States are kept in the smallest unsigned dtype
     that holds S - 1, so a chunk's states take R * T bytes on up to 256
@@ -787,17 +797,21 @@ def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | No
             x *= G
             for a in range(0, T, sub):
                 idx = cid[:, a:a + sub].T.astype(np.intp, order="C")   # time-major
-                for row in idx:
+                for row in idx:   # each step overwrites its own row ids
                     row += x
-                    tables.flat_g.take(row, out=x, mode="clip")
-                np.floor_divide(tables.flat_g.take(idx).T, G, out=states[:, a:a + sub],
+                    tables.flat_g.take(row, out=row, mode="clip")
+                    x = row
+                np.floor_divide(idx.T, G, out=states[:, a:a + sub],
                                 casting="unsafe")   # states < S
             x //= G
         del cid
         for r0 in range(0, R, group):
-            block = u[:R - r0]
+            rows = states[r0:r0 + group]
+            if tables.n_noise == 1:   # every noise uniform falls in the one cell
+                yield t0, r0, rows, tables.ytab.take(rows)
+                continue
+            block = u[:len(rows)]
             streams.fill(1, r0, block)
-            rows = states[r0:r0 + len(block)]
             at = np.multiply(rows, tables.n_noise, dtype=np.intp)
             at += _cell_ids(tables.noise_breaks, tables.noise_guide, block)
             yield t0, r0, rows, tables.ytab.take(at)

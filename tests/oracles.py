@@ -151,6 +151,23 @@ def fit_erm_linear(traj: Trajectory) -> np.ndarray:
     return beta
 
 
+def linear_excess_risks(problem: RegressionProblem, counts, ysums) -> np.ndarray:
+    """Excess risk of the min-norm least-squares fit on each replicate's
+    per-state counts and target sums, one pinv per replicate: the loop form
+    of the linear branch of `excess_risks`, which takes every replicate in
+    one stacked call and must match it bit for bit."""
+    emb = problem.embedding
+    beta_star = _f_star_param(problem)
+    sigma = problem.second_moment_matrix()
+    out = np.empty(counts.shape[0])
+    for r in range(counts.shape[0]):
+        gram = emb.T @ (counts[r][:, None] * emb)
+        beta = np.linalg.pinv(gram) @ (emb.T @ ysums[r])
+        diff = beta - beta_star
+        out[r] = float(diff @ sigma @ diff)
+    return out
+
+
 def param_excess(beta, problem: RegressionProblem) -> float:
     """Exact excess risk of a linear parameter: the pi-weighted squared
     distance of its table from the population least-squares table."""

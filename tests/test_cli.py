@@ -40,7 +40,55 @@ def test_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+
+# (command, demo config, key) for every integer key; "class.dim" is the
+# linear class's dim and "n_grid" the sweep's second grid entry
+INTEGER_KEYS = [
+    ("simulate", "simulate_trajectory", key) for key in ("n", "seed", "kwise")
+] + [
+    ("bound", "realizable_regression_bound", key) for key in ("n", "k", "resolution", "seed")
+] + [
+    ("certify", "linear_certificate", key)
+    for key in ("directions", "m_max", "seed", "class.dim")
+] + [
+    ("sweep", "mixing_free_sweep", key) for key in ("replicates", "seed", "n_grid")
+] + [
+    ("coverage", "blocked_bernstein_coverage", key)
+    for key in ("n", "k", "replicates", "seed")
+] + [
+    ("coverage", "risk_bound_coverage", key)
+    for key in ("calibration_replicates", "validation_replicates")
+] + [
+    ("diagnose", "quadratic_diagnostics", key) for key in ("n", "replicates", "rho_grid")
+]
+
+
 class TestConfigErrors:
+    @pytest.mark.parametrize("bad", [True, "64", 100.7], ids=repr)
+    @pytest.mark.parametrize("command,config,key", INTEGER_KEYS,
+                             ids=[f"{c}-{k}" for _, c, k in INTEGER_KEYS])
+    def test_integer_key_refuses_non_integers(self, tmp_path, capsys, command, config,
+                                              key, bad):
+        cfg = json.loads((DEMO_CONFIGS / f"{config}.json").read_text())
+        if key == "class.dim":
+            cfg["class"]["dim"] = bad
+        elif key == "n_grid":
+            cfg["n_grid"][1] = bad
+        else:
+            cfg[key] = bad
+        path = _write(tmp_path, "cfg.json", cfg)
+        assert run([command, "--config", path, "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and repr(key.split(".")[-1]) in err
+        assert not (tmp_path / "r").exists()
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        cfg = json.loads((DEMO_CONFIGS / "simulate_trajectory.json").read_text())
+        path = _write(tmp_path, "cfg.json", dict(cfg, n=1e2, kwise=5.0))
+        assert run(["simulate", "--config", path, "--out", str(tmp_path), "--quiet"]) == 0
+        assert len((tmp_path / "trajectory.csv").read_text().splitlines()) == 101
+
     def test_malformed_json_cites_position(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"model": [1, 2,\n  }')

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import mixfree as mf
-from oracles import (basic_inequality_sides, fit_erm_linear,
+from oracles import (basic_inequality_sides, fit_erm_linear, linear_excess_risks,
                      multiplier_process_steps, quadratic_process_steps,
                      sphere_at_radius)
 
@@ -91,6 +91,32 @@ class TestFitLinear:
         X, y = traj.covariates, traj.targets
         grad = 2.0 / 200 * X.T @ (X @ beta - y)
         assert np.linalg.norm(grad) < 1e-9
+
+
+class TestStackedLinearExcess:
+    """The linear branch of `excess_risks` solves every replicate in one
+    stacked call; it must give the loop oracle's bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(S=st.integers(1, 8), d=st.integers(1, 5), R=st.integers(0, 40),
+           deficient=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_replicate_loop(self, S, d, R, deficient, seed):
+        rng = np.random.default_rng(seed)
+        emb = rng.normal(size=(S, d))
+        if deficient and d > 1:   # a repeated or a zero column
+            emb[:, -1] = 2.0 * emb[:, 0] if rng.random() < 0.5 else 0.0
+        pi = rng.gamma(1.0, 1.0, S) + 0.05
+        problem = mf.RegressionProblem(chain=mf.iid_chain(pi / pi.sum()), embedding=emb,
+                                       mode="linear", noise=mf.NoiseSpec.zero(S),
+                                       true_param=rng.normal(size=d))
+        # about a third of the (replicate, state) cells are never visited
+        counts = rng.integers(0, 30, (R, S)) * (rng.random((R, S)) < 0.7)
+        ysums = counts * rng.normal(size=(R, S)) + rng.normal(size=(R, S)) * (counts > 0)
+        got = mf.excess_risks(problem, mf.HypothesisClass.linear(d),
+                              counts.astype(float), ysums)
+        want = linear_excess_risks(problem, counts.astype(float), ysums)
+        assert got.shape == (R,)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestFitFinite:

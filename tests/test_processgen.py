@@ -597,6 +597,33 @@ class TestSeedDerivation:
         with pytest.raises(ValueError, match="non-negative integer, got -3"):
             processgen._pcg64_states([4, -3])
 
+    @pytest.mark.parametrize("noise,keys", [
+        (mf.NoiseSpec.zero(2), [(0,)]),
+        (mf.NoiseSpec.iid([0.5], [1.0], 2, bound=0.5), [(0,)]),
+        (mf.NoiseSpec("state-dependent-bias", [[0.5, 9.0]] * 2, [[1.0, 0.0]] * 2), [(0,)]),
+        (mf.NoiseSpec("state-dependent-bias", [[0.5, 9.0]] * 2, [[0.0, 1.0]] * 2),
+         [(0,), (1,)]),
+        (mf.NoiseSpec.symmetric(0.5, 2), [(0,), (1,)]),
+    ], ids=["zero", "one-value", "one-cell", "empty-first-cell", "symmetric"])
+    def test_noise_stream_derived_only_for_two_or_more_cells(self, noise, keys):
+        # past one time chunk, so the streams resume
+        problem = mf.RegressionProblem(chain=mf.two_state_chain(0.3, 0.2),
+                                       embedding=np.eye(2), mode="tabular", noise=noise,
+                                       true_table=np.array([1.0, -1.0]))
+        derived = []
+
+        def spy(seeds, keys):
+            derived.append(tuple(keys))
+            return pcg64_states(seeds, keys)
+
+        pcg64_states = processgen._pcg64_states
+        with mock.patch.object(processgen, "_pcg64_states", spy), \
+                mock.patch.object(processgen, "_TIME_CHUNK", 16):
+            states, targets = mf.sample_path_batch(problem, 40, range(3))
+        assert derived == keys
+        if keys == [(0,)]:
+            assert np.array_equal(targets, problem.regression_mean()[states])
+
 
 class TestKMixFromChain:
     @settings(max_examples=200, deadline=None)

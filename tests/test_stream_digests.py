@@ -12,7 +12,10 @@ coverage and diagnostics cases were recorded before the empirical processes
 and ERM excess risks moved into `erm`, and pin the arithmetic on the
 per-state statistics as well as the streams. The `simulate` CSV cases were
 recorded before long single-replicate paths were walked in blocks and before
-the CSV writer formatted each distinct value once, and pin both.
+the CSV writer formatted each distinct value once, and pin both. The
+one-cell noise cases (zero noise, one value, and two values of which one has
+probability 0) were recorded before such noise tables stopped drawing their
+noise stream, and pin that the targets keep their bits without it.
 """
 
 import hashlib
@@ -51,16 +54,44 @@ def _problem():
                                 true_table=np.array([0.5, -1.0, 0.25]))
 
 
-def _batch(block_len, time_chunk=None):
+def _one_cell_problem(noise):
+    """The same chain and truth, with a noise table of one cell: every noise
+    uniform draws the same value."""
+    base = _problem()
+    return mf.RegressionProblem(chain=base.chain, embedding=np.eye(3), mode="tabular",
+                                noise=noise, true_table=base.true_table)
+
+
+_ZERO_NOISE = mf.NoiseSpec.zero(3)
+_ONE_VALUE_NOISE = mf.NoiseSpec.iid([0.5], [1.0], 3, bound=0.5)
+# two values per state, but the second has probability 0: still one cell
+_ONE_CELL_TWO_VALUES = mf.NoiseSpec("state-dependent-bias",
+                                    np.array([[0.5, 9.0], [-0.25, 9.0], [1.5, 9.0]]),
+                                    np.array([[1.0, 0.0]] * 3))
+
+
+def _batch(block_len, time_chunk=None, noise=None, seeds=SEEDS, n=240):
+    problem = _problem() if noise is None else _one_cell_problem(noise)
     with mock.patch.object(processgen, "_TIME_CHUNK", time_chunk or processgen._TIME_CHUNK):
-        states, targets = mf.sample_path_batch(_problem(), 240, SEEDS, block_len=block_len)
+        states, targets = mf.sample_path_batch(problem, n, seeds, block_len=block_len)
     return _digest(states.astype(np.int64), targets)
 
 
-def _stream(block_len, time_chunk):
+def _stream(block_len, time_chunk, noise=None):
+    problem = _problem() if noise is None else _one_cell_problem(noise)
     with mock.patch.object(processgen, "_TIME_CHUNK", time_chunk):
-        counts, ysums = mf.stream_state_stats(_problem(), 1000, SEEDS, block_len=block_len)
+        counts, ysums = mf.stream_state_stats(problem, 1000, SEEDS, block_len=block_len)
     return _digest(counts, ysums)
+
+
+def _blocked_bernstein():
+    # 200 replicates: past the blocked walk's crossover, so one block per chunk
+    chain = _problem().chain
+    values = np.array([1.0, -0.5, 0.25])
+    values -= chain.stationary @ values
+    report = harness.blocked_bernstein_coverage(chain, values, 512, 8, 0.1, 200,
+                                                master_seed=2 ** 40 + 3)
+    return _digest(report.realized)
 
 
 def _cell_seeds():
@@ -147,6 +178,25 @@ CASES = {
                        "7d4cabdf07d375c476e9fa4bda1de3011cd0c29928a84bfe37262089e450f1fb"),
     "stream-block40-chunk300": (lambda: _stream(40, 300),
                                 "10b6575a32bd3bdced3c3896572d08ae356dd1c0c8b5a31964e45764821d4a8e"),
+    # one-cell noise tables
+    "batch-zero-noise-block16-chunk37": (
+        lambda: _batch(16, 37, _ZERO_NOISE),
+        "fb3f9a3c3492b42ed65c20b9cbff3a74dae1492c00856cafa551326a715f5cf2"),
+    "batch-zero-noise-300-replicates": (
+        lambda: _batch(40, 700, _ZERO_NOISE, range(300), 1000),
+        "6f020ad118a6ed2932ffa117d729a755d6e56a0a98708c5501203f33d470e3d7"),
+    "stream-zero-noise-block40-chunk300": (
+        lambda: _stream(40, 300, _ZERO_NOISE),
+        "2b9867f85373a232aa81029b71b570c079b4a5b0cf6f9e9bb75180aba9d8609a"),
+    "stream-one-value-noise-chunk300": (
+        lambda: _stream(None, 300, _ONE_VALUE_NOISE),
+        "b1930aaa75db5db6d1962a369484bda3af2b9e32bae96962d3728dc17dc58ebd"),
+    "stream-one-cell-two-values-block40-chunk300": (
+        lambda: _stream(40, 300, _ONE_CELL_TWO_VALUES),
+        "1b7b45f16323465a5ce39011c54e7a265aa59f8c2b83510e8dc4335be0f10f55"),
+    "blocked-bernstein-realized": (
+        _blocked_bernstein,
+        "bcc7802aaa72b81346cdf4ea4dbf5f1bdc76d54d90e1852a5614150a1317cd63"),
     "cell-seed": (_cell_seeds,
                   "ebbc2a9c74ea7d787ac6175acc9588239f2bb0cea2274aa2860bd580a6feb83d"),
     "weak-variance-2q": (_weak_variance_seeds,
