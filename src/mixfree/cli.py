@@ -2,109 +2,69 @@
 
 Flag grammar: ``mixfree <command> --config <path> [--out <dir>] [--seed <n>]
 [--quiet]`` with commands simulate, bound, certify, sweep, coverage, diagnose.
-Exit codes: 0 on success, 1 on configuration errors, 2 on numeric failures
-propagated from the modules. A configuration error names the offending key,
-or the line/column for malformed JSON, and is caught before any sampling.
-Configuration errors include:
+Exit codes: 0 on success, 1 on a config error, 2 on a numeric failure from
+the modules or on running out of memory. A config error names its key (or
+the line and column of malformed JSON) and comes before any sampling.
+`_KEYS` lists each command's keys in reading order; a missing required key
+or an unknown key is an error. Each key has a kind:
 
-- a model document the modules reject, a value that is not a number, a
-  negative seed, unknown keys (configs are validated strictly);
-- an integer key (n, seed, replicate counts, k, kwise, dim, resolution,
-  directions, m_max, rho_grid, the sweep's n_grid entries) given a
-  boolean, a string or a number that is not integral; 1e2 reads as 100;
-- a delta outside (0, 1), and a riskBound delta of 0.25 or more;
-- a diagnose epsilon outside [0, 1);
-- a count below 1: n, replicate counts (below 2 for diagnose, which
-  calibrates on half its replicates), the bound's k and resolution, the
-  certificate's directions and m_max; a diagnose rho_grid below 2; an empty
-  sweep n_grid;
-- a block length (coverage k, simulate kwise) that does not divide n;
-- a class with the other kind's key or that does not fit its model (a
-  linear dim, finite table width); repeated sweep level labels;
-- blockedBernstein values that are not numbers, not one per state, or not
-  centered under the stationary law.
+- integer: an integral JSON number (1e2 is 100), not a boolean or a string.
+  Counts are >= 1 (>= 2 for diagnose replicates and rho_grid); a block length
+  (coverage k, simulate kwise) divides n; a seed is >= 0 (--seed replaces it).
+- number: finite, not a boolean or a string. delta lies in (0, 1), below 0.25
+  for riskBound coverage (tested at level 4 * delta); epsilon in [0, 1);
+  q >= 1, and q = 1 needs p = inf; p >= 1, or "inf", "Infinity" or null.
+- label: a string; flag: a boolean; choice: certify's method, a kind.
+- document: a model (`processgen.problem_from_dict`); a linear (dim) or finite
+  (tables) class that fits every model; constants (c1, c2, c3, c_alpha); the
+  sweep's nonempty levels ({label, model}, distinct labels) and n_grid of
+  integers; blockedBernstein's transition and centered values, one per state.
+null reads as the default only for p, k and kwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import asdict
-
-import numpy as np
+from dataclasses import asdict, fields
 
 from . import bounds, harness, processgen
 from .bounds import Constants, INF
 from .erm import HypothesisClass, check_class_fits
-
-COMMANDS = ("simulate", "bound", "certify", "sweep", "coverage", "diagnose")
 
 
 class ConfigError(ValueError):
     """Configuration problem attributable to the user-supplied document."""
 
 
-def _check_keys(obj: dict, required: set, optional: set, where: str) -> None:
-    if not isinstance(obj, dict):
+def _read(cfg, table, where: str, seed: int | None) -> dict:
+    """cfg's values, read in table order, so each reader sees those read before
+    it. (key, reader) is required, (key, reader, default) optional; a dict of
+    tables is chosen by cfg's 'kind'. --seed (when given) replaces 'seed'."""
+    if not isinstance(cfg, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    missing = required - set(obj)
+    if isinstance(table, dict):
+        if cfg.get("kind") not in tuple(table):     # a tuple: [] or {} is unhashable
+            raise ConfigError(f"{where} kind must be one of {list(table)}, "
+                              f"got {cfg.get('kind')!r}")
+        table = table[cfg["kind"]]
+    missing = sorted(entry[0] for entry in table if len(entry) == 2 and entry[0] not in cfg)
     if missing:
-        raise ConfigError(f"{where} is missing required key(s): {sorted(missing)}")
-    unknown = set(obj) - required - optional
+        raise ConfigError(f"{where} is missing required key(s): {missing}")
+    unknown = sorted(set(cfg) - {entry[0] for entry in table})
     if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
-
-
-def _number(value, key: str, kind=float):
-    """A config value converted by `kind` (int or float); one that does not
-    convert is a config error naming its key. An integer must be a JSON
-    number of integral value (1e2 is 100), not a boolean, a string or 2.5."""
-    if kind is int:
-        if isinstance(value, bool) or not (
-                isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-            raise ConfigError(f"{key!r} must be an integer, got {value!r}")
-        return int(value)
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key!r} must be a number, got {value!r}") from None
-
-
-def _count(value, key: str, least: int = 1) -> int:
-    """A config integer that must be at least `least` (a sample size or a
-    replicate count)."""
-    n = _number(value, key, int)
-    if n < least:
-        raise ConfigError(f"{key!r} must be >= {least}, got {n}")
-    return n
-
-
-def _divisor(value, key: str, n: int) -> int:
-    """A config block length: an integer >= 1 that divides n."""
-    k = _count(value, key)
-    if n % k != 0:
-        raise ConfigError(f"{key!r} must divide 'n' = {n}, got {k}")
-    return k
-
-
-def _fraction(value, key: str) -> float:
-    """A config number that must lie strictly between 0 and 1 (a delta)."""
-    x = _number(value, key)
-    if not 0 < x < 1:
-        raise ConfigError(f"{key!r} must lie in (0, 1), got {x}")
-    return x
-
-
-def _seed(cfg: dict, override: int | None) -> int:
-    """The run's seed: --seed when given, else the config's 'seed' (0 when it
-    has none). Seeds are non-negative integers of any size."""
-    seed = _number(cfg.get("seed", 0), "seed", int) if override is None else override
-    if seed < 0:
-        where = "'seed'" if override is None else "--seed"
-        raise ConfigError(f"{where} must be a non-negative integer, got {seed}")
-    return seed
+        raise ConfigError(f"unknown key(s) in {where}: {unknown}")
+    if seed is not None:
+        if seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
+        cfg = dict(cfg, seed=seed)
+    got = {}
+    for key, reader, *default in table:
+        got[key] = reader(cfg.get(key, *default), key, got)
+    return got
 
 
 def _document(build, spec, where: str):
@@ -116,43 +76,164 @@ def _document(build, spec, where: str):
         raise ConfigError(f"{where}: {err}") from None
 
 
-def _parse_p(value) -> float:
-    if value in ("inf", "Infinity", None):
-        return INF
-    return _number(value, "p")
+# Readers: reader(value, key, got) reads one key, given the values read before it.
+
+def _given(value, key, got):     # a value its module checks
+    return value
 
 
-def _parse_q_p(cfg: dict) -> tuple[float, float]:
-    """The config's (q, p); a pair the bound cannot use is a config error."""
-    q, p = _number(cfg.get("q", 1.0), "q"), _parse_p(cfg.get("p"))
-    try:
-        bounds.check_q_p(q, p)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-    return q, p
+def _number_read(kind, test, must: str):
+    """A JSON number (not a boolean or a string) as kind, where an int needs an
+    integral value (1e2 is 100), that must pass test."""
+    def read(value, key, got):
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or kind is int and isinstance(value, float) and not value.is_integer()):
+            raise ConfigError(f"{key!r} must be {'an integer' if kind is int else 'a number'}"
+                              f", got {value!r}")
+        if kind is float and isinstance(value, int) and abs(value) > sys.float_info.max:
+            value = INF if value > 0 else -INF      # float() would overflow
+        if not test(kind(value)):
+            raise ConfigError(f"{key!r} must {must}, got {kind(value)}")
+        return kind(value)
+    return read
 
 
-def _parse_class(spec, problems) -> HypothesisClass:
-    """The config's class, which must fit each model in `problems`."""
-    _check_keys(spec, {"kind"}, {"dim", "tables"}, "class")
-    if spec["kind"] == "linear":
-        _check_keys(spec, {"kind", "dim"}, set(), "linear class")
-        cls = _document(HypothesisClass.linear, _number(spec["dim"], "dim", int), "class")
-    elif spec["kind"] == "finite":
-        _check_keys(spec, {"kind", "tables"}, set(), "finite class")
-        cls = _document(HypothesisClass.finite, spec["tables"], "class")
-    else:
-        raise ConfigError(f"class kind must be 'linear' or 'finite', got {spec['kind']!r}")
-    for problem in problems:
-        _document(lambda c: check_class_fits(problem, c), cls, "class")
+def _count(least: int):
+    """An integer >= least (a sample size, a replicate count, a grid size)."""
+    return _number_read(int, lambda n: n >= least, f"be >= {least}")
+
+
+_integer = _number_read(int, lambda n: True, "be an integer")
+_seed = _number_read(int, lambda n: n >= 0, "be a non-negative integer")
+_number = _number_read(float, math.isfinite, "be finite")
+_fraction = _number_read(float, lambda x: 0 < x < 1, "lie in (0, 1)")
+_epsilon = _number_read(float, lambda x: 0 <= x < 1, "lie in [0, 1)")
+_finite_p = _number_read(float, lambda x: 1 <= x < INF, 'be >= 1 and finite, or "inf"')
+
+
+def _divisor(value, key, got) -> int:
+    """A block length: an integer >= 1 that divides n."""
+    k = _count(1)(value, key, got)
+    if got["n"] % k != 0:
+        raise ConfigError(f"{key!r} must divide 'n' = {got['n']}, got {k}")
+    return k
+
+
+def _optional(reader):
+    """reader, with null read as None (the module's default)."""
+    return lambda value, key, got: None if value is None else reader(value, key, got)
+
+
+def _risk_delta(value, key, got) -> float:
+    delta = _fraction(value, key, got)
+    if delta >= 0.25:
+        raise ConfigError(f"{key!r} must be below 0.25 for riskBound coverage, "
+                          f"which tests at level 4 * delta, got {delta}")
+    return delta
+
+
+def _p(value, key, got) -> float:
+    return INF if value in ("inf", "Infinity", None) else _finite_p(value, key, got)
+
+
+def _q(value, key, got) -> float:
+    q = _number(value, key, got)
+    _document(lambda q: bounds.check_q_p(q, got["p"]), q, repr(key))
+    return q
+
+
+def _check(test, must: str):
+    def read(value, key, got):
+        if not test(value):
+            raise ConfigError(f"{key!r} must be {must}, got {value!r}")
+        return value
+    return read
+
+
+_label = _check(lambda v: isinstance(v, str), "a string")
+_flag = _check(lambda v: isinstance(v, bool), "true or false")
+_method = _check(lambda v: v in bounds.CERTIFY_METHODS, f"one of {list(bounds.CERTIFY_METHODS)}")
+
+
+def _model(value, key, got):
+    return _document(processgen.problem_from_dict, value, key)
+
+
+def _chain(value, key, got):
+    """A blockedBernstein model: {"transition": P}, or P itself."""
+    if isinstance(value, dict):
+        value = _read(value, (("transition", _given),), key, None)["transition"]
+    return _document(processgen.MarkovChainModel.from_transition, value, key)
+
+
+def _values(value, key, got):
+    return _document(lambda v: harness.centered_values(got["model"], v), value, repr(key))
+
+
+def _class(value, key, got):
+    """A class that fits the model, or every level's model."""
+    cls = _document(lambda spec: HypothesisClass(**spec), _read(value, _CLASS, key, None), key)
+    models = [level["model"] for level in got["levels"]] if "levels" in got else [got["model"]]
+    for problem in models:
+        _document(lambda c: check_class_fits(problem, c), cls, key)
     return cls
 
 
-def _parse_constants(spec) -> Constants:
-    if spec is None:
-        return Constants()
-    _check_keys(spec, set(), {"c1", "c2", "c3", "c_alpha"}, "constants")
-    return Constants(**{k: _number(v, k) for k, v in spec.items()})
+def _constants(value, key, got) -> Constants:
+    return Constants(**_read(value, _CONSTANTS, key, None))
+
+
+def _level(value, key, got) -> dict:
+    return _read(value, (("label", _label), ("model", _model)), "level", None)
+
+
+def _nonempty(item, what: str):
+    """A nonempty list, each entry read by item; an entry's error names its index."""
+    def read(value, key, got) -> list:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{key!r} must be a nonempty list of {what}")
+        entries = []
+        for i, entry in enumerate(value):
+            try:
+                entries.append(item(entry, key, got))
+            except ConfigError as err:
+                raise ConfigError(f"{key}[{i}]: {err}") from None
+        return entries
+    return read
+
+
+_CLASS = {"linear": (("kind", _given), ("dim", _count(1))),
+          "finite": (("kind", _given), ("tables", _given))}
+_CONSTANTS = tuple((f.name, _number, f.default) for f in fields(Constants))
+_BOUND = (("p", _p, None), ("q", _q, 1.0), ("constants", _constants, {}))
+
+_KEYS = {
+    "simulate": (("model", _model), ("n", _count(1)), ("seed", _seed),
+                 ("kwise", _optional(_divisor), None)),
+    "bound": (("model", _model), ("class", _class), *_BOUND, ("n", _count(1)),
+              ("delta", _fraction), ("k", _optional(_count(1)), None),
+              ("resolution", _count(1), 64), ("seed", _seed, 0)),
+    "certify": (("model", _model), ("class", _class),
+                ("method", _method, "auto"), ("p", _p, 2.0),
+                ("directions", _count(1), 10_000), ("m_max", _count(1), 200),
+                ("seed", _seed, 0)),
+    "sweep": (("levels", _nonempty(_level, "{label, model}")),
+              ("n_grid", _nonempty(_integer, "integers")), *_BOUND, ("class", _class),
+              ("replicates", _count(1)), ("seed", _seed), ("delta", _fraction, 0.05),
+              ("block_rule", _given, "kmix"), ("plot", _flag, False)),
+    "coverage": {
+        "blockedBernstein": (("kind", _given), ("model", _chain), ("n", _count(1)),
+                             ("values", _values), ("k", _divisor), ("delta", _fraction),
+                             ("replicates", _count(1)), ("seed", _seed)),
+        "riskBound": (("kind", _given), *_BOUND, ("delta", _risk_delta), ("model", _model),
+                      ("class", _class), ("n", _count(1)),
+                      ("calibration_replicates", _count(1)),
+                      ("validation_replicates", _count(1)), ("seed", _seed))},
+    "diagnose": (*_BOUND, ("epsilon", _epsilon), ("model", _model), ("class", _class),
+                 ("n", _count(1)), ("replicates", _count(2)), ("delta", _fraction),
+                 ("seed", _seed), ("rho_grid", _count(2), 64)),
+}
+COMMANDS = tuple(_KEYS)
 
 
 def _load_config(path: str) -> dict:
@@ -171,39 +252,21 @@ def _out_path(out_dir: str, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
-def _cmd_simulate(cfg: dict, out: str, seed: int | None) -> list:
-    _check_keys(cfg, {"model", "n", "seed"}, {"kwise"}, "simulate config")
-    problem = _document(processgen.problem_from_dict, cfg["model"], "model")
-    n = _count(cfg["n"], "n")
-    use_seed = _seed(cfg, seed)
-    if "kwise" in cfg:
-        traj = processgen.kwise_independent_surrogate(
-            problem, n, _divisor(cfg["kwise"], "kwise", n), use_seed)
-    else:
-        traj = processgen.sample_trajectory(problem, n, use_seed)
+def _cmd_simulate(c: dict, out: str) -> list:
+    traj = (processgen.sample_trajectory(c["model"], c["n"], c["seed"]) if c["kwise"] is None
+            else processgen.kwise_independent_surrogate(c["model"], c["n"], c["kwise"], c["seed"]))
     path = _out_path(out, "trajectory.csv")
     processgen.trajectory_to_csv(traj, path)
     return [path]
 
 
-def _cmd_bound(cfg: dict, out: str, seed: int | None) -> list:
-    _check_keys(cfg, {"model", "class", "n", "delta"},
-                {"q", "p", "k", "constants", "resolution", "seed"},
-                "bound config")
-    problem = _document(processgen.problem_from_dict, cfg["model"], "model")
-    cls = _parse_class(cfg["class"], [problem])
-    q, p = _parse_q_p(cfg)
+def _cmd_bound(c: dict, out: str) -> list:
     report = bounds.compute_bound_report(
-        problem, cls, _count(cfg["n"], "n"), _fraction(cfg["delta"], "delta"),
-        q=q, p=p,
-        k=None if cfg.get("k") is None else _count(cfg["k"], "k"),
-        constants=_parse_constants(cfg.get("constants")),
-        resolution=_count(cfg.get("resolution", 64), "resolution"),
-        seed=_seed(cfg, seed))
+        c["model"], c["class"], c["n"], c["delta"], q=c["q"], p=c["p"], k=c["k"],
+        constants=c["constants"], resolution=c["resolution"], seed=c["seed"])
     json_path = _out_path(out, "bound_report.json")
     with open(json_path, "w") as fh:
         fh.write(report.to_json() + "\n")
-
     rhs = report.multiplier_rhs()
     csv_path = _out_path(out, "bound_terms.csv")
     with open(csv_path, "w") as fh:
@@ -214,20 +277,10 @@ def _cmd_bound(cfg: dict, out: str, seed: int | None) -> list:
     return [json_path, csv_path]
 
 
-def _cmd_certify(cfg: dict, out: str, seed: int | None) -> list:
-    _check_keys(cfg, {"model", "class"},
-                {"p", "method", "directions", "seed", "m_max"}, "certify config")
-    problem = _document(processgen.problem_from_dict, cfg["model"], "model")
-    cls = _parse_class(cfg["class"], [problem])
-    method = cfg.get("method", "auto")
-    if method not in bounds.CERTIFY_METHODS:
-        raise ConfigError(f"'method' must be one of {list(bounds.CERTIFY_METHODS)}, "
-                          f"got {method!r}")
+def _cmd_certify(c: dict, out: str) -> list:
     cert = bounds.certify_weak_subgaussian(
-        cls, problem, p=_parse_p(cfg.get("p", 2.0)), method=method,
-        directions=_count(cfg.get("directions", 10_000), "directions"),
-        m_max=_count(cfg.get("m_max", 200), "m_max"),
-        seed=_seed(cfg, seed))
+        c["class"], c["model"], p=c["p"], method=c["method"],
+        directions=c["directions"], m_max=c["m_max"], seed=c["seed"])
     payload = asdict(cert)
     payload["p"] = "inf" if cert.p == INF else cert.p
     path = _out_path(out, "certificate.json")
@@ -237,30 +290,13 @@ def _cmd_certify(cfg: dict, out: str, seed: int | None) -> list:
     return [path]
 
 
-def _cmd_sweep(cfg: dict, out: str, seed: int | None) -> list:
-    _check_keys(cfg, {"levels", "class", "n_grid", "replicates", "seed"},
-                {"delta", "q", "p", "constants", "block_rule", "plot"},
-                "sweep config")
-    if not isinstance(cfg["levels"], list) or not cfg["levels"]:
-        raise ConfigError("'levels' must be a nonempty list of {label, model}")
-    problems, labels = [], []
-    for i, level in enumerate(cfg["levels"]):
-        _check_keys(level, {"label", "model"}, set(), f"levels[{i}]")
-        problems.append(_document(processgen.problem_from_dict, level["model"],
-                                  f"levels[{i}].model"))
-        labels.append(level["label"])
-    if not isinstance(cfg["n_grid"], list) or not cfg["n_grid"]:
-        raise ConfigError("'n_grid' must be a nonempty list of integers")
-    q, p = _parse_q_p(cfg)
+def _cmd_sweep(c: dict, out: str) -> list:
     config = _document(lambda fields: harness.SweepConfig(**fields), dict(
-        problems=tuple(problems), labels=tuple(labels),
-        hypothesis=_parse_class(cfg["class"], problems),
-        n_grid=tuple(_number(n, "n_grid", int) for n in cfg["n_grid"]),
-        replicates=_count(cfg["replicates"], "replicates"),
-        master_seed=_seed(cfg, seed),
-        delta=_fraction(cfg.get("delta", 0.05), "delta"), q=q, p=p,
-        constants=_parse_constants(cfg.get("constants")),
-        block_rule=cfg.get("block_rule", "kmix")), "sweep config")
+        problems=tuple(level["model"] for level in c["levels"]),
+        labels=tuple(level["label"] for level in c["levels"]),
+        hypothesis=c["class"], n_grid=tuple(c["n_grid"]), replicates=c["replicates"],
+        master_seed=c["seed"], delta=c["delta"], q=c["q"], p=c["p"],
+        constants=c["constants"], block_rule=c["block_rule"]), "sweep config")
     result = harness.run_sweep(config)
     csv_path = _out_path(out, "sweep.csv")
     harness.sweep_to_csv(result, csv_path)
@@ -269,7 +305,7 @@ def _cmd_sweep(cfg: dict, out: str, seed: int | None) -> list:
         json.dump(harness.sweep_summary(result), fh, indent=2, sort_keys=True)
         fh.write("\n")
     written = [csv_path, summary_path]
-    if cfg.get("plot"):
+    if c["plot"]:
         svg_path = _out_path(out, "sweep.svg")
         harness.svg_loglog(svg_path, config.n_grid,
                            {lab: result.medians(li)
@@ -278,70 +314,30 @@ def _cmd_sweep(cfg: dict, out: str, seed: int | None) -> list:
     return written
 
 
-def _cmd_coverage(cfg: dict, out: str, seed: int | None) -> list:
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ConfigError("coverage config requires key 'kind'")
-    kind = cfg["kind"]
-    if kind == "blockedBernstein":
-        _check_keys(cfg, {"kind", "model", "values", "n", "k", "delta",
-                          "replicates", "seed"}, set(), "coverage config")
-        spec = cfg["model"]
-        if isinstance(spec, dict):
-            _check_keys(spec, {"transition"}, set(), "model")
-            spec = spec["transition"]
-        model = _document(processgen.MarkovChainModel.from_transition, spec, "model")
-        n = _count(cfg["n"], "n")
+def _cmd_coverage(c: dict, out: str) -> list:
+    if c["kind"] == "blockedBernstein":
         report = harness.blocked_bernstein_coverage(
-            model, _document(lambda v: harness.centered_values(model, v), cfg["values"],
-                             "'values'"),
-            n, _divisor(cfg["k"], "k", n), _fraction(cfg["delta"], "delta"),
-            _count(cfg["replicates"], "replicates"), _seed(cfg, seed))
-    elif kind == "riskBound":
-        _check_keys(cfg, {"kind", "model", "class", "n", "delta",
-                          "calibration_replicates", "validation_replicates",
-                          "seed"}, {"q", "p", "constants"}, "coverage config")
-        q, p = _parse_q_p(cfg)
-        delta = _fraction(cfg["delta"], "delta")
-        if delta >= 0.25:
-            raise ConfigError(f"'delta' must be below 0.25 for riskBound coverage, "
-                              f"which tests at level 4 * delta, got {delta}")
-        problem = _document(processgen.problem_from_dict, cfg["model"], "model")
-        report = harness.risk_bound_coverage(
-            problem, _parse_class(cfg["class"], [problem]), _count(cfg["n"], "n"), delta,
-            _count(cfg["calibration_replicates"], "calibration_replicates"),
-            _count(cfg["validation_replicates"], "validation_replicates"),
-            _seed(cfg, seed),
-            q=q, p=p, constants=_parse_constants(cfg.get("constants")))
+            c["model"], c["values"], c["n"], c["k"], c["delta"], c["replicates"], c["seed"])
     else:
-        raise ConfigError(f"coverage kind must be 'blockedBernstein' or "
-                          f"'riskBound', got {kind!r}")
+        report = harness.risk_bound_coverage(
+            c["model"], c["class"], c["n"], c["delta"], c["calibration_replicates"],
+            c["validation_replicates"], c["seed"], q=c["q"], p=c["p"],
+            constants=c["constants"])
     csv_path = _out_path(out, "coverage.csv")
     report.to_csv(csv_path)
     json_path = _out_path(out, "coverage.json")
     with open(json_path, "w") as fh:
-        json.dump({"kind": report.kind, "replicates": report.replicates,
-                   "delta": report.delta, "frequency": report.frequency,
-                   "std_error": report.std_error, "threshold": report.threshold,
-                   "c2": report.c2}, fh, indent=2)
+        json.dump({name: getattr(report, name) for name in (
+            "kind", "replicates", "delta", "frequency", "std_error", "threshold", "c2")},
+            fh, indent=2)
         fh.write("\n")
     return [csv_path, json_path]
 
 
-def _cmd_diagnose(cfg: dict, out: str, seed: int | None) -> list:
-    _check_keys(cfg, {"model", "class", "n", "replicates", "epsilon", "delta",
-                      "seed"}, {"q", "p", "constants", "rho_grid"},
-                "diagnose config")
-    q, p = _parse_q_p(cfg)
-    epsilon = _number(cfg["epsilon"], "epsilon")
-    if not 0 <= epsilon < 1:
-        raise ConfigError(f"'epsilon' must lie in [0, 1), got {epsilon}")
-    problem = _document(processgen.problem_from_dict, cfg["model"], "model")
+def _cmd_diagnose(c: dict, out: str) -> list:
     report = harness.process_diagnostics(
-        problem, _parse_class(cfg["class"], [problem]),
-        _count(cfg["n"], "n"), _count(cfg["replicates"], "replicates", least=2),
-        epsilon, _fraction(cfg["delta"], "delta"), _seed(cfg, seed),
-        q=q, p=p, constants=_parse_constants(cfg.get("constants")),
-        rho_grid=_count(cfg.get("rho_grid", 64), "rho_grid", least=2))
+        c["model"], c["class"], c["n"], c["replicates"], c["epsilon"], c["delta"],
+        c["seed"], q=c["q"], p=c["p"], constants=c["constants"], rho_grid=c["rho_grid"])
     path = _out_path(out, "diagnostics.json")
     with open(path, "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)
@@ -349,14 +345,8 @@ def _cmd_diagnose(cfg: dict, out: str, seed: int | None) -> list:
     return [path]
 
 
-_HANDLERS = {
-    "simulate": _cmd_simulate,
-    "bound": _cmd_bound,
-    "certify": _cmd_certify,
-    "sweep": _cmd_sweep,
-    "coverage": _cmd_coverage,
-    "diagnose": _cmd_diagnose,
-}
+_HANDLERS = {"simulate": _cmd_simulate, "bound": _cmd_bound, "certify": _cmd_certify,
+             "sweep": _cmd_sweep, "coverage": _cmd_coverage, "diagnose": _cmd_diagnose}
 
 
 def run(argv) -> int:
@@ -372,13 +362,17 @@ def run(argv) -> int:
     except SystemExit:
         return 1
     try:
-        cfg = _load_config(args.config)
-        written = _HANDLERS[args.command](cfg, args.out, args.seed)
+        cfg = _read(_load_config(args.config), _KEYS[args.command],
+                    f"{args.command} config", args.seed)
+        written = _HANDLERS[args.command](cfg, args.out)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
     except (ValueError, ArithmeticError, KeyError, TypeError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("numeric failure: out of memory", file=sys.stderr)
         return 2
     if not args.quiet:
         for path in written:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .processgen import RegressionProblem
+from .processgen import RegressionProblem, _reals
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class HypothesisClass:
             if self.dim is None or self.dim < 1:
                 raise ValueError("linear class requires dimension d >= 1")
         elif self.kind == "finite":
-            tables = np.atleast_2d(np.asarray(self.tables, dtype=float))
+            tables = np.atleast_2d(_reals(self.tables, "finite class tables"))
             if tables.size == 0:
                 raise ValueError("finite class must be nonempty")
             tables.flags.writeable = False
@@ -47,7 +47,7 @@ class HypothesisClass:
 
     @classmethod
     def finite(cls, tables) -> "HypothesisClass":
-        return cls(kind="finite", tables=np.asarray(tables, dtype=float))
+        return cls(kind="finite", tables=tables)
 
 
 def check_class_fits(problem: RegressionProblem, cls: HypothesisClass) -> None:

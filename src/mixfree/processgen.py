@@ -46,14 +46,28 @@ ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
 
 NOISE_KINDS = ("bounded-iid", "martingale-difference", "state-dependent-bias")
+_REPAIR_LAG = 4096      # beta_at_lag repairs squares of this lag and above
+
+
+def _reals(x, name: str) -> np.ndarray:
+    """x as a float array; a boolean, a string or a non-finite entry is
+    refused, naming `name` (numpy would read True as 1 and "0.5" as 0.5)."""
+    try:
+        if (x.dtype == bool if isinstance(x, np.ndarray) else not {bool, str}.isdisjoint(
+                map(type, np.asarray(x, dtype=object).ravel()))):
+            raise TypeError
+        a = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must hold numbers only") from None
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} has non-finite entries")
+    return a
 
 
 def _as_matrix(transition) -> np.ndarray:
-    P = np.asarray(transition, dtype=float)
+    P = _reals(transition, "transition matrix")
     if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] < 1:
         raise ValueError(f"transition matrix must be square, got shape {P.shape}")
-    if not np.all(np.isfinite(P)):
-        raise ValueError("transition matrix has non-finite entries")
     if np.any(P < -ROW_SUM_TOL) or np.any(P > 1 + ROW_SUM_TOL):
         raise ValueError("transition probabilities must lie in [0, 1]")
     rows = P.sum(axis=1)
@@ -175,23 +189,38 @@ def product_embedding(values, copies: int) -> np.ndarray:
     return emb
 
 
+def _centered_kernel(model: MarkovChainModel) -> np.ndarray:
+    """Q = P - 1 pi^T, with Q^k = P^k - 1 pi^T for k >= 1 since P Pi = Pi P = Pi^2
+    = Pi for Pi = 1 pi^T (Levin, Peres & Wilmer, Markov Chains and Mixing Times)."""
+    return model.transition - model.stationary[None, :]
+
+
 def beta_at_lag(model: MarkovChainModel, lag: int) -> float:
     """Exact mixing coefficient beta(lag) of a stationary chain: the
-    pi-average of TV(P^lag(x, .), pi), since for a time-homogeneous
-    stationary chain the supremum over the conditioning time is constant.
-    It is nonincreasing in lag and lies in [0, 1]. P^lag comes from one
-    matrix power by repeated squaring: O(S^3 log lag) work, no per-lag
-    loop."""
+    pi-average of TV(P^lag(x, .), pi), nonincreasing in lag and in [0, 1] (for
+    a time-homogeneous stationary chain the supremum over the conditioning
+    time is constant). P^lag - 1 pi^T = Q^lag is one power of the centered
+    kernel by repeated squaring, O(S^3 log lag); powers of P drift by a
+    rounding per step (beta(2^62) read 0.5 on a chain whose beta is 0 there).
+    Bare powers of Q drift too on periodic chains, whose Q keeps eigenvalues
+    of modulus 1 (past 1e-12 near lag 2^16). So squares from lag _REPAIR_LAG
+    on are put back where Q^m lies: Q^m + 1 pi^T is row-stochastic, so
+    negative entries are cut to 0 and rows rescaled to sum 1; below it, a
+    matrix within ROW_SUM_TOL of stochastic keeps its own powers."""
     if lag < 1:
         raise ValueError("lag must be >= 1")
-    return _beta_of_power(np.linalg.matrix_power(model.transition, lag),
-                          model.stationary)
-
-
-def _beta_of_power(Pk: np.ndarray, pi: np.ndarray) -> float:
-    """pi-average of TV(P^k(x, .), pi), given P^k."""
-    tv = 0.5 * np.abs(Pk - pi[None, :]).sum(axis=1)
-    return float(pi @ tv)
+    pi = model.stationary
+    Q, power, m = _centered_kernel(model), None, 1
+    while lag:
+        if lag & 1:
+            power = Q if power is None else power @ Q
+        lag >>= 1
+        if lag:
+            Q, m = Q @ Q, 2 * m
+            if m >= _REPAIR_LAG:
+                W = np.maximum(Q + pi, 0.0)
+                Q = W / W.sum(axis=1, keepdims=True) - pi
+    return float(pi @ (0.5 * np.abs(power).sum(axis=1)))
 
 
 @dataclass(frozen=True)
@@ -212,14 +241,12 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"noise kind must be one of {NOISE_KINDS}, got {self.kind!r}")
-        values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        probs = np.atleast_2d(np.asarray(self.probs, dtype=float))
+        values = np.atleast_2d(_reals(self.values, "noise values"))
+        probs = np.atleast_2d(_reals(self.probs, "noise probs"))
         if values.shape != probs.shape:
             raise ValueError("noise values and probs must have the same shape")
         if np.any(probs < 0) or np.max(np.abs(probs.sum(axis=1) - 1.0)) > 1e-12:
             raise ValueError("noise probabilities must be nonnegative rows summing to 1")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("noise values must be finite")
         if self.kind == "martingale-difference":
             means = (values * probs).sum(axis=1)
             if np.max(np.abs(means)) > 1e-12:
@@ -231,6 +258,8 @@ class NoiseSpec:
             if self.bound is None:
                 raise ValueError("bounded-iid noise must declare a bound")
         if self.bound is not None:
+            if _reals(self.bound, "noise bound").ndim:
+                raise ValueError(f"noise bound must be one number, got {self.bound!r}")
             support = np.abs(values)[probs > 0]
             if support.size and np.max(support) > self.bound + 1e-12:
                 raise ValueError(f"noise values exceed the declared bound {self.bound}")
@@ -288,11 +317,9 @@ class RegressionProblem:
 
     def __post_init__(self):
         S = self.chain.n_states
-        emb = np.atleast_2d(np.asarray(self.embedding, dtype=float))
+        emb = np.atleast_2d(_reals(self.embedding, "embedding"))
         if emb.shape[0] != S:
             raise ValueError(f"embedding must have one row per state ({S}), got {emb.shape}")
-        if not np.all(np.isfinite(emb)):
-            raise ValueError("embedding must be finite")
         if self.mode not in ("linear", "tabular"):
             raise ValueError(f"mode must be 'linear' or 'tabular', got {self.mode!r}")
         if self.noise.n_states != S:
@@ -300,7 +327,7 @@ class RegressionProblem:
         if self.mode == "linear":
             if self.true_param is None:
                 raise ValueError("linear mode requires true_param")
-            beta = np.asarray(self.true_param, dtype=float)
+            beta = _reals(self.true_param, "true_param")
             if beta.shape != (emb.shape[1],):
                 raise ValueError("true_param length must match the embedding dimension")
             beta.flags.writeable = False
@@ -308,7 +335,7 @@ class RegressionProblem:
         else:
             if self.true_table is None:
                 raise ValueError("tabular mode requires true_table")
-            tab = np.asarray(self.true_table, dtype=float)
+            tab = _reals(self.true_table, "true_table")
             if tab.shape != (S,):
                 raise ValueError("true_table must have one value per state")
             tab.flags.writeable = False
@@ -898,7 +925,7 @@ def lag_weighted_sum(model: MarkovChainModel, k: int) -> np.ndarray:
     if k < 1:
         raise ValueError("k must be >= 1")
     S = model.n_states
-    Q = model.transition - model.stationary[None, :]
+    Q = _centered_kernel(model)
     eye, zero = np.eye(S), np.zeros((S, S))
     B = np.block([[Q, zero, zero], [Q, eye, zero], [Q, eye, eye]])
     return np.linalg.matrix_power(B, k - 1)[2 * S:, :S]
@@ -943,21 +970,15 @@ def problem_from_dict(spec: dict) -> RegressionProblem:
             raise ValueError(f"noise spec is missing required key {key!r}")
     chain = MarkovChainModel.from_transition(spec["transition"])
     S = chain.n_states
-    noise = NoiseSpec(nspec["kind"], np.asarray(nspec["values"], dtype=float),
-                      np.asarray(nspec["probs"], dtype=float), nspec.get("bound"))
+    noise = NoiseSpec(nspec["kind"], nspec["values"], nspec["probs"], nspec.get("bound"))
     embedding = spec.get("embedding")
     if embedding is None:
         embedding = np.eye(S)  # one-hot default for tabular problems
-    return RegressionProblem(
-        chain=chain,
-        embedding=np.asarray(embedding, dtype=float),
-        mode=spec["mode"],
-        noise=noise,
-        true_param=None if spec.get("true_param") is None
-        else np.asarray(spec["true_param"], dtype=float),
-        true_table=None if spec.get("true_table") is None
-        else np.asarray(spec["true_table"], dtype=float),
-    )
+    # both truth keys are read, so the other mode's cannot hide a bad entry
+    true_param, true_table = (None if spec.get(key) is None else _reals(spec[key], key)
+                              for key in ("true_param", "true_table"))
+    return RegressionProblem(chain=chain, embedding=embedding, mode=spec["mode"],
+                             noise=noise, true_param=true_param, true_table=true_table)
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

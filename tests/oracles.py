@@ -12,8 +12,7 @@ from mixfree.bounds import CriticalRadius, _R_MIN
 from mixfree.erm import (HypothesisClass, excess_risks, multiplier_processes,
                          population_quantities, quadratic_processes, star_hull_tables,
                          _f_star_param)
-from mixfree.processgen import (MarkovChainModel, RegressionProblem, Trajectory,
-                                _beta_of_power)
+from mixfree.processgen import MarkovChainModel, RegressionProblem, Trajectory
 
 
 def beta_coefficients(model: MarkovChainModel, horizon: int) -> np.ndarray:
@@ -31,7 +30,7 @@ def beta_coefficients(model: MarkovChainModel, horizon: int) -> np.ndarray:
     Pi = np.eye(model.n_states)
     for i in range(horizon):
         Pi = Pi @ P
-        out[i] = _beta_of_power(Pi, model.stationary)
+        out[i] = model.stationary @ (0.5 * np.abs(Pi - model.stationary).sum(axis=1))
     return out
 
 

@@ -1,15 +1,22 @@
 """Command-line interface tests: exit codes, strict configs, artifact schemas."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mixfree as mf
+from mixfree import cli
 from mixfree.cli import run
 from oracles import problem_to_dict
 
@@ -63,6 +70,16 @@ INTEGER_KEYS = [
     ("diagnose", "quadratic_diagnostics", key) for key in ("n", "replicates", "rho_grid")
 ]
 
+# (command, demo config, key) for every float key; "constants.c1" is one
+# constant of the bound's constants object
+FLOAT_KEYS = [
+    ("bound", "realizable_regression_bound", key)
+    for key in ("delta", "q", "p", "constants.c1", "constants.c2", "constants.c3",
+                "constants.c_alpha")
+] + [
+    ("certify", "linear_certificate", "p"), ("diagnose", "quadratic_diagnostics", "epsilon"),
+]
+
 
 class TestConfigErrors:
     @pytest.mark.parametrize("bad", [True, "64", 100.7], ids=repr)
@@ -75,6 +92,24 @@ class TestConfigErrors:
             cfg["class"]["dim"] = bad
         elif key == "n_grid":
             cfg["n_grid"][1] = bad
+        else:
+            cfg[key] = bad
+        path = _write(tmp_path, "cfg.json", cfg)
+        assert run([command, "--config", path, "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and repr(key.split(".")[-1]) in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("bad", [True, "0.05", float("nan"), float("inf"), 10 ** 400],
+                             ids=["true", "string", "nan", "inf", "int-past-float"])
+    @pytest.mark.parametrize("command,config,key", FLOAT_KEYS,
+                             ids=[f"{c}-{k}" for _, c, k in FLOAT_KEYS])
+    def test_float_key_refuses_non_numbers(self, tmp_path, capsys, command, config, key,
+                                           bad):
+        # JSON writes nan and inf as NaN and Infinity, which json.load reads back
+        cfg = json.loads((DEMO_CONFIGS / f"{config}.json").read_text())
+        if key.startswith("constants."):
+            cfg["constants"] = {key.split(".")[1]: bad}
         else:
             cfg[key] = bad
         path = _write(tmp_path, "cfg.json", cfg)
@@ -156,6 +191,15 @@ class TestConfigErrors:
         cfg = _write(tmp_path, "cfg.json", {"model": _model_dict(), "n": 64, "seed": 1})
         assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
         assert "numeric failure: a 4-state chain needs" in capsys.readouterr().err
+
+    def test_memory_error_exits_two(self, tmp_path, capsys, monkeypatch):
+        # a sampler that runs out of memory stands in for an n too large to hold
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(mf.processgen, "_sample_paths", exhausted)
+        cfg = _write(tmp_path, "cfg.json", {"model": _model_dict(), "n": 64, "seed": 1})
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert "numeric failure: out of memory" in capsys.readouterr().err
 
     def test_epsilon_is_unknown_to_bound_and_sweep(self, tmp_path, capsys):
         linear = {"kind": "linear", "dim": 2}
@@ -241,7 +285,7 @@ class TestOutOfRangeValues:
         assert not (tmp_path / "r").exists()
         return capsys.readouterr().err
 
-    @pytest.mark.parametrize("delta", [0, 1, -0.5, 1.5, "nan"])
+    @pytest.mark.parametrize("delta", [0, 1, -0.5, 1.5, float("nan")])
     @pytest.mark.parametrize("name", ["bound", "sweep", "coverage", "blocked", "diagnose"])
     def test_bad_delta_is_config_error(self, tmp_path, capsys, name, delta):
         cfg = _write(tmp_path, "cfg.json", dict(self._configs()[name], delta=delta))
@@ -292,7 +336,56 @@ class TestOutOfRangeValues:
         err = self._rejected(tmp_path, capsys, name, **{key: 5})
         assert f"config error: '{key}' must divide 'n' = 64, got 5" in err
 
-    @pytest.mark.parametrize("epsilon", [1, 1.5, -0.5, "nan"])
+    @pytest.mark.parametrize("p", [0, 0.5, -1, float("nan")], ids=repr)
+    def test_certify_p_below_one(self, tmp_path, capsys, no_sampling, p):
+        err = self._rejected(tmp_path, capsys, "certify", p=p)
+        assert "config error: 'p' must be >= 1" in err
+
+    @pytest.mark.parametrize("label", [None, True, [], {}], ids=repr)
+    def test_sweep_label_is_a_string(self, tmp_path, capsys, no_sampling, label):
+        err = self._rejected(tmp_path, capsys, "sweep",
+                             levels=[{"label": label, "model": _model_dict()}])
+        assert "config error: levels[0]: 'label' must be a string" in err
+
+    @pytest.mark.parametrize("plot", ["x", [], 1, None], ids=repr)
+    def test_sweep_plot_is_a_flag(self, tmp_path, capsys, no_sampling, plot):
+        err = self._rejected(tmp_path, capsys, "sweep", plot=plot)
+        assert "config error: 'plot' must be true or false" in err
+
+    @pytest.mark.parametrize("name", ["simulate", "bound", "certify", "sweep", "coverage",
+                                      "diagnose"])
+    @pytest.mark.parametrize("path, bad, named", [
+        (("noise", "probs", 0, 0), float("nan"), "noise probs"),
+        (("noise", "probs", 1, 1), float("inf"), "noise probs"),
+        (("noise", "bound"), float("nan"), "noise bound"),
+        (("noise", "bound"), float("inf"), "noise bound"),
+        (("noise", "bound"), True, "noise bound"),
+        (("true_param", 0), float("nan"), "true_param"),
+        (("true_param", 1), -float("inf"), "true_param"),
+        (("true_param", 0), False, "true_param"),
+        (("true_table",), [0.0, float("nan"), 0.0, 0.0], "true_table"),
+        (("true_table",), [0.0, True, 0.0, 0.0], "true_table"),
+        (("embedding", 0, 0), True, "embedding")],
+        ids=lambda v: repr(v) if not isinstance(v, tuple) else ".".join(map(str, v)))
+    def test_model_entries_are_finite_numbers(self, tmp_path, capsys, no_sampling, name,
+                                              path, bad, named):
+        # the model is linear, so true_table is the other mode's key: read, not used
+        model = _model_dict()
+        target = model
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = bad
+        changes = ({"levels": [{"label": "a", "model": model}]} if name == "sweep"
+                   else {"model": model})
+        err = self._rejected(tmp_path, capsys, name, **changes)
+        assert "config error" in err and named in err
+
+    def test_class_tables_refuse_booleans(self, tmp_path, capsys, no_sampling):
+        err = self._rejected(tmp_path, capsys, "diagnose", **{"class": {
+            "kind": "finite", "tables": [[0.5, True, -0.5, 0.5], [1.0, -1.0, 0.5, -0.5]]}})
+        assert "config error: class: finite class tables must hold numbers only" in err
+
+    @pytest.mark.parametrize("epsilon", [1, 1.5, -0.5, float("nan")])
     def test_diagnose_epsilon_in_unit_interval(self, tmp_path, capsys, no_sampling,
                                                epsilon):
         err = self._rejected(tmp_path, capsys, "diagnose", epsilon=epsilon)
@@ -450,6 +543,15 @@ class TestBound:
         assert run(["bound", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
         payload = json.loads((tmp_path / "bound_report.json").read_text())
         assert payload["k_mix"] == 7883
+
+    def test_fast_chain_at_n_1e18(self, tmp_path):
+        # beta from powers of the centered kernel stays 0 at every large lag,
+        # so k_mix exists far past the 4e16 where powers of P used to stall
+        cfg = json.loads((DEMO_CONFIGS / "realizable_regression_bound.json").read_text())
+        path = _write(tmp_path, "cfg.json", dict(cfg, n=10 ** 18))
+        assert run(["bound", "--config", path, "--out", str(tmp_path), "--quiet"]) == 0
+        payload = json.loads((tmp_path / "bound_report.json").read_text())
+        assert isinstance(payload["k_mix"], int) and 1 <= payload["k_mix"] < 10 ** 4
 
     def test_periodic_chain_does_not_mix(self, tmp_path, capsys):
         cfg = self._two_state(tmp_path, [[0.0, 1.0], [1.0, 0.0]], 1024)
@@ -609,3 +711,82 @@ class TestDiagnoseCommand:
         assert run(["diagnose", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
         assert "numeric failure: the multiplier bound is 0" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+
+DEMO_COMMANDS = {
+    "simulate_trajectory": "simulate", "realizable_regression_bound": "bound",
+    "linear_certificate": "certify", "mixing_free_sweep": "sweep",
+    "blocked_bernstein_coverage": "coverage", "risk_bound_coverage": "coverage",
+    "quadratic_diagnostics": "diagnose",
+}
+MUTANTS = [None, True, "x", -1, 0, 0.5, float("nan"), float("inf"), [], {}]
+# keys whose value is neither a number nor an array of numbers
+NOT_NUMERIC = {"model", "class", "levels", "kind", "mode", "noise", "plot"}
+# keys where null reads as the default, besides the other mode's truth key
+NULL_DEFAULTS = {"p", "k", "kwise", "bound", "embedding"}
+OTHER_TRUTH = {"linear": "true_table", "tabular": "true_param"}
+
+
+def _demo(config):
+    """A demo config and the path of its model (the first level's, in a sweep)."""
+    cfg = json.loads((DEMO_CONFIGS / f"{config}.json").read_text())
+    return cfg, ("levels", 0, "model") if "levels" in cfg else ("model",)
+
+
+def _get(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+def _key_paths(config):
+    """Every top-level key, model key and noise key of a demo config."""
+    cfg, model = _demo(config)
+    paths = [(key,) for key in cfg] + [model + (key,) for key in _get(cfg, model)]
+    if "noise" in _get(cfg, model):
+        paths += [model + ("noise", key) for key in _get(cfg, model + ("noise",))]
+    return paths
+
+
+class _Sampled(Exception):
+    """Raised in place of sampling: the config was read and accepted."""
+
+
+class TestMutatedDemoConfigs:
+    """A demo config with one key replaced by a value of another kind runs, or
+    fails with exit 1 naming that key, or with exit 2; it never raises."""
+
+    CASES = [(config, path) for config in DEMO_COMMANDS for path in _key_paths(config)]
+
+    def test_cases_cover_every_command(self):
+        assert {DEMO_COMMANDS[config] for config, _ in self.CASES} == set(cli.COMMANDS)
+        assert len(self.CASES) > 80
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=st.sampled_from(CASES), bad=st.sampled_from(MUTANTS))
+    def test_one_key_replaced(self, case, bad):
+        config, path = case
+        cfg, model = _demo(config)
+        mode = _get(cfg, model).get("mode")
+        _get(cfg, path[:-1])[path[-1]] = bad
+
+        def sampled(*args, **kwargs):
+            raise _Sampled
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
+                mock.patch.object(mf.processgen, "_sample_paths", sampled):
+            cfg_path = _write(Path(out), "cfg.json", cfg)
+            try:
+                code = run([DEMO_COMMANDS[config], "--config", cfg_path,
+                            "--out", os.path.join(out, "r"), "--quiet"])
+            except _Sampled:
+                code = 0
+        key = path[-1]
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert re.search(rf"\b{key}\b", err.getvalue()), err.getvalue()
+        if code == 0:
+            assert not (key not in NOT_NUMERIC and (
+                bad is True or isinstance(bad, str)
+                or isinstance(bad, float) and not np.isfinite(bad)))
+            assert bad is not None or key in NULL_DEFAULTS | {OTHER_TRUTH.get(mode)}

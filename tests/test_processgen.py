@@ -645,6 +645,34 @@ class TestKMixFromChain:
         assert (outcome(lambda: mf.k_mix_from_chain(chain, n, delta))
                 == outcome(lambda: k_mix_search(betas, n, delta)))
 
+    @settings(max_examples=150, deadline=None)
+    @given(chain=_chains().filter(lambda chain: chain.transition.min() >= 0))
+    def test_beta_never_increases_up_to_lag_2_62(self, chain):
+        # powers of P drift by about one rounding per step, and bare powers of
+        # the centered kernel blow up on periodic chains; a tiny negative entry
+        # makes P no Markov kernel, and its exact beta can grow
+        betas = np.array([processgen.beta_at_lag(chain, 2 ** j) for j in range(63)])
+        assert np.all(np.isfinite(betas)) and np.all(betas >= 0) and np.all(betas <= 1)
+        assert np.all(np.diff(betas) <= 1e-12)
+
+    def test_fast_chain_mixes_at_n_1e18(self):
+        # the 4-state chain of demos/configs/realizable_regression_bound.json:
+        # powers of P read beta(2^62) = 0.5 and found no k_mix at n = 1e18
+        chain = mf.product_chain(mf.two_state_chain(0.05, 0.05), 2)
+        assert processgen.beta_at_lag(chain, 2 ** 62) == 0.0
+        k = mf.k_mix_from_chain(chain, 10 ** 18, 0.05)
+        assert 1 <= k < 10 ** 4
+        assert k / processgen.beta_at_lag(chain, k - 1) < 10 ** 18 / 0.05
+
+    @pytest.mark.parametrize("S", [2, 3, 5])
+    def test_periodic_chain_beta_is_exact(self, S):
+        chain = mf.MarkovChainModel(np.roll(np.eye(S), 1, axis=1), np.full(S, 1.0 / S))
+        for lag in (1, 7, 2 ** 40 + 1, 2 ** 62):
+            assert abs(processgen.beta_at_lag(chain, lag) - (1 - 1 / S)) < 1e-15
+        message = mf.bounds._no_k_mix_message(chain, 10 ** 18, 0.05)
+        assert f"has {S} eigenvalues of modulus 1" in message
+        assert f"beta(n) = {1 - 1 / S:.3g}" in message
+
 
 class TestKwiseSurrogate:
     def test_k_equals_n_reproduces_plain_sampler(self):
@@ -770,6 +798,56 @@ class TestTrajectoryCsv:
                              covariates=np.zeros((0, 2)), targets=np.zeros(0), seed=0)
         mf.trajectory_to_csv(traj, tmp_path / "t.csv")
         assert (tmp_path / "t.csv").read_text() == "t,state,x_1,x_2,y\n"
+
+
+class TestDocumentEntries:
+    """Model documents refuse booleans, strings and non-finite numbers,
+    naming the entry; numpy alone would read True as 1.0 and let NaN pass
+    every range check."""
+
+    def _spec(self, **changes):
+        spec = problem_to_dict(_two_state_problem())
+        spec["noise"]["bound"] = 0.5
+        for path, value in changes.items():
+            target = spec
+            *steps, last = path.split(".")
+            for step in steps:
+                target = target[step]
+            target[last] = value
+        return spec
+
+    @pytest.mark.parametrize("path, value, message", [
+        ("noise.probs", [[float("nan"), 0.5], [0.5, 0.5]], "noise probs has non-finite"),
+        ("noise.values", [[-0.5, True], [-0.5, 0.5]], "noise values must hold numbers"),
+        ("noise.bound", float("nan"), "noise bound has non-finite"),
+        ("noise.bound", float("inf"), "noise bound has non-finite"),
+        ("noise.bound", True, "noise bound must hold numbers"),
+        ("noise.bound", [0.5], "noise bound must be one number"),
+        ("true_param", [1.0, float("nan")], "true_param has non-finite"),
+        ("true_param", [True, 0.5], "true_param must hold numbers"),
+        ("true_table", [0.0, float("inf"), 0.0, 0.0], "true_table has non-finite"),
+        ("true_table", [0.0, False, 0.0, 0.0], "true_table must hold numbers"),
+        ("embedding", [[True, 1.0]] * 4, "embedding must hold numbers"),
+        ("embedding", [["1", 1.0]] * 4, "embedding must hold numbers"),
+        ("transition", "x", "transition matrix must hold numbers")])
+    def test_bad_entry_named(self, path, value, message):
+        # true_table belongs to the other mode (the problem is linear) and is
+        # still read
+        with pytest.raises(ValueError, match=message):
+            mf.problem_from_dict(self._spec(**{path: value}))
+
+    def test_null_bound_declares_none(self):
+        assert mf.problem_from_dict(self._spec(**{"noise.bound": None})).noise.bound is None
+
+    def test_constructors_check_arrays(self):
+        with pytest.raises(ValueError, match="noise probs has non-finite"):
+            mf.NoiseSpec("state-dependent-bias", [[0.0, 1.0]], [[np.nan, 1.0]])
+        with pytest.raises(ValueError, match="embedding must hold numbers"):
+            dataclasses.replace(_two_state_problem(), embedding=np.ones((2, 2), dtype=bool))
+        with pytest.raises(ValueError, match="finite class tables must hold numbers"):
+            mf.HypothesisClass.finite([[0.5, True]])
+        with pytest.raises(ValueError, match="finite class tables has non-finite"):
+            mf.HypothesisClass.finite([[0.5, np.inf]])
 
 
 class TestNoiseSpec:
