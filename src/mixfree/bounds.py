@@ -345,7 +345,7 @@ def weak_variance_2q(problem: RegressionProblem, f_star_table, resolution_tables
 
     if mode != "montecarlo":
         raise ValueError("mode must be 'exact' or 'montecarlo'")
-    seeds = _seed_sequence_state([seed, range(replicates)], 1)[:, 0]  # SeedSequence([seed, r])
+    seeds = _seed_sequence_state([seed], range(replicates), 1)[:, 0]  # SeedSequence([seed, r])
     f_star = np.asarray(f_star_table, dtype=float)
     sums = np.empty((tables.shape[0], replicates))     # sum_i W_i g(X_i) per replicate
     rows = max(1, _MC_SLICE_STEPS // n)

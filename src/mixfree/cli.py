@@ -2,9 +2,12 @@
 
 Flag grammar: ``mixfree <command> --config <path> [--out <dir>] [--seed <n>]
 [--quiet]`` with commands simulate, bound, certify, sweep, coverage, diagnose.
-Exit codes: 0 on success, 1 on a config error, 2 on a numeric failure from
-the modules or on running out of memory. A config error names its key (or
-the line and column of malformed JSON) and comes before any sampling.
+Exit codes: 0 on success, 1 on a config error or a path error, 2 on a
+numeric failure from the modules or on running out of memory. A config error
+names its key (or the line and column of malformed JSON) and comes before any
+sampling, as does an --out that is not a directory or lies under a file; a
+config that cannot be read and an artifact that cannot be written name their
+path.
 `_KEYS` lists each command's keys in reading order; a missing required key
 or an unknown key is an error. Each key has a kind:
 
@@ -18,7 +21,7 @@ or an unknown key is an error. Each key has a kind:
 - document: a model (`processgen.problem_from_dict`); a linear (dim) or finite
   (tables) class that fits every model; constants (c1, c2, c3, c_alpha); the
   sweep's nonempty levels ({label, model}, distinct labels) and n_grid of
-  integers; blockedBernstein's transition and centered values, one per state.
+  distinct integers; blockedBernstein's transition and centered values, one per state.
 null reads as the default only for p, k and kwise.
 """
 
@@ -242,9 +245,21 @@ def _load_config(path: str) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as err:
+        raise ConfigError(f"cannot read config file {path}: {err.strerror}")
     except json.JSONDecodeError as err:
         raise ConfigError(f"config parse error at line {err.lineno} column "
                           f"{err.colno}: {err.msg}")
+
+
+def _check_out(out_dir: str) -> None:
+    """Refuse an --out that is not a directory and cannot become one: it, or
+    its nearest existing ancestor, is something else. Creates nothing."""
+    path = os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"--out {out_dir}: {path} is not a directory")
 
 
 def _out_path(out_dir: str, name: str) -> str:
@@ -364,9 +379,14 @@ def run(argv) -> int:
     try:
         cfg = _read(_load_config(args.config), _KEYS[args.command],
                     f"{args.command} config", args.seed)
+        _check_out(args.out)
         written = _HANDLERS[args.command](cfg, args.out)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return 1
+    except OSError as err:
+        print(f"path error: cannot write {err.filename or args.out}: "
+              f"{err.strerror or err}", file=sys.stderr)
         return 1
     except (ValueError, ArithmeticError, KeyError, TypeError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)

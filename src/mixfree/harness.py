@@ -44,14 +44,14 @@ def worker_count() -> int:
 def cell_seed(master_seed: int, level_index: int, n: int, replicate: int) -> int:
     """Stable 64-bit seed for one (cell, replicate) coordinate: the first
     uint64 word of SeedSequence([master_seed, level_index, n, replicate])."""
-    return int(_seed_sequence_state([master_seed, level_index, n, replicate], 1,
-                                    dtype=np.uint64)[0, 0])
+    return int(np.random.SeedSequence([master_seed, level_index, n, replicate])
+               .generate_state(1, np.uint64)[0])
 
 
 def _cell_seeds(master_seed: int, level_index: int, n: int, replicates) -> np.ndarray:
     """cell_seed(master_seed, level_index, n, r) for every r in `replicates`,
     all derived in one vectorized pass (uint64)."""
-    return _seed_sequence_state([master_seed, level_index, n, replicates], 1,
+    return _seed_sequence_state([master_seed, level_index, n], replicates, 1,
                                 dtype=np.uint64)[:, 0]
 
 
@@ -94,6 +94,9 @@ class SweepConfig:
         for problem in self.problems:
             check_class_fits(problem, self.hypothesis)
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        repeated = sorted({n for n in self.n_grid if self.n_grid.count(n) > 1})
+        if repeated:
+            raise ValueError(f"n_grid entries must be distinct, repeated: {repeated}")
         if self.block_rule != "kmix":
             if (isinstance(self.block_rule, bool)
                     or not isinstance(self.block_rule, int) or self.block_rule < 1):

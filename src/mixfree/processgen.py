@@ -21,9 +21,9 @@ This module builds the data-generating side of the lab:
   O(1), and noise maps to targets in one lookup per group of replicates;
   a noise table of one cell (noiseless problems) draws no noise stream,
   since every uniform would fall in that cell. The tables are built once
-  per problem. One SeedSequence/PCG64 seeding pass per stream derives
-  every replicate's streams, and one Generator per sampler call draws them
-  all.
+  per problem. One vectorized SeedSequence pass per stream derives the
+  words that every replicate's PCG64 seeds from, and each replicate keeps
+  one Generator per stream for the whole call.
 - ``beta_at_lag`` / ``lag_weighted_sum``: exact mixing coefficients and lag
   sums, each from one matrix power. TV uses the (1/2)-l1 convention; the
   per-lag loop over all coefficients is the test oracle in tests/oracles.py.
@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
@@ -398,29 +399,16 @@ def _cumulative_rows(P: np.ndarray) -> np.ndarray:
 
 
 # numpy's SeedSequence hash-mix and output constants (numpy/random/bit_generator.pyx)
-# and the PCG64 LCG multiplier (O'Neill 2014)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-
-
-def _words(x: int) -> list[int]:
-    """x as SeedSequence reads an int: 32-bit words, low word first, with 0
-    as the one word 0."""
-    if x < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {x}")
-    words = [x & _M32]
-    while x > _M32:
-        x >>= 32
-        words.append(x & _M32)
-    return words
+_M32, _M64 = (1 << 32) - 1, (1 << 64) - 1
 
 
 def _int_words(values) -> tuple[np.ndarray, np.ndarray]:
-    """_words of every value at once: (words (R, W) uint64, counts (R,)),
-    row r holding counts[r] words, then zeros."""
+    """Every value as SeedSequence reads an int, 32-bit words, low word first
+    (0 is the one word 0): (words (R, W) uint64, counts (R,)), row r holding
+    counts[r] words, then zeros."""
     ints = [operator.index(v) for v in values]
     if ints and min(ints) < 0:
         raise ValueError(f"seed must be a non-negative integer, got {min(ints)}")
@@ -435,39 +423,32 @@ def _int_words(values) -> tuple[np.ndarray, np.ndarray]:
         counts += live
 
 
-def _seed_sequence_state(parts, n_words: int, spawn_key: int | None = None,
+def _seed_sequence_state(shared, rows, n_words: int, spawn_key: int | None = None,
                          dtype=np.uint32) -> np.ndarray:
-    """SeedSequence(entropy, spawn_key=(spawn_key,)).generate_state(n_words,
-    dtype) for every row at once, as an (R, n_words) array.
+    """SeedSequence([*shared, rows[r]], spawn_key=(spawn_key,)).generate_state(
+    n_words, dtype) for every row r at once, as an (R, n_words) array.
 
-    Row r's entropy is the words of each part in turn: an int part is shared
-    by every row (its words are Python ints), a sequence part gives row r its
-    r-th value (its words are uint64 columns). With a spawn key, the entropy
-    is zero-padded to the 4-word pool and the key appended, as
-    SeedSequence.spawn does. The hash constant's course depends only on the
-    word count, so rows whose per-row parts take the same word counts (one
-    layout) mix in lock step, one pass per layout; with no per-row part there
-    is one row, mixed on ints alone.
+    Row r's entropy is the words of each shared int (Python ints, the same
+    for every row), then the words of rows[r] (uint64 columns). With a spawn
+    key, the entropy is zero-padded to the 4-word pool and the key appended,
+    as SeedSequence.spawn does. The hash constant's course depends only on
+    the word count, so rows whose value takes the same number of words mix
+    in lock step, one pass per word count.
     """
-    split = [_words(operator.index(p)) if isinstance(p, (int, np.integer))
-             else _int_words(p) for p in parts]
-    per_row = [s for s in split if isinstance(s, tuple)]
-    dims = [int(c.max(initial=0)) + 1 for _, c in per_row]
-    key = np.atleast_1d(np.ravel_multi_index([c for _, c in per_row], dims))
+    lead, lead_counts = _int_words(shared)
+    lead = [w for row, c in zip(lead.tolist(), lead_counts) for w in row[:c]]
+    words, counts = _int_words(rows)
     wide = np.dtype(dtype).itemsize // 4
-    out = np.empty((len(key), n_words), dtype=dtype)
-    for layout in np.unique(key).tolist():
-        rows = key == layout
-        counts = iter(np.unravel_index(layout, dims))
-        lanes = []
-        for s in split:
-            lanes += s if isinstance(s, list) else [s[0][rows, j] for j in range(next(counts))]
+    out = np.empty((len(counts), n_words), dtype=dtype)
+    for count in np.unique(counts).tolist():
+        at = counts == count
+        lanes = lead + [words[at, j] for j in range(count)]
         lanes += [0] * (4 - len(lanes)) + ([] if spawn_key is None else [spawn_key])
-        words = _hash_mix(lanes, n_words * wide)
+        mixed = _hash_mix(lanes, n_words * wide)
         if wide == 2:   # uint64 words are pairs of uint32 words, low word first
-            words = [lo | hi << 32 for lo, hi in zip(words[0::2], words[1::2])]
-        for i, word in enumerate(words):
-            out[rows, i] = word
+            mixed = [lo | hi << 32 for lo, hi in zip(mixed[0::2], mixed[1::2])]
+        for i, word in enumerate(mixed):
+            out[at, i] = word
     return out
 
 
@@ -504,57 +485,43 @@ def _hash_mix(lanes: list, n_words: int) -> list:
     return out
 
 
-def _pcg64_states(seeds, keys=(0, 1)) -> list[list[tuple[int, int]]]:
-    """PCG64 (state, inc) of default_rng(SeedSequence(s).spawn(2)[k]) for
-    every seed s and each spawn key k in keys, as streams[i][r] for k =
-    keys[i]: key 0 is the state stream and key 1 the noise stream.
+class _Words(ISeedSequence):
+    """Four uint64 words, handed to PCG64 as a SeedSequence would hand them."""
 
-    PCG64 takes four uint64 words w from its SeedSequence, sets
-    inc = (w2 w3) << 1 | 1 and, from state 0, steps the LCG, adds
-    initstate = (w0 w1) and steps again: state = (initstate + inc) * M + inc,
-    all mod 2^128.
-    """
-    streams = []
-    for key in keys:
-        stream = []
-        for w0, w1, w2, w3 in _seed_sequence_state([seeds], 4, key, np.uint64).tolist():
-            inc = ((w2 << 64 | w3) << 1 | 1) & _M128
-            stream.append((((w0 << 64 | w1) + inc) * _PCG_MULT + inc & _M128, inc))
-        streams.append(stream)
-    return streams
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype):
+        return self._words
+
+
+def _generators(seeds, key: int) -> list[np.random.Generator]:
+    """default_rng(SeedSequence(s).spawn(2)[key]) for every seed s: key 0 is
+    the state stream and key 1 the noise stream. One vectorized pass derives
+    the words every PCG64 seeds from."""
+    return [np.random.Generator(np.random.PCG64(_Words(w)))
+            for w in _seed_sequence_state([], seeds, 4, key, np.uint64)]
 
 
 class _Streams:
-    """The state (0) and noise (1) uniform streams of every replicate.
-
-    One Generator, owned by one sampler call, draws them all: each draw
-    assigns the stream's PCG64 state and fills one row. A stream's states
-    are derived on its first draw, so a problem whose noise table has one
-    cell never derives its noise stream. When a later time chunk continues
-    the streams (resume), the state is read back after each draw. Never
-    share an instance across threads.
+    """The state (0) and noise (1) uniform streams of every replicate: one
+    Generator per replicate and stream, built on the stream's first draw (so
+    a problem whose noise table has one cell never derives its noise stream)
+    and carried from one time chunk to the next. Never share an instance
+    across threads.
     """
 
-    def __init__(self, seeds, resume: bool):
+    def __init__(self, seeds):
         self._seeds = seeds
-        self._streams = [None, None]
-        self._gen = np.random.Generator(np.random.PCG64(0))
-        self._inner = {"state": 0, "inc": 0}
-        self._state = {"bit_generator": "PCG64", "state": self._inner,
-                       "has_uint32": 0, "uinteger": 0}
-        self._resume = resume
+        self._gens = [None, None]
 
     def fill(self, stream: int, r0: int, out: np.ndarray) -> None:
         """Draw each row out[i] from replicate r0 + i's stream."""
-        if self._streams[stream] is None:
-            self._streams[stream] = _pcg64_states(self._seeds, (stream,))[0]
-        states, bitgen, inner = self._streams[stream], self._gen.bit_generator, self._inner
-        for i in range(len(out)):
-            inner["state"], inner["inc"] = states[r0 + i]
-            bitgen.state = self._state
-            self._gen.random(out=out[i])
-            if self._resume:
-                states[r0 + i] = (bitgen.state["state"]["state"], inner["inc"])
+        if self._gens[stream] is None:
+            self._gens[stream] = _generators(self._seeds, stream)
+        gens = self._gens[stream]
+        for i, row in enumerate(out):
+            gens[r0 + i].random(out=row)
 
 
 _GUIDE = 1 << 12    # guide-table bins over [0, 1)
@@ -799,7 +766,7 @@ def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | No
     if n < 1:
         raise ValueError("n must be >= 1")
     tables = problem._sampler
-    streams = _Streams(seeds, resume=n > _TIME_CHUNK)
+    streams = _Streams(seeds)
     R, S, C, G = len(seeds), problem.n_states, tables.C, tables.G
     period = block_len or n
     x = np.zeros(R, dtype=np.intp)           # previous states; t = 0 restarts

@@ -149,6 +149,33 @@ class TestConfigErrors:
         code = run(["bound", "--config", str(tmp_path / "nope.json")])
         assert code == 1
 
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        assert run(["bound", "--config", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: cannot read config file {tmp_path}: Is a directory" in err
+
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_out_is_not_a_directory(self, tmp_path, capsys, monkeypatch, out):
+        # refused before sampling, whether --out is a file or lies under one
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled before --out was checked")
+        monkeypatch.setattr(mf.processgen, "_sample_paths", refuse)
+        (tmp_path / "file").write_text("kept")
+        cfg = _write(tmp_path, "cfg.json", {"model": _model_dict(), "n": 64, "seed": 1})
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / out)]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: --out {tmp_path / out}: {tmp_path / 'file'} is not a " \
+               "directory" in err
+        assert (tmp_path / "file").read_text() == "kept"
+
+    def test_unwritable_artifact_is_named(self, tmp_path, capsys):
+        (tmp_path / "r" / "trajectory.csv").mkdir(parents=True)
+        cfg = _write(tmp_path, "cfg.json", {"model": _model_dict(), "n": 64, "seed": 1})
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"path error: cannot write {tmp_path / 'r' / 'trajectory.csv'}: " \
+                      "Is a directory\n"
+
     def test_non_stochastic_transition_is_config_error(self, tmp_path, capsys):
         model = _model_dict()
         model["transition"][0][0] += 0.1
@@ -433,6 +460,12 @@ class TestOutOfRangeValues:
         level = {"label": "a", "model": _model_dict()}
         err = self._rejected(tmp_path, capsys, "sweep", levels=[level, level])
         assert "config error" in err and "repeated: ['a']" in err
+
+    def test_repeated_n_grid_entry(self, tmp_path, capsys, no_sampling):
+        # a repeated n would write its rows twice and weigh them twice in the fit
+        err = self._rejected(tmp_path, capsys, "sweep", n_grid=[64, 64, 128])
+        assert "config error: sweep config: n_grid entries must be distinct, " \
+               "repeated: [64]" in err
 
     @pytest.mark.parametrize("delta", [0.25, 0.3])
     def test_risk_bound_delta_below_a_quarter(self, tmp_path, capsys, delta):

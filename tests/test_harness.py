@@ -142,6 +142,13 @@ class TestSweep:
         with pytest.raises(ValueError, match="n_grid must hold at least one"):
             _small_config(n_grid=())
 
+    def test_repeated_n_grid_entry_is_named(self):
+        # a repeated n would sample its cells twice with the same seeds and
+        # count them twice in the rate fit
+        with pytest.raises(ValueError, match=r"n_grid entries must be distinct, "
+                                             r"repeated: \[64, 256\]"):
+            _small_config(n_grid=(256, 64, 128, 64, 256))
+
     def test_every_level_must_fit_the_class(self):
         # the second level has 8 states and a 3-wide embedding
         wide = _product_problem(copies=3)

@@ -314,8 +314,7 @@ def _check_walk(problem, U, V, block_len, time_chunk, sub_block):
     # copy of the problem, whose tables are built under its budget.
     for crossover, budget in ((0, 1 << 16), (10 ** 6, 1 << 20)):
         rows, ys = [[] for _ in range(R)], [[] for _ in range(R)]
-        with mock.patch.object(processgen, "_Streams",
-                               lambda seeds, resume: _Replay(U, V)), \
+        with mock.patch.object(processgen, "_Streams", lambda seeds: _Replay(U, V)), \
                 mock.patch.object(processgen, "_SUB_BLOCK", sub_block), \
                 mock.patch.object(processgen, "_RUN", sub_block), \
                 mock.patch.object(processgen, "_TIME_CHUNK", time_chunk), \
@@ -539,6 +538,13 @@ def _ints(draw, count):
     return out
 
 
+def _stream_states(seeds):
+    """PCG64 (state, inc) of both streams of every seed, as _generators seeds
+    them: streams[k][r]."""
+    return [[tuple(g.bit_generator.state["state"][key] for key in ("state", "inc"))
+             for g in processgen._generators(seeds, k)] for k in (0, 1)]
+
+
 class TestSeedDerivation:
     """The vectorized SeedSequence and PCG64 seeding against numpy's own."""
 
@@ -546,14 +552,14 @@ class TestSeedDerivation:
     @given(data=st.data())
     def test_stream_states_match_numpy(self, data):
         seeds = _ints(data.draw, data.draw(st.integers(1, 5)))
-        got = processgen._pcg64_states(seeds)
+        got = _stream_states(seeds)
         for r, seed in enumerate(seeds):
             assert [got[0][r], got[1][r]] == _numpy_streams(seed)
 
     @pytest.mark.parametrize("seed", [0, 1, 12345, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 7,
                                       2 ** 64 - 1, 2 ** 64, 2 ** 128 + 1])
     def test_stream_states_at_word_edges(self, seed):
-        got = processgen._pcg64_states([seed, 3])
+        got = _stream_states([seed, 3])
         assert [got[0][0], got[1][0]] == _numpy_streams(seed)
 
     @settings(max_examples=100, deadline=None)
@@ -572,56 +578,78 @@ class TestSeedDerivation:
     @given(data=st.data())
     def test_weak_variance_words_match_numpy(self, data):
         seed, = _ints(data.draw, 1)
-        got = processgen._seed_sequence_state([seed, range(6)], 1)[:, 0]
+        got = processgen._seed_sequence_state([seed], range(6), 1)[:, 0]
         assert got.tolist() == [int(np.random.SeedSequence([seed, r]).generate_state(1)[0])
                                 for r in range(6)]
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_mixed_parts_match_numpy(self, data):
-        # shared and per-row parts of every word count, and more than 4 words
-        R = data.draw(st.integers(1, 4))
-        kinds = data.draw(st.lists(st.sampled_from(["shared", "rows"]), min_size=1,
-                                   max_size=4))
-        parts = [_ints(data.draw, 1)[0] if kind == "shared" else _ints(data.draw, R)
-                 for kind in kinds]
+        # a shared prefix of every word count, per-row values of several word
+        # counts in one call, and more than 4 words out
+        shared = _ints(data.draw, data.draw(st.integers(0, 3)))
+        rows = _ints(data.draw, data.draw(st.integers(1, 4)))
         n_words = data.draw(st.integers(1, 9))
-        got = processgen._seed_sequence_state(parts, n_words)
-        assert len(got) == (R if "rows" in kinds else 1)
-        for r in range(len(got)):
-            entropy = [p if isinstance(p, int) else p[r] for p in parts]
-            want = np.random.SeedSequence(entropy).generate_state(n_words)
+        got = processgen._seed_sequence_state(shared, rows, n_words)
+        assert len(got) == len(rows)
+        for r, value in enumerate(rows):
+            want = np.random.SeedSequence([*shared, value]).generate_state(n_words)
             assert got[r].tolist() == want.tolist()
 
     def test_negative_seed_is_rejected(self):
         with pytest.raises(ValueError, match="non-negative integer, got -3"):
-            processgen._pcg64_states([4, -3])
+            processgen._generators([4, -3], 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_continued_streams_match_numpy(self, data):
+        # several fills of random lengths per replicate, as time chunks and
+        # replicate groups draw them, continue each stream where it stopped
+        seeds = [data.draw(st.integers(1 << 32 * words - 32 if words > 1 else 0,
+                                       (1 << 32 * words) - 1))
+                 for words in data.draw(st.lists(st.sampled_from([1, 2, 5]),
+                                                 min_size=1, max_size=4))]
+        streams = processgen._Streams(seeds)
+        drawn = [[[] for _ in seeds] for _ in (0, 1)]
+        for _ in range(data.draw(st.integers(1, 8))):
+            stream = data.draw(st.sampled_from([0, 1]))
+            r0 = data.draw(st.integers(0, len(seeds) - 1))
+            rows = data.draw(st.integers(1, len(seeds) - r0))
+            out = np.empty((rows, data.draw(st.integers(0, 70))))
+            streams.fill(stream, r0, out)
+            for i in range(rows):
+                drawn[stream][r0 + i].append(out[i])
+        for k in (0, 1):
+            for seed, parts in zip(seeds, drawn[k]):
+                got = np.concatenate([np.empty(0), *parts])
+                rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[k])
+                assert np.array_equal(got, rng.random(len(got)))
 
     @pytest.mark.parametrize("noise,keys", [
-        (mf.NoiseSpec.zero(2), [(0,)]),
-        (mf.NoiseSpec.iid([0.5], [1.0], 2, bound=0.5), [(0,)]),
-        (mf.NoiseSpec("state-dependent-bias", [[0.5, 9.0]] * 2, [[1.0, 0.0]] * 2), [(0,)]),
+        (mf.NoiseSpec.zero(2), [0]),
+        (mf.NoiseSpec.iid([0.5], [1.0], 2, bound=0.5), [0]),
+        (mf.NoiseSpec("state-dependent-bias", [[0.5, 9.0]] * 2, [[1.0, 0.0]] * 2), [0]),
         (mf.NoiseSpec("state-dependent-bias", [[0.5, 9.0]] * 2, [[0.0, 1.0]] * 2),
-         [(0,), (1,)]),
-        (mf.NoiseSpec.symmetric(0.5, 2), [(0,), (1,)]),
+         [0, 1]),
+        (mf.NoiseSpec.symmetric(0.5, 2), [0, 1]),
     ], ids=["zero", "one-value", "one-cell", "empty-first-cell", "symmetric"])
     def test_noise_stream_derived_only_for_two_or_more_cells(self, noise, keys):
-        # past one time chunk, so the streams resume
+        # past one time chunk, so the streams continue across chunks
         problem = mf.RegressionProblem(chain=mf.two_state_chain(0.3, 0.2),
                                        embedding=np.eye(2), mode="tabular", noise=noise,
                                        true_table=np.array([1.0, -1.0]))
         derived = []
 
-        def spy(seeds, keys):
-            derived.append(tuple(keys))
-            return pcg64_states(seeds, keys)
+        def spy(seeds, key):
+            derived.append(key)
+            return generators(seeds, key)
 
-        pcg64_states = processgen._pcg64_states
-        with mock.patch.object(processgen, "_pcg64_states", spy), \
+        generators = processgen._generators
+        with mock.patch.object(processgen, "_generators", spy), \
                 mock.patch.object(processgen, "_TIME_CHUNK", 16):
             states, targets = mf.sample_path_batch(problem, 40, range(3))
         assert derived == keys
-        if keys == [(0,)]:
+        if keys == [0]:
             assert np.array_equal(targets, problem.regression_mean()[states])
 
 
