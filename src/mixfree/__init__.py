@@ -13,8 +13,7 @@ minimization does not deflate with the mixing time.
 from .processgen import (MarkovChainModel, NoiseSpec, RegressionProblem,
                          Trajectory, block_sum_second_moment, iid_chain,
                          kwise_independent_surrogate, product_chain,
-                         product_embedding, problem_from_dict,
-                         sample_path_batch, sample_trajectory,
+                         product_embedding, sample_path_batch, sample_trajectory,
                          stationary_distribution, stream_state_stats,
                          trajectory_to_csv, two_state_chain)
 from .blocking import (blocked_bernstein_bound, blocked_bernstein_terms,

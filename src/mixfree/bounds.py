@@ -23,9 +23,8 @@ in psi_p_norm, the one function that calls it.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -754,7 +753,7 @@ def _ratio_for_directions(dirs: np.ndarray, problem: RegressionProblem, p: float
     return psi / l2
 
 
-CERTIFY_METHODS = ("auto", "finite-exact", "linear-exact", "sampled-fit")
+CERTIFY_METHODS = ("auto", "sampled-fit")
 _REFINE_ROUNDS, _REFINE_SAMPLES = 3, 200    # linear-exact local refinement
 
 
@@ -764,13 +763,14 @@ def certify_weak_subgaussian(cls: HypothesisClass, problem: RegressionProblem,
                              seed: int = 0) -> ClassCertificate:
     """Certify the norm-comparison constant of a hypothesis class.
 
-    finite-exact: L is the exact maximum of psi_p / L2 over the member tables
-    (eta = 1). linear-exact: L is the maximum ratio over a pseudo-uniform
-    direction grid with local refinement around the best direction; the
-    result is a certified lower bound on the true supremum, with a
-    grid-resolution upper estimate reported alongside. sampled-fit regresses
-    log psi on log L2 over the members and returns an (L, eta) pair covering
-    every sample.
+    auto takes the exact method of the class's kind. finite-exact: L is the
+    exact maximum of psi_p / L2 over the member tables (eta = 1).
+    linear-exact: L is the maximum ratio over a pseudo-uniform direction grid
+    with local refinement around the best direction; the result is a
+    certified lower bound on the true supremum, with a grid-resolution upper
+    estimate reported alongside. sampled-fit regresses log psi on log L2 over
+    the members (a linear class's `directions` random ones) and returns an
+    (L, eta) pair covering every sample.
     """
     if method not in CERTIFY_METHODS:
         raise ValueError(f"unknown certification method {method!r}")
@@ -823,7 +823,7 @@ def certify_weak_subgaussian(cls: HypothesisClass, problem: RegressionProblem,
         tables = cls.tables
     else:
         rng = np.random.default_rng(seed)
-        dirs = rng.standard_normal((max(directions, 64), problem.dim))
+        dirs = rng.standard_normal((directions, problem.dim))
         tables = dirs @ problem.embedding.T
     l2 = np.sqrt((tables ** 2) @ pi)
     keep = l2 > 0
@@ -898,15 +898,6 @@ class BoundReport:
             noise_psi_norm=self.noise_psi_norm, r=self.r_star, n=self.n,
             delta=self.delta, p=self.p, q_prime=self.q_prime,
             c1=self.constants.c1, c2=self.constants.c2)
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["p"] = "inf" if self.p == INF else self.p
-        out["q_prime"] = "inf" if self.q_prime == INF else self.q_prime
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def class_gamma_profiles(cls: HypothesisClass, problem: RegressionProblem,

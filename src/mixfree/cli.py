@@ -6,8 +6,10 @@ Exit codes: 0 on success, 1 on a config error or a path error, 2 on a
 numeric failure from the modules or on running out of memory. A config error
 names its key (or the line and column of malformed JSON) and comes before any
 sampling, as does an --out that is not a directory or lies under a file; a
-config that cannot be read and an artifact that cannot be written name their
-path.
+config that cannot be read or is not UTF-8 and an artifact that cannot be
+written name their path. This is the one module that knows the JSON
+documents: models are read through `_MODEL` and `_NOISE`, and every JSON
+artifact is written by `_write_json`.
 `_KEYS` lists each command's keys in reading order; a missing required key
 or an unknown key is an error. Each key has a kind:
 
@@ -17,12 +19,15 @@ or an unknown key is an error. Each key has a kind:
 - number: finite, not a boolean or a string. delta lies in (0, 1), below 0.25
   for riskBound coverage (tested at level 4 * delta); epsilon in [0, 1);
   q >= 1, and q = 1 needs p = inf; p >= 1, or "inf", "Infinity" or null.
-- label: a string; flag: a boolean; choice: certify's method, a kind.
-- document: a model (`processgen.problem_from_dict`); a linear (dim) or finite
-  (tables) class that fits every model; constants (c1, c2, c3, c_alpha); the
-  sweep's nonempty levels ({label, model}, distinct labels) and n_grid of
-  distinct integers; blockedBernstein's transition and centered values, one per state.
-null reads as the default only for p, k and kwise.
+- label: a string; flag: a boolean; choice: certify's method (auto, the
+  exact method of the class's kind, or sampled-fit), a kind.
+- document: a model (`_MODEL` with its `_NOISE`; finite numbers only, both
+  truth keys read); a linear (dim) or finite (tables) class that fits every
+  model; constants (c1, c2, c3, c_alpha); the sweep's nonempty levels
+  ({label, model}, distinct labels) and n_grid of distinct integers;
+  blockedBernstein's model ({"transition": P} or P) and centered values.
+null reads as the default only for p, k and kwise, and in a model for the
+embedding (one-hot), the other mode's truth and the noise bound.
 """
 
 from __future__ import annotations
@@ -32,7 +37,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, is_dataclass
+
+import numpy as np
 
 from . import bounds, harness, processgen
 from .bounds import Constants, INF
@@ -158,15 +165,38 @@ _flag = _check(lambda v: isinstance(v, bool), "true or false")
 _method = _check(lambda v: v in bounds.CERTIFY_METHODS, f"one of {list(bounds.CERTIFY_METHODS)}")
 
 
-def _model(value, key, got):
-    return _document(processgen.problem_from_dict, value, key)
+# Model readers: an error in a model's entries names the model.
+
+def _transition(value, key, got) -> processgen.MarkovChainModel:
+    return _document(processgen.MarkovChainModel.from_transition, value, "model")
 
 
-def _chain(value, key, got):
+def _embedding(value, key, got):
+    """The embedding; null is one-hot."""
+    return np.eye(got["transition"].n_states) if value is None else value
+
+
+def _truth(value, key, got):     # read in either mode, so it cannot hide a bad entry
+    return None if value is None else _document(
+        lambda v: processgen._reals(v, key), value, "model")
+
+
+def _noise(value, key, got) -> processgen.NoiseSpec:
+    return _document(lambda spec: processgen.NoiseSpec(**spec),
+                     _read(value, _NOISE, key, None), "model")
+
+
+def _model(value, key, got) -> processgen.RegressionProblem:
+    doc = _read(value, _MODEL, key, None)
+    chain = doc.pop("transition")
+    return _document(lambda doc: processgen.RegressionProblem(chain=chain, **doc), doc, key)
+
+
+def _chain(value, key, got) -> processgen.MarkovChainModel:
     """A blockedBernstein model: {"transition": P}, or P itself."""
     if isinstance(value, dict):
-        value = _read(value, (("transition", _given),), key, None)["transition"]
-    return _document(processgen.MarkovChainModel.from_transition, value, key)
+        return _read(value, (("transition", _transition),), key, None)["transition"]
+    return _transition(value, key, got)
 
 
 def _values(value, key, got):
@@ -205,6 +235,9 @@ def _nonempty(item, what: str):
     return read
 
 
+_NOISE = (("kind", _given), ("values", _given), ("probs", _given), ("bound", _given, None))
+_MODEL = (("transition", _transition), ("embedding", _embedding, None), ("mode", _given),
+          ("true_param", _truth, None), ("true_table", _truth, None), ("noise", _noise))
 _CLASS = {"linear": (("kind", _given), ("dim", _count(1))),
           "finite": (("kind", _given), ("tables", _given))}
 _CONSTANTS = tuple((f.name, _number, f.default) for f in fields(Constants))
@@ -241,12 +274,14 @@ COMMANDS = tuple(_KEYS)
 
 def _load_config(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except OSError as err:
         raise ConfigError(f"cannot read config file {path}: {err.strerror}")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config file {path} is not UTF-8: {err.reason} at byte {err.start}")
     except json.JSONDecodeError as err:
         raise ConfigError(f"config parse error at line {err.lineno} column "
                           f"{err.colno}: {err.msg}")
@@ -267,6 +302,19 @@ def _out_path(out_dir: str, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
+def _write_json(out: str, name: str, payload, sort_keys: bool = False) -> str:
+    """Write a dict (or a dataclass, as a dict) to out/name, infinity spelled
+    "inf" (JSON has none; only top-level values can be infinite), indented by
+    2 and ending in a newline; returns the path."""
+    payload = asdict(payload) if is_dataclass(payload) else payload
+    path = _out_path(out, name)
+    with open(path, "w") as fh:
+        fh.write(json.dumps({key: "inf" if value == INF else value
+                             for key, value in payload.items()},
+                            indent=2, sort_keys=sort_keys) + "\n")
+    return path
+
+
 def _cmd_simulate(c: dict, out: str) -> list:
     traj = (processgen.sample_trajectory(c["model"], c["n"], c["seed"]) if c["kwise"] is None
             else processgen.kwise_independent_surrogate(c["model"], c["n"], c["kwise"], c["seed"]))
@@ -279,9 +327,7 @@ def _cmd_bound(c: dict, out: str) -> list:
     report = bounds.compute_bound_report(
         c["model"], c["class"], c["n"], c["delta"], q=c["q"], p=c["p"], k=c["k"],
         constants=c["constants"], resolution=c["resolution"], seed=c["seed"])
-    json_path = _out_path(out, "bound_report.json")
-    with open(json_path, "w") as fh:
-        fh.write(report.to_json() + "\n")
+    json_path = _write_json(out, "bound_report.json", report)
     rhs = report.multiplier_rhs()
     csv_path = _out_path(out, "bound_terms.csv")
     with open(csv_path, "w") as fh:
@@ -296,13 +342,7 @@ def _cmd_certify(c: dict, out: str) -> list:
     cert = bounds.certify_weak_subgaussian(
         c["class"], c["model"], p=c["p"], method=c["method"],
         directions=c["directions"], m_max=c["m_max"], seed=c["seed"])
-    payload = asdict(cert)
-    payload["p"] = "inf" if cert.p == INF else cert.p
-    path = _out_path(out, "certificate.json")
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    return [path]
+    return [_write_json(out, "certificate.json", cert)]
 
 
 def _cmd_sweep(c: dict, out: str) -> list:
@@ -315,10 +355,8 @@ def _cmd_sweep(c: dict, out: str) -> list:
     result = harness.run_sweep(config)
     csv_path = _out_path(out, "sweep.csv")
     harness.sweep_to_csv(result, csv_path)
-    summary_path = _out_path(out, "summary.json")
-    with open(summary_path, "w") as fh:
-        json.dump(harness.sweep_summary(result), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    summary_path = _write_json(out, "summary.json", harness.sweep_summary(result),
+                               sort_keys=True)
     written = [csv_path, summary_path]
     if c["plot"]:
         svg_path = _out_path(out, "sweep.svg")
@@ -340,12 +378,8 @@ def _cmd_coverage(c: dict, out: str) -> list:
             constants=c["constants"])
     csv_path = _out_path(out, "coverage.csv")
     report.to_csv(csv_path)
-    json_path = _out_path(out, "coverage.json")
-    with open(json_path, "w") as fh:
-        json.dump({name: getattr(report, name) for name in (
-            "kind", "replicates", "delta", "frequency", "std_error", "threshold", "c2")},
-            fh, indent=2)
-        fh.write("\n")
+    json_path = _write_json(out, "coverage.json", {name: getattr(report, name) for name in (
+        "kind", "replicates", "delta", "frequency", "std_error", "threshold", "c2")})
     return [csv_path, json_path]
 
 
@@ -353,11 +387,7 @@ def _cmd_diagnose(c: dict, out: str) -> list:
     report = harness.process_diagnostics(
         c["model"], c["class"], c["n"], c["replicates"], c["epsilon"], c["delta"],
         c["seed"], q=c["q"], p=c["p"], constants=c["constants"], rho_grid=c["rho_grid"])
-    path = _out_path(out, "diagnostics.json")
-    with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
-    return [path]
+    return [_write_json(out, "diagnostics.json", report)]
 
 
 _HANDLERS = {"simulate": _cmd_simulate, "bound": _cmd_bound, "certify": _cmd_certify,

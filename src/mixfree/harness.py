@@ -392,9 +392,6 @@ class DiagnosticsReport:
     multiplier_coverage: float
     multiplier_constant: float
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
 
 def process_diagnostics(problem: RegressionProblem, cls: HypothesisClass, n: int,
                         replicates: int, epsilon: float, delta: float,

@@ -909,43 +909,8 @@ def block_sum_second_moment(model: MarkovChainModel, values, k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# structured-document interface (JSON model specs, CSV trajectories)
+# trajectory CSV
 # ---------------------------------------------------------------------------
-
-_PROBLEM_KEYS = {"transition", "embedding", "mode", "true_param", "true_table", "noise"}
-_NOISE_KEYS = {"kind", "values", "probs", "bound"}
-
-
-def problem_from_dict(spec: dict) -> RegressionProblem:
-    """Build a RegressionProblem from a parsed JSON document; unknown keys rejected."""
-    if not isinstance(spec, dict):
-        raise ValueError("model spec must be a JSON object")
-    unknown = set(spec) - _PROBLEM_KEYS
-    if unknown:
-        raise ValueError(f"unknown model key(s): {sorted(unknown)}")
-    for key in ("transition", "mode", "noise"):
-        if key not in spec:
-            raise ValueError(f"model spec is missing required key {key!r}")
-    nspec = spec["noise"]
-    if not isinstance(nspec, dict):
-        raise ValueError("noise spec must be a JSON object")
-    unknown = set(nspec) - _NOISE_KEYS
-    if unknown:
-        raise ValueError(f"unknown noise key(s): {sorted(unknown)}")
-    for key in ("kind", "values", "probs"):
-        if key not in nspec:
-            raise ValueError(f"noise spec is missing required key {key!r}")
-    chain = MarkovChainModel.from_transition(spec["transition"])
-    S = chain.n_states
-    noise = NoiseSpec(nspec["kind"], nspec["values"], nspec["probs"], nspec.get("bound"))
-    embedding = spec.get("embedding")
-    if embedding is None:
-        embedding = np.eye(S)  # one-hot default for tabular problems
-    # both truth keys are read, so the other mode's cannot hide a bad entry
-    true_param, true_table = (None if spec.get(key) is None else _reals(spec[key], key)
-                              for key in ("true_param", "true_table"))
-    return RegressionProblem(chain=chain, embedding=embedding, mode=spec["mode"],
-                             noise=noise, true_param=true_param, true_table=true_table)
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

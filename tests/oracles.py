@@ -249,7 +249,8 @@ def basic_inequality_sides(problem: RegressionProblem, cls: HypothesisClass,
 
 
 def problem_to_dict(problem: RegressionProblem) -> dict:
-    """The model document `problem_from_dict` reads back into `problem`."""
+    """The model document the CLI's model reader (`cli._model`) reads back
+    into `problem`."""
     out = {
         "transition": problem.chain.transition.tolist(),
         "embedding": problem.embedding.tolist(),

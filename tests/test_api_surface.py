@@ -68,6 +68,17 @@ def test_every_public_name_is_used_or_kept():
         "them, make them private, or move them to tests/oracles.py")
 
 
+def test_only_the_cli_knows_json():
+    """The JSON document formats live in cli.py: it alone reads model
+    documents and writes JSON artifacts."""
+    importers = sorted(
+        path.name for path in (ROOT / "src" / "mixfree").glob("*.py")
+        if any(isinstance(node, ast.Import) and any(a.name == "json" for a in node.names)
+               or isinstance(node, ast.ImportFrom) and node.module == "json"
+               for node in ast.walk(ast.parse(path.read_text()))))
+    assert importers == ["cli.py"]
+
+
 # Parameters with a default that no call in src/ or demos/ passes, with the
 # reason each stays.
 KEEP_PARAMETERS = {

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import mixfree as mf
-from mixfree import bounds
+from mixfree import bounds, cli
 from mixfree.bounds import (DiscreteLaw, parametric_log_covering,
                             entropy_integral_breakpoints, psi_norms_batch,
                             greedy_cover_counts)
@@ -757,7 +757,7 @@ class TestRiskBound:
 
 
 class TestBoundReport:
-    def test_pipeline_and_serialization(self):
+    def test_pipeline_and_serialization(self, tmp_path):
         base = mf.two_state_chain(0.25, 0.25)
         chain = mf.product_chain(base, 2)
         problem = mf.RegressionProblem(chain=chain,
@@ -770,7 +770,8 @@ class TestBoundReport:
         assert 0 < report.r_star <= 1
         assert report.risk_bound >= report.constants.c2 * report.r_star ** 2 - 1e-12
         assert abs(report.weak_variance - 0.25) < 1e-12   # mds noise, q = 1
-        payload = json.loads(report.to_json())
+        with open(cli._write_json(tmp_path, "bound_report.json", report)) as fh:
+            payload = json.load(fh)
         assert payload["k_mix"] == report.k_mix
         assert payload["q_prime"] == "inf"
 
@@ -813,7 +814,7 @@ class TestBoundReport:
 
     @pytest.mark.parametrize("q, p", [(1.0, INF), (2.0, 2.0)])
     @pytest.mark.parametrize("kind", ["linear", "finite"])
-    def test_multiplier_rhs_matches_hand_assembled_call(self, kind, q, p):
+    def test_multiplier_rhs_matches_hand_assembled_call(self, tmp_path, kind, q, p):
         # skewed noise, so its psi_2 norm (0.15) differs from its ess sup (0.3)
         noise = mf.NoiseSpec("martingale-difference", [[-0.3, 0.1]] * 4,
                              [[0.25, 0.75]] * 4)
@@ -839,7 +840,8 @@ class TestBoundReport:
         new = report.multiplier_rhs()
         assert report.noise_psi_norm == noise_psi > 0
         assert new.terms == old.terms and new.total == old.total
-        assert json.loads(report.to_json())["noise_psi_norm"] == noise_psi
+        with open(cli._write_json(tmp_path, "bound_report.json", report)) as fh:
+            assert json.load(fh)["noise_psi_norm"] == noise_psi
 
     def test_q1_with_finite_p_rejected(self):
         problem = self._two_state_problem(0.25)

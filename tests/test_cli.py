@@ -149,6 +149,13 @@ class TestConfigErrors:
         code = run(["bound", "--config", str(tmp_path / "nope.json")])
         assert code == 1
 
+    def test_config_not_utf8_names_path(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xff\xfe{}")        # a UTF-16 byte-order mark
+        assert run(["bound", "--config", str(path)]) == 1
+        assert (capsys.readouterr().err == f"config error: config file {path} is not UTF-8: "
+                "invalid start byte at byte 0\n")
+
     def test_config_is_a_directory(self, tmp_path, capsys):
         assert run(["bound", "--config", str(tmp_path)]) == 1
         err = capsys.readouterr().err
@@ -518,9 +525,65 @@ class TestNegativeSeeds:
         cfg = _write(tmp_path, "cfg.json", {"model": _model_dict(), "n": 32, "seed": 9})
         assert run(["simulate", "--config", cfg, "--out", str(tmp_path),
                     "--seed", str(seed), "--quiet"]) == 0
-        traj = mf.sample_trajectory(mf.processgen.problem_from_dict(_model_dict()), 32, seed)
+        traj = mf.sample_trajectory(cli._model(_model_dict(), "model", {}), 32, seed)
         lines = (tmp_path / "trajectory.csv").read_text().strip().split("\n")
         assert [int(line.split(",")[1]) for line in lines[1:]] == traj.states.tolist()
+
+
+class TestModelDocuments:
+    """The model reader, `cli._model` over `_MODEL` and `_NOISE`: a document
+    becomes the problem it describes. Unknown keys, booleans, strings and
+    non-finite numbers are refused, naming the entry; numpy alone would read
+    True as 1.0 and let NaN pass every range check."""
+
+    def _spec(self, **changes):
+        spec = _model_dict()
+        for path, value in changes.items():
+            target = spec
+            *steps, last = path.split(".")
+            for step in steps:
+                target = target[step]
+            target[last] = value
+        return spec
+
+    def test_round_trip(self):
+        spec = _model_dict()
+        assert problem_to_dict(cli._model(spec, "model", {})) == spec
+
+    def test_null_embedding_is_one_hot(self):
+        spec = self._spec(mode="tabular", embedding=None, true_param=None,
+                          true_table=[0.5, 0.0, -1.0, 2.0])
+        assert np.array_equal(cli._model(spec, "model", {}).embedding, np.eye(4))
+
+    def test_unknown_keys_rejected(self):
+        with pytest.raises(cli.ConfigError, match=r"unknown key\(s\) in model: \['surprise'\]"):
+            cli._model(self._spec(surprise=1), "model", {})
+        with pytest.raises(cli.ConfigError, match=r"unknown key\(s\) in noise: \['extra'\]"):
+            cli._model(self._spec(**{"noise.extra": 2}), "model", {})
+
+    @pytest.mark.parametrize("path, value, message", [
+        ("noise.probs", [[float("nan"), 0.5]] * 4, "noise probs has non-finite"),
+        ("noise.values", [[-0.5, True]] * 4, "noise values must hold numbers"),
+        ("noise.bound", float("nan"), "noise bound has non-finite"),
+        ("noise.bound", float("inf"), "noise bound has non-finite"),
+        ("noise.bound", True, "noise bound must hold numbers"),
+        ("noise.bound", [0.5], "noise bound must be one number"),
+        ("true_param", [1.0, float("nan")], "true_param has non-finite"),
+        ("true_param", [True, 0.5], "true_param must hold numbers"),
+        ("true_table", [0.0, float("inf"), 0.0, 0.0], "true_table has non-finite"),
+        ("true_table", [0.0, False, 0.0, 0.0], "true_table must hold numbers"),
+        ("embedding", [[True, 1.0]] * 4, "embedding must hold numbers"),
+        ("embedding", [["1", 1.0]] * 4, "embedding must hold numbers"),
+        ("transition", "x", "transition matrix must hold numbers")])
+    def test_bad_entry_named(self, path, value, message):
+        # true_table belongs to the other mode (the problem is linear) and is
+        # still read
+        with pytest.raises(cli.ConfigError, match=f"^model: {message}"):
+            cli._model(self._spec(**{path: value}), "model", {})
+
+    def test_null_bound_declares_none(self):
+        problem = cli._model(self._spec(**{"noise.bound": None}), "model", {})
+        assert problem.noise.bound is None
 
 
 class TestSimulate:
@@ -614,6 +677,37 @@ class TestCertify:
                     "--quiet"]) == 0
         payload = json.loads((tmp_path / "certificate.json").read_text())
         assert payload["L"] >= 1.0 and payload["eta"] == 1.0
+
+    @pytest.mark.parametrize("method", ["finite-exact", "linear-exact"])
+    @pytest.mark.parametrize("cls", [{"kind": "linear", "dim": 2},
+                                     {"kind": "finite", "tables": [[0.5, 0.5, -0.5, 0.5]]}],
+                             ids=["linear", "finite"])
+    def test_exact_method_names_are_config_errors(self, tmp_path, capsys, method, cls):
+        # the exact method follows from the class kind; naming one could pick
+        # the other kind's, which certified a finite class's linear span
+        cfg = _write(tmp_path, "cfg.json", {"model": _model_dict(), "class": cls,
+                                            "method": method})
+        assert run(["certify", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+        assert (f"config error: 'method' must be one of ['auto', 'sampled-fit'], got "
+                f"{method!r}" in capsys.readouterr().err)
+        assert not (tmp_path / "r").exists()
+
+    def test_finite_class_is_finite_exact(self, tmp_path):
+        tables = [[0.5, 0.5, -0.5, 0.5], [1.0, -1.0, 0.5, -0.5], [0.25, 0.0, -0.75, 1.0]]
+        cfg = _write(tmp_path, "cfg.json", {"model": _model_dict(),
+                                            "class": {"kind": "finite", "tables": tables}})
+        assert run(["certify", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        payload = json.loads((tmp_path / "certificate.json").read_text())
+        assert payload["method"] == "finite-exact" and payload["n_witness"] == 3
+
+    @pytest.mark.parametrize("directions", [10, 100])
+    def test_sampled_fit_uses_the_directions_given(self, tmp_path, directions):
+        cfg = _write(tmp_path, "cfg.json",
+                     {"model": _model_dict(), "class": {"kind": "linear", "dim": 2},
+                      "method": "sampled-fit", "directions": directions})
+        assert run(["certify", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        payload = json.loads((tmp_path / "certificate.json").read_text())
+        assert payload["method"] == "sampled-fit" and payload["n_witness"] == directions
 
     def test_unknown_method_is_config_error(self, tmp_path, capsys):
         cfg = _write(tmp_path, "cfg.json",
@@ -744,6 +838,36 @@ class TestDiagnoseCommand:
         assert run(["diagnose", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
         assert "numeric failure: the multiplier bound is 0" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "artifacts"
+# case directory -> command; each directory holds config.json and the JSON
+# artifacts that command writes from it, byte for byte
+GOLDEN_COMMANDS = {
+    "bound-q1": "bound", "bound-q2": "bound", "certify-linear": "certify",
+    "certify-finite": "certify", "coverage-blocked": "coverage",
+    "coverage-risk": "coverage", "diagnose": "diagnose", "sweep": "sweep",
+}
+
+
+class TestArtifactBytes:
+    """Every JSON artifact, byte for byte: bound reports at q = 1 (p and
+    q_prime read "inf") and q = 2, linear and finite certificates, both
+    coverage kinds, diagnostics and a sweep summary over three n."""
+
+    def test_cases_cover_every_json_command(self):
+        assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(GOLDEN_COMMANDS)
+        assert set(GOLDEN_COMMANDS.values()) == set(cli.COMMANDS) - {"simulate"}
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_COMMANDS))
+    def test_bytes_match_golden(self, tmp_path, case):
+        config = GOLDEN / case / "config.json"
+        assert run([GOLDEN_COMMANDS[case], "--config", str(config),
+                    "--out", str(tmp_path), "--quiet"]) == 0
+        golden = sorted(p.name for p in (GOLDEN / case).glob("*.json") if p != config)
+        assert golden == sorted(p.name for p in tmp_path.glob("*.json"))
+        for name in golden:
+            assert (tmp_path / name).read_bytes() == (GOLDEN / case / name).read_bytes(), name
 
 
 DEMO_COMMANDS = {

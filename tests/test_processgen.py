@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 import mixfree as mf
 from mixfree import harness, processgen
-from oracles import beta_coefficients, k_mix_search, problem_to_dict
+from oracles import beta_coefficients, k_mix_search
 
 
 def _power_iteration_pi(P, iters=200_000, tol=1e-13):
@@ -752,38 +752,6 @@ class TestKwiseSurrogate:
         assert rejections <= int(0.05 * runs)
 
 
-class TestModelDocuments:
-    def test_problem_dict_round_trip(self):
-        problem = _two_state_problem()
-        again = mf.problem_from_dict(problem_to_dict(problem))
-        assert np.array_equal(again.chain.transition, problem.chain.transition)
-        assert np.array_equal(again.embedding, problem.embedding)
-        assert np.array_equal(again.true_param, problem.true_param)
-
-    def test_unknown_keys_rejected(self):
-        spec = problem_to_dict(_two_state_problem())
-        spec["surprise"] = 1
-        with pytest.raises(ValueError, match="surprise"):
-            mf.problem_from_dict(spec)
-        spec.pop("surprise")
-        spec["noise"]["extra"] = 2
-        with pytest.raises(ValueError, match="extra"):
-            mf.problem_from_dict(spec)
-
-    def test_trajectory_csv_columns(self, tmp_path):
-        problem = _two_state_problem()
-        traj = mf.sample_trajectory(problem, 20, 1)
-        path = tmp_path / "traj.csv"
-        mf.trajectory_to_csv(traj, path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "t,state,x_1,x_2,y"
-        assert len(lines) == 21
-        row = lines[3].split(",")
-        t, state = int(row[0]), int(row[1])
-        assert t == 3 and state == traj.states[2]
-        assert float(row[-1]) == traj.targets[2]
-
-
 def _row_by_row_csv(traj, path):
     """Oracle: the trajectory CSV formatted one row at a time."""
     d = traj.covariates.shape[1]
@@ -798,6 +766,19 @@ def _row_by_row_csv(traj, path):
 
 
 class TestTrajectoryCsv:
+    def test_trajectory_csv_columns(self, tmp_path):
+        problem = _two_state_problem()
+        traj = mf.sample_trajectory(problem, 20, 1)
+        path = tmp_path / "traj.csv"
+        mf.trajectory_to_csv(traj, path)
+        lines = path.read_text().strip().split("\n")
+        assert lines[0] == "t,state,x_1,x_2,y"
+        assert len(lines) == 21
+        row = lines[3].split(",")
+        t, state = int(row[0]), int(row[1])
+        assert t == 3 and state == traj.states[2]
+        assert float(row[-1]) == traj.targets[2]
+
     def test_bytes_match_row_by_row_writer(self, tmp_path):
         rng = np.random.default_rng(3)
         n = 257
@@ -829,43 +810,9 @@ class TestTrajectoryCsv:
 
 
 class TestDocumentEntries:
-    """Model documents refuse booleans, strings and non-finite numbers,
+    """The constructors refuse booleans, strings and non-finite numbers,
     naming the entry; numpy alone would read True as 1.0 and let NaN pass
-    every range check."""
-
-    def _spec(self, **changes):
-        spec = problem_to_dict(_two_state_problem())
-        spec["noise"]["bound"] = 0.5
-        for path, value in changes.items():
-            target = spec
-            *steps, last = path.split(".")
-            for step in steps:
-                target = target[step]
-            target[last] = value
-        return spec
-
-    @pytest.mark.parametrize("path, value, message", [
-        ("noise.probs", [[float("nan"), 0.5], [0.5, 0.5]], "noise probs has non-finite"),
-        ("noise.values", [[-0.5, True], [-0.5, 0.5]], "noise values must hold numbers"),
-        ("noise.bound", float("nan"), "noise bound has non-finite"),
-        ("noise.bound", float("inf"), "noise bound has non-finite"),
-        ("noise.bound", True, "noise bound must hold numbers"),
-        ("noise.bound", [0.5], "noise bound must be one number"),
-        ("true_param", [1.0, float("nan")], "true_param has non-finite"),
-        ("true_param", [True, 0.5], "true_param must hold numbers"),
-        ("true_table", [0.0, float("inf"), 0.0, 0.0], "true_table has non-finite"),
-        ("true_table", [0.0, False, 0.0, 0.0], "true_table must hold numbers"),
-        ("embedding", [[True, 1.0]] * 4, "embedding must hold numbers"),
-        ("embedding", [["1", 1.0]] * 4, "embedding must hold numbers"),
-        ("transition", "x", "transition matrix must hold numbers")])
-    def test_bad_entry_named(self, path, value, message):
-        # true_table belongs to the other mode (the problem is linear) and is
-        # still read
-        with pytest.raises(ValueError, match=message):
-            mf.problem_from_dict(self._spec(**{path: value}))
-
-    def test_null_bound_declares_none(self):
-        assert mf.problem_from_dict(self._spec(**{"noise.bound": None})).noise.bound is None
+    every range check. (Model documents: tests/test_cli.py.)"""
 
     def test_constructors_check_arrays(self):
         with pytest.raises(ValueError, match="noise probs has non-finite"):
