@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .processgen import (MarkovChainModel, RegressionProblem, _seed_sequence_state,
-                         beta_at_lag, lag_weighted_sum, sample_path_batch)
+from .processgen import (MarkovChainModel, RegressionProblem, _pair_rows,
+                         _seed_sequence_state, beta_at_lag, lag_weighted_sum)
 from .erm import HypothesisClass, population_quantities, sphere_tables
 
 INF = float("inf")
@@ -325,8 +325,22 @@ def weak_variance_2q(problem: RegressionProblem, f_star_table, resolution_tables
     cap, so only tiny instances); mode 'montecarlo' uses seeded replicates and
     reports a delta-method standard error for the supremum-attaining member.
     It samples at most _MC_SLICE_STEPS replicate-steps (one replicate at
-    least) at a time, so memory does not grow with replicates * n.
+    least) at a time, so memory does not grow with replicates * n. W_i g(X_i)
+    depends only on the step's (state, noise cell) pair, so a slice is
+    sampled as whole rows of pair ids (processgen._pair_rows) and each
+    member's products are one table over the pairs, taken by the ids and
+    summed along each row: the bits of a loop over the steps. q < 1 or
+    infinite, n < 1 and fewer than two replicates raise ValueError before
+    any sampling.
     """
+    if mode not in ("exact", "montecarlo"):
+        raise ValueError("mode must be 'exact' or 'montecarlo'")
+    if not 1 <= q < INF:
+        raise ValueError(f"q must be >= 1 and finite, got {q}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if mode == "montecarlo" and replicates < 2:
+        raise ValueError(f"replicates must be >= 2, got {replicates}")
     pi = problem.chain.stationary
     tables = np.atleast_2d(np.asarray(resolution_tables, dtype=float))
     norms = _check_resolution(tables, pi)
@@ -342,17 +356,15 @@ def weak_variance_2q(problem: RegressionProblem, f_star_table, resolution_tables
             vals[gi] = m ** (1.0 / q)
         return WeakVariance(float(vals.max()), q, "exact", vals)
 
-    if mode != "montecarlo":
-        raise ValueError("mode must be 'exact' or 'montecarlo'")
     seeds = _seed_sequence_state([seed], range(replicates), 1)[:, 0]  # SeedSequence([seed, r])
     f_star = np.asarray(f_star_table, dtype=float)
     sums = np.empty((tables.shape[0], replicates))     # sum_i W_i g(X_i) per replicate
     rows = max(1, _MC_SLICE_STEPS // n)
     for r0 in range(0, replicates, rows):
-        states, targets = sample_path_batch(problem, n, seeds[r0:r0 + rows])
-        w = targets - f_star[states]
-        for gi, g in enumerate(tables):
-            sums[gi, r0:r0 + rows] = (w * g[states]).sum(axis=1)
+        ids, pair_state, pair_target = _pair_rows(problem, n, seeds[r0:r0 + rows])
+        wg = (pair_target - f_star[pair_state]) * tables[:, pair_state]
+        for gi, row in enumerate(wg):
+            sums[gi, r0:r0 + rows] = row.take(ids).sum(axis=1)
     vals = np.empty(tables.shape[0])
     ses = np.empty(tables.shape[0])
     for gi in range(tables.shape[0]):

@@ -741,8 +741,10 @@ def _blocked_walk(tables: _Tables, cells: np.ndarray, x: np.ndarray) -> np.ndarr
 
 
 def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | None):
-    """Yield (t0, r0, states, targets) for each group of replicates r0, r0 + 1,
-    ... of each time chunk t0, t0 + 1, ..., one row per replicate.
+    """Yield (t0, r0, states, ids) for each group of replicates r0, r0 + 1,
+    ... of each time chunk t0, t0 + 1, ..., one row per replicate, where ids
+    are the (state, noise cell) pair ids at = state * V + cell of the
+    problem's V noise cells: the targets are ytab.take(ids) (_Tables).
 
     The one core of every sampler. Replicate r consumes its own state and
     noise streams in order, so its path has the same bits whatever
@@ -750,10 +752,10 @@ def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | No
     they are drawn, and each time step is one lookup over all replicates,
     states[t] = table[cell[t], states[t - 1]], where t = 0 and every multiple
     of block_len use the stationary rows: C is added to those cell ids once
-    per chunk. A group's noise is one lookup too, through the problem's
-    ytab (_Tables). When the noise table has one cell, every noise uniform
-    falls in it, so no noise is drawn (nor its stream derived) and the
-    targets are ytab[state]. Groups hold about _SUB_BLOCK replicate-steps, so
+    per chunk. A group's noise uniforms become noise cell ids the same way.
+    When the noise table has one cell, every noise uniform falls in it, so
+    no noise is drawn (nor its stream derived) and the ids are the states
+    themselves. Groups hold about _SUB_BLOCK replicate-steps, so
     per-call costs are shared by many replicates on short paths and buffers
     stay small on long ones. States are kept in the smallest unsigned dtype
     that holds S - 1, so a chunk's states take R * T bytes on up to 256
@@ -802,13 +804,26 @@ def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | No
         for r0 in range(0, R, group):
             rows = states[r0:r0 + group]
             if tables.n_noise == 1:   # every noise uniform falls in the one cell
-                yield t0, r0, rows, tables.ytab.take(rows)
+                yield t0, r0, rows, rows
                 continue
             block = u[:len(rows)]
             streams.fill(1, r0, block)
             at = np.multiply(rows, tables.n_noise, dtype=np.intp)
             at += _cell_ids(tables.noise_breaks, tables.noise_guide, block)
-            yield t0, r0, rows, tables.ytab.take(at)
+            yield t0, r0, rows, at
+
+
+def _pair_rows(problem: RegressionProblem, n: int, seeds):
+    """(ids (R, n) intp, pair_state, pair_target): the pair ids of the paths
+    of seeds as whole rows, and the state and target of each pair id, so
+    that the targets are pair_target.take(ids) and the states
+    pair_state.take(ids). The ids are intp because take converts narrower
+    ids to intp first."""
+    ids = np.empty((len(seeds), n), dtype=np.intp)
+    for t0, r0, rows, at in _sample_paths(problem, n, seeds, None):
+        ids[r0:r0 + len(rows), t0:t0 + rows.shape[1]] = at
+    tables = problem._sampler
+    return ids, np.arange(len(tables.ytab)) // tables.n_noise, tables.ytab
 
 
 def sample_trajectory(problem: RegressionProblem, n: int, seed: int) -> Trajectory:
@@ -842,9 +857,9 @@ def sample_path_batch(problem: RegressionProblem, n: int, seeds,
     seeds = list(seeds)
     states = np.empty((len(seeds), n), dtype=np.int64)
     targets = np.empty((len(seeds), n))
-    for t0, r0, rows, y in _sample_paths(problem, n, seeds, block_len):
+    for t0, r0, rows, ids in _sample_paths(problem, n, seeds, block_len):
         at = np.s_[r0:r0 + len(rows), t0:t0 + rows.shape[1]]
-        states[at], targets[at] = rows, y
+        states[at], targets[at] = rows, problem._sampler.ytab.take(ids)
     return states, targets
 
 
@@ -865,7 +880,8 @@ def stream_state_stats(problem: RegressionProblem, n: int, seeds,
     S = problem.n_states
     counts = np.zeros((len(seeds), S))
     ysums = np.zeros((len(seeds), S))
-    for _, r0, rows, y in _sample_paths(problem, n, seeds, block_len):
+    for _, r0, rows, ids in _sample_paths(problem, n, seeds, block_len):
+        y = problem._sampler.ytab.take(ids)
         g = len(rows)
         key = (rows + S * np.arange(g)[:, None]).ravel()
         counts[r0:r0 + g] += np.bincount(key, minlength=g * S).reshape(g, S)

@@ -1,5 +1,6 @@
 """Reference forms the tests check `mixfree` against: plain loop forms of
-quantities the pipeline derives a faster way, the one-trajectory least-squares
+quantities the pipeline derives a faster way (the Monte Carlo noise level's
+per-member loop among them), the one-trajectory least-squares
 fit, the entropy-integral quadrature, the radius-r star-hull sphere, and both
 sides of the basic inequality.
 Also `problem_to_dict`, which writes the model documents the CLI tests use."""
@@ -8,11 +9,13 @@ import math
 
 import numpy as np
 
-from mixfree.bounds import CriticalRadius, _R_MIN
+from mixfree import bounds
+from mixfree.bounds import CriticalRadius, WeakVariance, _R_MIN
 from mixfree.erm import (HypothesisClass, excess_risks, multiplier_processes,
                          population_quantities, quadratic_processes, star_hull_tables,
                          _f_star_param)
-from mixfree.processgen import MarkovChainModel, RegressionProblem, Trajectory
+from mixfree.processgen import (MarkovChainModel, RegressionProblem, Trajectory,
+                                _seed_sequence_state, sample_path_batch)
 
 
 def beta_coefficients(model: MarkovChainModel, horizon: int) -> np.ndarray:
@@ -101,6 +104,36 @@ def k_mix_search(betas, n: int, delta: float) -> int:
         f"no k <= n = {n} satisfies k/beta(k) >= n/delta = {n / delta:.3g}; "
         f"the chain needs beta(k) <= k delta / n (best achieved "
         f"{max(k / b for k, b in enumerate(betas[:n], 1) if b > 0):.3g})")
+
+
+def weak_variance_montecarlo(problem: RegressionProblem, f_star_table, resolution_tables,
+                             q: float, n: int, replicates: int, seed: int) -> WeakVariance:
+    """weak_variance_2q(mode="montecarlo") as a per-member loop over sampled
+    states and targets: each slice of at most bounds._MC_SLICE_STEPS
+    replicate-steps is sample_path_batch's, and member g's replicate sums are
+    (w * g[states]).sum(axis=1) with w = targets - f_star[states]."""
+    tables = np.atleast_2d(np.asarray(resolution_tables, dtype=float))
+    norms = np.sqrt((tables ** 2) @ problem.chain.stationary)
+    seeds = _seed_sequence_state([seed], range(replicates), 1)[:, 0]
+    f_star = np.asarray(f_star_table, dtype=float)
+    sums = np.empty((tables.shape[0], replicates))
+    rows = max(1, bounds._MC_SLICE_STEPS // n)
+    for r0 in range(0, replicates, rows):
+        states, targets = sample_path_batch(problem, n, seeds[r0:r0 + rows])
+        w = targets - f_star[states]
+        for gi, g in enumerate(tables):
+            sums[gi, r0:r0 + rows] = (w * g[states]).sum(axis=1)
+    vals = np.empty(tables.shape[0])
+    ses = np.empty(tables.shape[0])
+    for gi in range(tables.shape[0]):
+        z = sums[gi] / (math.sqrt(n) * norms[gi])
+        dev = np.abs(z - z.mean()) ** (2 * q)
+        m = float(dev.mean())
+        se_m = float(dev.std(ddof=1) / math.sqrt(replicates))
+        vals[gi] = m ** (1.0 / q)
+        ses[gi] = (se_m / q) * m ** (1.0 / q - 1.0) if m > 0 else se_m
+    top = int(np.argmax(vals))
+    return WeakVariance(float(vals[top]), q, "montecarlo", vals, float(ses[top]))
 
 
 def quadratic_process_steps(g, traj: Trajectory, problem: RegressionProblem,

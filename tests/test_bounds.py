@@ -16,7 +16,7 @@ from mixfree.bounds import (DiscreteLaw, parametric_log_covering,
                             entropy_integral_breakpoints, psi_norms_batch,
                             greedy_cover_counts)
 from oracles import (beta_coefficients, critical_radius, gamma_alpha_quadrature,
-                     greedy_cover_count, k_mix_search)
+                     greedy_cover_count, k_mix_search, weak_variance_montecarlo)
 
 INF = float("inf")
 
@@ -351,6 +351,94 @@ class TestWeakVariance:
         with pytest.raises(ValueError, match="enumeration"):
             mf.weak_variance_2q(problem, problem.true_table,
                                 np.ones((1, 3)), q=1.0, n=30, mode="exact")
+
+    @pytest.fixture
+    def no_sampling(self, monkeypatch):
+        def refuse(*a, **k):
+            raise AssertionError("sampled before the arguments were checked")
+        monkeypatch.setattr(mf.processgen, "_sample_paths", refuse)
+
+    @pytest.mark.parametrize("mode", ["exact", "montecarlo"])
+    @pytest.mark.parametrize("args, match", [
+        (dict(n=0), "n must be >= 1, got 0"),
+        (dict(n=-1), "n must be >= 1, got -1"),
+        (dict(q=0.5), "q must be >= 1 and finite, got 0.5"),
+        (dict(q=float("nan")), "q must be >= 1 and finite, got nan"),
+        (dict(q=INF), "q must be >= 1 and finite, got inf"),   # every member read 1.0
+    ])
+    def test_bad_argument_named_before_sampling(self, no_sampling, mode, args, match):
+        problem = _mds_problem()
+        kw = dict(q=2.0, n=3, mode=mode, replicates=10) | args
+        with pytest.raises(ValueError, match=match):
+            mf.weak_variance_2q(problem, problem.true_table, np.ones((1, 3)), **kw)
+
+    @pytest.mark.parametrize("replicates", [-1, 0, 1])
+    def test_too_few_replicates_named(self, no_sampling, replicates):
+        problem = _mds_problem()
+        with pytest.raises(ValueError, match=f"replicates must be >= 2, got {replicates}"):
+            mf.weak_variance_2q(problem, problem.true_table, np.ones((1, 3)), q=2.0,
+                                n=3, mode="montecarlo", replicates=replicates)
+
+
+@st.composite
+def _mc_cases(draw):
+    """A problem on a random, periodic or single-state chain whose noise
+    table has one to four values per state, some of probability 0, with an
+    f_star table, resolution members, and a sampling shape."""
+    kind = draw(st.sampled_from(["random", "periodic", "single"]))
+    S = 1 if kind == "single" else draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "random":
+        P = rng.dirichlet(np.ones(S), size=S)
+        chain = mf.MarkovChainModel.from_transition(P)
+    else:
+        P = np.eye(S)[draw(st.permutations(range(S)))]
+        chain = mf.MarkovChainModel(P, np.full(S, 1.0 / S))
+    V = draw(st.integers(1, 4))
+    probs = rng.dirichlet(np.ones(V), size=S)
+    probs[rng.random((S, V)) < 0.3] = 0.0
+    probs[np.arange(S), rng.integers(0, V, S)] += 0.5    # a positive value per row
+    probs /= probs.sum(axis=1, keepdims=True)
+    values = np.round(rng.normal(size=(S, V)), 3)
+    problem = mf.RegressionProblem(chain=chain, embedding=np.eye(S), mode="tabular",
+                                   noise=mf.NoiseSpec("state-dependent-bias", values, probs),
+                                   true_table=rng.normal(size=S))
+    f_star = problem.true_table + rng.normal(size=S) * 0.3
+    members = rng.normal(size=(draw(st.integers(1, 4)), S))
+    n = draw(st.integers(1, 24))
+    shape = dict(q=draw(st.sampled_from([1.0, 1.5, 2.0, 3.0])), n=n,
+                 replicates=draw(st.integers(2, 40)), seed=draw(st.integers(0, 2 ** 64)))
+    slice_steps = draw(st.sampled_from([1, n, 3 * n + 1, 1 << 22]))
+    time_chunk = draw(st.sampled_from([1, 5, 1 << 16]))
+    return problem, f_star, members, shape, slice_steps, time_chunk
+
+
+class TestMonteCarloPairIds:
+    """weak_variance_2q's Monte Carlo mode evaluates each member by a lookup
+    table over (state, noise cell) pairs; the per-member loop over sampled
+    states and targets (oracles.weak_variance_montecarlo) is its oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_mc_cases())
+    def test_matches_per_member_loop_bit_for_bit(self, case):
+        problem, f_star, members, shape, slice_steps, time_chunk = case
+        with mock.patch.object(bounds, "_MC_SLICE_STEPS", slice_steps), \
+                mock.patch.object(mf.processgen, "_TIME_CHUNK", time_chunk):
+            wv = mf.weak_variance_2q(problem, f_star, members, mode="montecarlo", **shape)
+            oracle = weak_variance_montecarlo(problem, f_star, members, **shape)
+        assert np.array_equal(wv.per_member, oracle.per_member)
+        assert np.array_equal(wv.std_error, oracle.std_error)
+        assert wv.value == oracle.value
+
+    def test_never_samples_states_and_targets(self, monkeypatch):
+        def refuse(*a, **k):
+            raise AssertionError("the noise level sampled states and targets")
+        monkeypatch.setattr(mf.processgen, "sample_path_batch", refuse)
+        monkeypatch.setattr(bounds, "sample_path_batch", refuse, raising=False)
+        problem = _mds_problem()
+        wv = mf.weak_variance_2q(problem, problem.true_table, np.eye(3), q=2.0, n=16,
+                                 mode="montecarlo", replicates=40, seed=3)
+        assert np.all(np.isfinite(wv.per_member)) and wv.std_error > 0
 
 
 class TestCoveringNumbers:

@@ -292,8 +292,8 @@ def _uniforms(rng, shape, cdfs):
 
 def _check_walk(problem, U, V, block_len, time_chunk, sub_block):
     """_sample_paths, fed the state uniforms U and noise uniforms V (R, n),
-    gives the argmax oracle's states and targets, walked with each chunk as
-    one block and in _walk_blocks's nb > 1 blocks."""
+    gives the argmax oracle's states and, through ytab, its targets, walked
+    with each chunk as one block and in _walk_blocks's nb > 1 blocks."""
     chain, noise = problem.chain, problem.noise
     R, n = U.shape
     cum_rows = processgen._cumulative_rows(chain.transition)
@@ -321,12 +321,12 @@ def _check_walk(problem, U, V, block_len, time_chunk, sub_block):
                 mock.patch.object(processgen, "_WALK_CROSSOVER", crossover), \
                 mock.patch.object(processgen, "_CLOSURE_BUDGET", budget):
             fresh = dataclasses.replace(problem)
-            for t0, r0, group, y in processgen._sample_paths(fresh, n, range(R),
-                                                             block_len):
+            for t0, r0, group, ids in processgen._sample_paths(fresh, n, range(R),
+                                                               block_len):
                 for i in range(len(group)):
                     assert sum(map(len, rows[r0 + i])) == t0
                     rows[r0 + i].append(group[i].copy())
-                    ys[r0 + i].append(y[i].copy())
+                    ys[r0 + i].append(fresh._sampler.ytab.take(ids[i]))
         states = np.array([np.concatenate(chunks) for chunks in rows])
         targets = np.array([np.concatenate(chunks) for chunks in ys])
 
