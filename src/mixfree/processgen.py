@@ -571,7 +571,6 @@ _TIME_CHUNK = 1 << 16       # time steps per chunk of every sampler
 _WALK_CROSSOVER = 128       # most replicates walked in blocks
 _TABLE_BYTES = 1 << 29      # largest step table and cell table of a chain, together
 _CLOSURE_BUDGET = 1 << 16   # largest composition table, in entries G * K
-_RUN = 16                   # pass-2 steps of a blocked walk per move to replicate-major
 
 
 def _closure(gens: np.ndarray, budget: int):
@@ -693,28 +692,28 @@ def _walk_blocks(R: int, T: int, tables: _Tables) -> tuple[int, int]:
     return nb, L
 
 
-def _blocked_walk(tables: _Tables, cells: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """States (R, nb * L) of a chunk whose row ids are cells (R, nb, L), nb > 1,
-    replicate r entering it at state x[r].
+def _blocked_walk(tables: _Tables, cells: np.ndarray, x: np.ndarray) -> None:
+    """Overwrite the row ids cells (L, R, nb) of a chunk, nb > 1, with its
+    states in place: cells[a, r, b] becomes replicate r's state at step a of
+    block b, replicate r entering the chunk at state x[r].
 
     Each step is a random map from state to state, and a block's steps
     compose to one map (Propp & Wilson 1996), so the blocks are walked as a
-    prefix (Blelloch 1990). Lanes are laid out replicate-major, (R, nb), and
-    hold G times their value, so a step of all lanes is one add of its row
-    ids and one take from a state-major table; the row ids are made
-    time-major once, so that each step reads them in one run. Pass 1
-    composes every block but the last: one lane per block holds the id of
-    its map in the problem's closure and steps through comp_g. A loop over
-    the blocks chains each block's entry state from the one before, and
-    pass 2 walks every block from its entry state through flat_g, a run of
-    _RUN steps at a time, whose states are divided by G and moved to
-    replicate-major order at once. Steps past the chunk's end have the
-    identity's row id, so the last block ends on the chunk's last state.
+    prefix (Blelloch 1990). The row ids are time-major, so that each step
+    reads them in one run, and the lanes of a step are replicate-major,
+    (R, nb), and hold G times their value, so a step of all lanes is one add
+    of its row ids and one take from a state-major table. Pass 1 composes
+    every block but the last: one lane per block holds the id of its map in
+    the problem's closure and steps through comp_g. A loop over the blocks
+    chains each block's entry state from the one before, and pass 2 walks
+    every block from its entry state through flat_g, each step's states
+    divided by G into the row ids it has just read. Steps past the chunk's
+    end have the identity's row id, so the last block ends on the chunk's
+    last state.
     """
-    R, nb, L = cells.shape
+    L, R, nb = cells.shape
     S, G = tables.S, tables.G
     maps, comp_g = tables.closure
-    cells = cells.transpose(2, 0, 1).copy()   # cells[a, r, b]
     lanes = np.zeros((R, nb - 1), dtype=np.intp)
     buf = np.empty_like(lanes)
     for step in cells:
@@ -726,18 +725,11 @@ def _blocked_walk(tables: _Tables, cells: np.ndarray, x: np.ndarray) -> np.ndarr
     entry[:, 0] = x
     for b in range(nb - 1):
         entry[:, b + 1] = ends[key[:, b] + entry[:, b]]
-    lanes, buf = G * entry, np.empty_like(entry)
-    states = np.empty((R, nb, L), dtype=np.min_scalar_type(S - 1))
-    run = np.empty((_RUN, R, nb), dtype=np.intp)
-    for a0 in range(0, L, _RUN):
-        steps = run[:L - a0]
-        for a, out in enumerate(steps, a0):
-            np.add(lanes, cells[a], out=buf)
-            tables.flat_g.take(buf, out=out, mode="clip")
-            lanes = out
-        np.floor_divide(steps.transpose(1, 2, 0), G, out=states[:, :, a0:a0 + len(steps)],
-                        casting="unsafe")   # states < S
-    return states.reshape(R, nb * L)
+    lanes = G * entry
+    for step in cells:
+        lanes += step
+        tables.flat_g.take(lanes, out=lanes, mode="clip")
+        np.floor_divide(lanes, G, out=step, casting="unsafe")   # states < S
 
 
 def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | None):
@@ -757,13 +749,17 @@ def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | No
     no noise is drawn (nor its stream derived) and the ids are the states
     themselves. Groups hold about _SUB_BLOCK replicate-steps, so
     per-call costs are shared by many replicates on short paths and buffers
-    stay small on long ones. States are kept in the smallest unsigned dtype
-    that holds S - 1, so a chunk's states take R * T bytes on up to 256
-    states.
+    stay small on long ones.
 
-    Many replicates walk a chunk as one block, time-major in sub-blocks of
-    about _SUB_BLOCK lanes and steps. Up to _WALK_CROSSOVER replicates
-    (_walk_blocks) walk it as nb blocks of composed maps (_blocked_walk).
+    A chunk has one buffer: its row ids, filled replicate-major in the
+    smallest unsigned dtype that holds both 2C and S - 1, which the walk
+    overwrites in place with the states, so a chunk takes R * T bytes when
+    2C < 256. Many replicates walk a chunk as one block, time-major in
+    sub-blocks of about _SUB_BLOCK lanes and steps, each sub-block's states
+    divided back into its row ids. Up to _WALK_CROSSOVER replicates
+    (_walk_blocks) walk it as nb blocks of composed maps (_blocked_walk), on
+    a time-major copy of the row ids that replaces them; each group's rows
+    are then copied out replicate-major as it is yielded.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -777,7 +773,7 @@ def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | No
         nb, L = _walk_blocks(R, T, tables)
         group = max(1, _SUB_BLOCK // T)
         u = np.empty((min(group, R), T))
-        cid = np.empty((R, nb * L), dtype=np.min_scalar_type(2 * C))
+        cid = np.empty((R, nb * L), dtype=np.min_scalar_type(max(2 * C, S - 1)))
         for r0 in range(0, R, group):
             block = u[:R - r0]
             streams.fill(0, r0, block)
@@ -785,10 +781,11 @@ def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | No
         cid[:, -t0 % period:T:period] += C
         cid[:, T:] = 2 * C
         if nb > 1:
-            states = _blocked_walk(tables, cid.reshape(R, nb, L), x)[:, :T]
-            x = states[:, -1].astype(np.intp)
+            cells = cid.reshape(R, nb, L).transpose(2, 0, 1).copy()   # cells[a, r, b]
+            del cid
+            _blocked_walk(tables, cells, x)
+            states = cells.transpose(1, 2, 0)   # states[r, b, a]
         else:
-            states = np.empty((R, T), dtype=np.min_scalar_type(S - 1))
             sub = max(1, _SUB_BLOCK // max(R, 1))
             x *= G
             for a in range(0, T, sub):
@@ -797,12 +794,12 @@ def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | No
                     row += x
                     tables.flat_g.take(row, out=row, mode="clip")
                     x = row
-                np.floor_divide(idx.T, G, out=states[:, a:a + sub],
+                np.floor_divide(idx.T, G, out=cid[:, a:a + sub],
                                 casting="unsafe")   # states < S
-            x //= G
-        del cid
+            states = cid.reshape(R, 1, T)
+        x = states[:, -1, -1].astype(np.intp)
         for r0 in range(0, R, group):
-            rows = states[r0:r0 + group]
+            rows = states[r0:r0 + group].reshape(-1, nb * L)[:, :T]
             if tables.n_noise == 1:   # every noise uniform falls in the one cell
                 yield t0, r0, rows, rows
                 continue
@@ -928,29 +925,35 @@ def block_sum_second_moment(model: MarkovChainModel, values, k: int) -> float:
 # trajectory CSV
 # ---------------------------------------------------------------------------
 
+_CSV_ROWS = 1 << 14   # rows per block of trajectory_to_csv
+
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write a trajectory as CSV with columns (t, state, x_1..x_d, y).
 
-    Floats are written with repr (shortest round-trip form). Each distinct
-    value of a column is formatted once: values are told apart by their int64
-    bit pattern, so -0.0 and 0.0, or two NaNs, keep their own strings. One row
-    key over the columns after t, renumbered densely after each column so it
-    stays below n ** 2, indexes the text of each distinct row, and each line
-    is t followed by its row's text.
+    Floats are written with repr (shortest round-trip form). The rows are
+    formatted in blocks of _CSV_ROWS, so the work arrays stay small on long
+    trajectories. Within a block, each distinct value of a column is
+    formatted once: values are told apart by their int64 bit pattern, so
+    -0.0 and 0.0, or two NaNs, keep their own strings. One row key over the
+    columns after t, renumbered densely after each column so it stays below
+    the block's length squared, indexes the text of each distinct row, and
+    each line is t followed by its row's text.
     """
     d = traj.covariates.shape[1]
     header = ["t", "state"] + [f"x_{j + 1}" for j in range(d)] + ["y"]
     columns = [np.asarray(traj.states, dtype=np.int64)]
     columns += list(np.asarray(traj.covariates, dtype=float).T)
     columns.append(np.asarray(traj.targets, dtype=float))
-    texts, key = [""], np.zeros(traj.n, dtype=np.int64)
-    for col in columns:
-        values, code = np.unique(col.view(np.int64), return_inverse=True)
-        cells = list(map(str, values.view(col.dtype).tolist()))   # str is repr for floats
-        pairs, key = np.unique(key * len(cells) + code, return_inverse=True)
-        texts = [f"{texts[k // len(cells)]},{cells[k % len(cells)]}" for k in pairs.tolist()]
-    texts = [text + "\n" for text in texts]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(f"{t}{texts[k]}" for t, k in enumerate(key.tolist(), 1))
+        for t0 in range(0, traj.n, _CSV_ROWS):
+            texts, key = [""], np.zeros(min(_CSV_ROWS, traj.n - t0), dtype=np.int64)
+            for col in (column[t0:t0 + _CSV_ROWS] for column in columns):
+                values, code = np.unique(col.view(np.int64), return_inverse=True)
+                cells = list(map(str, values.view(col.dtype).tolist()))   # str is repr for floats
+                pairs, key = np.unique(key * len(cells) + code, return_inverse=True)
+                texts = [f"{texts[k // len(cells)]},{cells[k % len(cells)]}"
+                         for k in pairs.tolist()]
+            texts = [text + "\n" for text in texts]
+            fh.writelines(f"{t}{texts[k]}" for t, k in enumerate(key.tolist(), t0 + 1))

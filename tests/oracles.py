@@ -1,8 +1,8 @@
 """Reference forms the tests check `mixfree` against: plain loop forms of
 quantities the pipeline derives a faster way (the Monte Carlo noise level's
 per-member loop among them), the one-trajectory least-squares
-fit, the entropy-integral quadrature, the radius-r star-hull sphere, and both
-sides of the basic inequality.
+fit, the entropy-integral quadrature, the radius-r star-hull sphere, both
+sides of the basic inequality, and the trajectory CSV formatted as one block.
 Also `problem_to_dict`, which writes the model documents the CLI tests use."""
 
 import math
@@ -279,6 +279,27 @@ def basic_inequality_sides(problem: RegressionProblem, cls: HypothesisClass,
                                 counts, n, problem, epsilon).max(axis=1)
     lhs = excess_risks(problem, cls, counts, ysums)
     return lhs, r ** 2 + (sup_m / r) ** 2 + sup_q
+
+
+def trajectory_csv_one_block(traj: Trajectory, path) -> None:
+    """The trajectory CSV of processgen.trajectory_to_csv with all rows in
+    one block: each distinct value of a column formatted once, told apart by
+    its int64 bit pattern, and one dense row key over the columns after t."""
+    d = traj.covariates.shape[1]
+    header = ["t", "state"] + [f"x_{j + 1}" for j in range(d)] + ["y"]
+    columns = [np.asarray(traj.states, dtype=np.int64)]
+    columns += list(np.asarray(traj.covariates, dtype=float).T)
+    columns.append(np.asarray(traj.targets, dtype=float))
+    texts, key = [""], np.zeros(traj.n, dtype=np.int64)
+    for col in columns:
+        values, code = np.unique(col.view(np.int64), return_inverse=True)
+        cells = list(map(str, values.view(col.dtype).tolist()))   # str is repr for floats
+        pairs, key = np.unique(key * len(cells) + code, return_inverse=True)
+        texts = [f"{texts[k // len(cells)]},{cells[k % len(cells)]}" for k in pairs.tolist()]
+    texts = [text + "\n" for text in texts]
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(f"{t}{texts[k]}" for t, k in enumerate(key.tolist(), 1))
 
 
 def problem_to_dict(problem: RegressionProblem) -> dict:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -12,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 import mixfree as mf
 from mixfree import harness, processgen
-from oracles import beta_coefficients, k_mix_search
+from oracles import beta_coefficients, k_mix_search, trajectory_csv_one_block
 
 
 def _power_iteration_pi(P, iters=200_000, tol=1e-13):
@@ -316,7 +317,6 @@ def _check_walk(problem, U, V, block_len, time_chunk, sub_block):
         rows, ys = [[] for _ in range(R)], [[] for _ in range(R)]
         with mock.patch.object(processgen, "_Streams", lambda seeds: _Replay(U, V)), \
                 mock.patch.object(processgen, "_SUB_BLOCK", sub_block), \
-                mock.patch.object(processgen, "_RUN", sub_block), \
                 mock.patch.object(processgen, "_TIME_CHUNK", time_chunk), \
                 mock.patch.object(processgen, "_WALK_CROSSOVER", crossover), \
                 mock.patch.object(processgen, "_CLOSURE_BUDGET", budget):
@@ -394,6 +394,30 @@ class TestCellTableWalk:
             assert processgen._walk_blocks(3, 100, tables) == blocks
             U, V = rng.random((3, 300)), rng.random((3, 300))
             _check_walk(problem, U, V, block_len=7, time_chunk=100, sub_block=64)
+
+    def test_uint8_states_in_uint16_buffer(self):
+        # 256 states, each stepping to its successor or to two random states,
+        # merge into about 770 cells: the row ids need uint16 while every
+        # state, 255 included, fits uint8. The chunk's one buffer holds both,
+        # so the states come out as uint16. The step maps outnumber the
+        # closure budget, so both runs walk each chunk as one block.
+        rng = np.random.default_rng(7)
+        S = 256
+        P = np.zeros((S, S))
+        P[np.arange(S), (np.arange(S) + 1) % S] = 1.0
+        P[np.arange(S)[:, None], rng.integers(0, S, (S, 2))] += rng.random((S, 2))
+        chain = mf.MarkovChainModel.from_transition(P / P.sum(axis=1, keepdims=True))
+        noise = mf.NoiseSpec("state-dependent-bias", np.arange(2.0 * S).reshape(S, 2),
+                             np.full((S, 2), 0.5))
+        problem = mf.RegressionProblem(chain=chain, embedding=np.eye(S), mode="tabular",
+                                       noise=noise, true_table=np.linspace(-1, 1, S))
+        tables = problem._sampler
+        assert 2 * tables.C > 255 >= S - 1
+        _, _, rows, _ = next(processgen._sample_paths(problem, 10, range(3), None))
+        assert rows.dtype == np.uint16
+        U, V = rng.random((3, 300)), rng.random((3, 300))
+        U[:, ::7] = 1.0 - 2.0 ** -53       # every restart draws state 255
+        _check_walk(problem, U, V, block_len=7, time_chunk=100, sub_block=64)
 
     def test_block_count_crossover(self):
         # with its closure, a sweep cell (S = 4, 64 replicates) is walked in
@@ -802,11 +826,66 @@ class TestTrajectoryCsv:
                    for text in ("nan", "inf", "-inf", "-0.0", "0.0"))
         assert new == (tmp_path / "old.csv").read_bytes()
 
+    @settings(max_examples=50, deadline=None)
+    @given(d=st.sampled_from([1, 3]), n=st.integers(2, 40), data=st.data())
+    def test_blocks_match_one_block_writer(self, tmp_path_factory, d, n, data):
+        # values from a small pool, so rows repeat within and across blocks;
+        # zeros of both signs and NaNs of several payloads share their text
+        # but not their bits
+        nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+                         0x7FF0000000000001], dtype=np.uint64).view(float)
+        pool = np.concatenate([[0.0, -0.0, 1.5, -2.25e-300, np.inf], nans])
+        pick = hnp.arrays(np.intp, (n, d + 1), elements=st.integers(0, len(pool) - 1))
+        values = pool[data.draw(pick)]
+        states = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, 3)))
+        traj = mf.Trajectory(n=n, states=states, covariates=values[:, :d],
+                             targets=values[:, d], seed=0)
+        path = tmp_path_factory.mktemp("csv")
+        trajectory_csv_one_block(traj, path / "one.csv")
+        expected = (path / "one.csv").read_bytes()
+        for rows in (1, 3, n - 1, n, processgen._CSV_ROWS):
+            with mock.patch.object(processgen, "_CSV_ROWS", rows):
+                mf.trajectory_to_csv(traj, path / "blocks.csv")
+            assert (path / "blocks.csv").read_bytes() == expected
+
     def test_empty_trajectory_has_header_only(self, tmp_path):
         traj = mf.Trajectory(n=0, states=np.zeros(0, dtype=np.int64),
                              covariates=np.zeros((0, 2)), targets=np.zeros(0), seed=0)
         mf.trajectory_to_csv(traj, tmp_path / "t.csv")
         assert (tmp_path / "t.csv").read_text() == "t,state,x_1,x_2,y\n"
+
+
+def _traced_peak(fn, *args) -> float:
+    """The tracemalloc peak of fn(*args), in MiB, counted from the call."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+class TestSamplerMemory:
+    """The traced peaks of a long-path sweep cell and of a long trajectory
+    CSV: a chunk's cell ids and states share one buffer, and the CSV is
+    formatted a block of rows at a time."""
+
+    @staticmethod
+    def _dep09_problem():
+        chain = mf.product_chain(mf.two_state_chain(0.05, 0.05), 2)
+        return mf.RegressionProblem(chain=chain, embedding=mf.product_embedding([-1.0, 1.0], 2),
+                                    mode="linear", noise=mf.NoiseSpec.symmetric(0.5, 4),
+                                    true_param=np.array([1.0, -0.5]))
+
+    def test_sweep_cell_peak(self):
+        # 64 replicates of 2^16 steps, walked in blocks: a 4 MiB chunk of cell
+        # ids, its time-major copy while it is made, and small lane buffers
+        peak = _traced_peak(mf.stream_state_stats, self._dep09_problem(), 2 ** 16, range(64))
+        assert peak <= 12.0
+
+    def test_trajectory_csv_peak(self, tmp_path):
+        traj = mf.sample_trajectory(self._dep09_problem(), 2 ** 17, 82)
+        assert _traced_peak(mf.trajectory_to_csv, traj, tmp_path / "t.csv") <= 3.0
 
 
 class TestDocumentEntries:
