@@ -22,7 +22,7 @@ import numpy as np
 
 from .processgen import (RegressionProblem, MarkovChainModel, NoiseSpec,
                          block_sum_second_moment, stream_state_stats,
-                         _seed_sequence_state)
+                         _seed_sequence_state, _state_sums)
 from .erm import (HypothesisClass, check_class_fits, excess_risks,
                   multiplier_processes, population_quantities, quadratic_processes,
                   star_hull_tables, _check_epsilon)
@@ -318,7 +318,7 @@ def blocked_bernstein_coverage(model: MarkovChainModel, values, n: int, k: int,
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     problem = _functional_problem(model, values)
     seeds = _cell_seeds(master_seed, 0, n, range(replicates))
-    counts, _ = stream_state_stats(problem, n, seeds, block_len=k)
+    counts, _ = _state_sums(problem, n, seeds, k, targets=False)
     means = (counts @ values) / n
     b = float(np.max(np.abs(values)))
     bsm = block_sum_second_moment(model, values, k)

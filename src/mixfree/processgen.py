@@ -17,13 +17,15 @@ This module builds the data-generating side of the lab:
   composed map as an id into the problem's closure table, a loop
   that chains the blocks, one pass over all blocks at once), so even a
   single path takes O(sqrt(T)) numpy steps per chunk, not T, and each step
-  runs over R * sqrt(2T) lanes. A guide table finds each uniform's cell in
-  O(1), and noise maps to targets in one lookup per group of replicates;
-  a noise table of one cell (noiseless problems) draws no noise stream,
-  since every uniform would fall in that cell. The tables are built once
-  per problem. One vectorized SeedSequence pass per stream derives the
-  words that every replicate's PCG64 seeds from, and each replicate keeps
-  one Generator per stream for the whole call.
+  runs over R * sqrt(2T) lanes. More replicates walk a chunk one step of
+  all of them at a time, through time-major blocks that are copied in and
+  out a cache-sized strip of replicates at a time. A guide table finds
+  each uniform's cell in O(1), and noise maps to targets in one lookup per
+  group of replicates; a noise table of one cell (noiseless problems)
+  draws no noise stream, since every uniform would fall in that cell. The
+  tables are built once per problem. One vectorized SeedSequence pass per
+  stream derives the words that every replicate's PCG64 seeds from, and
+  each replicate keeps one Generator per stream for the whole call.
 - ``beta_at_lag`` / ``lag_weighted_sum``: exact mixing coefficients and lag
   sums, each from one matrix power. TV uses the (1/2)-l1 convention; the
   per-lag loop over all coefficients is the test oracle in tests/oracles.py.
@@ -559,15 +561,17 @@ def _cell_ids(breaks: np.ndarray, guide, u: np.ndarray) -> np.ndarray:
     since u * _GUIDE scales by a power of two, and only uniforms in
     ambiguous bins are searched."""
     cell, ambiguous = guide
-    b = (u * _GUIDE).astype(np.intp)
-    out = cell[b]
-    amb = np.flatnonzero(ambiguous[b])
+    b = np.multiply(u, _GUIDE, out=np.empty(u.shape, dtype=np.intp), casting="unsafe")
+    out = cell.take(b)
+    amb = np.flatnonzero(ambiguous.take(b))
     out.flat[amb] = np.searchsorted(breaks, u.flat[amb], side="right")
     return out
 
 
 _SUB_BLOCK = 1 << 16        # replicate-steps per one-block walk sub-block and per replicate group
 _TIME_CHUNK = 1 << 16       # time steps per chunk of every sampler
+_TM_STEPS = 256             # time steps per time-major block of the one-block walk
+_STRIP = 32                 # replicates per strip of its transposes
 _WALK_CROSSOVER = 128       # most replicates walked in blocks
 _TABLE_BYTES = 1 << 29      # largest step table and cell table of a chain, together
 _CLOSURE_BUDGET = 1 << 16   # largest composition table, in entries G * K
@@ -732,6 +736,37 @@ def _blocked_walk(tables: _Tables, cells: np.ndarray, x: np.ndarray) -> None:
         np.floor_divide(lanes, G, out=step, casting="unsafe")   # states < S
 
 
+def _one_block_walk(tables: _Tables, cid: np.ndarray, x: np.ndarray) -> None:
+    """Overwrite the row ids cid (R, T) of a chunk with its states in place,
+    one step of all replicates at a time, replicate r entering at x[r].
+
+    A step reads a column of cid, so each block of _TM_STEPS steps is copied
+    time-major into a buffer of cid's dtype and back, a strip of _STRIP
+    replicates at a time to keep both sides of each copy in cache. The
+    buffer is walked in sub-blocks of about _SUB_BLOCK lanes and steps, cast
+    to intp with G times each state, and divided by G back into the buffer.
+    """
+    R, T = cid.shape
+    G = tables.G
+    tm = np.empty((min(_TM_STEPS, T), R), dtype=cid.dtype)
+    sub = max(1, _SUB_BLOCK // max(R, 1))
+    x = G * x
+    for a0 in range(0, T, _TM_STEPS):
+        blk = cid[:, a0:a0 + _TM_STEPS]
+        steps = tm[:blk.shape[1]]
+        for r in range(0, R, _STRIP):
+            steps[:, r:r + _STRIP] = blk[r:r + _STRIP].T
+        for a in range(0, len(steps), sub):
+            idx = steps[a:a + sub].astype(np.intp)
+            for row in idx:   # each step overwrites its own row ids
+                row += x
+                tables.flat_g.take(row, out=row, mode="clip")
+                x = row
+            np.floor_divide(idx, G, out=steps[a:a + sub], casting="unsafe")   # states < S
+        for r in range(0, R, _STRIP):
+            blk[r:r + _STRIP] = steps[:, r:r + _STRIP].T
+
+
 def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | None):
     """Yield (t0, r0, states, ids) for each group of replicates r0, r0 + 1,
     ... of each time chunk t0, t0 + 1, ..., one row per replicate, where ids
@@ -754,18 +789,20 @@ def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | No
     A chunk has one buffer: its row ids, filled replicate-major in the
     smallest unsigned dtype that holds both 2C and S - 1, which the walk
     overwrites in place with the states, so a chunk takes R * T bytes when
-    2C < 256. Many replicates walk a chunk as one block, time-major in
-    sub-blocks of about _SUB_BLOCK lanes and steps, each sub-block's states
-    divided back into its row ids. Up to _WALK_CROSSOVER replicates
-    (_walk_blocks) walk it as nb blocks of composed maps (_blocked_walk), on
-    a time-major copy of the row ids that replaces them; each group's rows
-    are then copied out replicate-major as it is yielded.
+    2C < 256. Many replicates walk a chunk as one block (_one_block_walk),
+    through time-major blocks of _TM_STEPS steps. Up to _WALK_CROSSOVER
+    replicates (_walk_blocks) walk it as nb blocks of composed maps
+    (_blocked_walk), on a time-major copy of the row ids that replaces them;
+    each group's rows are then copied out replicate-major as it is yielded.
+    The buffer is let go before the next chunk's is allocated: a chunk's last
+    group, which the consumer still holds then, is yielded as a copy when
+    another chunk follows, since in the one-block walk it is a view.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     tables = problem._sampler
     streams = _Streams(seeds)
-    R, S, C, G = len(seeds), problem.n_states, tables.C, tables.G
+    R, S, C = len(seeds), problem.n_states, tables.C
     period = block_len or n
     x = np.zeros(R, dtype=np.intp)           # previous states; t = 0 restarts
     for t0 in range(0, n, _TIME_CHUNK):
@@ -781,25 +818,17 @@ def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | No
         cid[:, -t0 % period:T:period] += C
         cid[:, T:] = 2 * C
         if nb > 1:
-            cells = cid.reshape(R, nb, L).transpose(2, 0, 1).copy()   # cells[a, r, b]
-            del cid
-            _blocked_walk(tables, cells, x)
-            states = cells.transpose(1, 2, 0)   # states[r, b, a]
+            cid = cid.reshape(R, nb, L).transpose(2, 0, 1).copy()   # cid[a, r, b]
+            _blocked_walk(tables, cid, x)
+            states = cid.transpose(1, 2, 0)   # states[r, b, a]
         else:
-            sub = max(1, _SUB_BLOCK // max(R, 1))
-            x *= G
-            for a in range(0, T, sub):
-                idx = cid[:, a:a + sub].T.astype(np.intp, order="C")   # time-major
-                for row in idx:   # each step overwrites its own row ids
-                    row += x
-                    tables.flat_g.take(row, out=row, mode="clip")
-                    x = row
-                np.floor_divide(idx.T, G, out=cid[:, a:a + sub],
-                                casting="unsafe")   # states < S
+            _one_block_walk(tables, cid, x)
             states = cid.reshape(R, 1, T)
         x = states[:, -1, -1].astype(np.intp)
         for r0 in range(0, R, group):
             rows = states[r0:r0 + group].reshape(-1, nb * L)[:, :T]
+            if r0 + group >= R and t0 + T < n:   # held while the next chunk is made
+                rows = rows.copy()
             if tables.n_noise == 1:   # every noise uniform falls in the one cell
                 yield t0, r0, rows, rows
                 continue
@@ -808,6 +837,7 @@ def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | No
             at = np.multiply(rows, tables.n_noise, dtype=np.intp)
             at += _cell_ids(tables.noise_breaks, tables.noise_guide, block)
             yield t0, r0, rows, at
+        del cid, states   # free the chunk before the next one is allocated
 
 
 def _pair_rows(problem: RegressionProblem, n: int, seeds):
@@ -873,17 +903,25 @@ def stream_state_stats(problem: RegressionProblem, n: int, seeds,
     over r * S + state, which adds every (replicate, state) bin's targets in
     time order, as a bincount per replicate would.
     """
+    return _state_sums(problem, n, seeds, block_len, targets=True)
+
+
+def _state_sums(problem: RegressionProblem, n: int, seeds, block_len: int | None,
+                targets: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """stream_state_stats's (counts, target_sums); with targets False,
+    (counts, None), the same counts without a target lookup or sum."""
     seeds = list(seeds)
     S = problem.n_states
     counts = np.zeros((len(seeds), S))
-    ysums = np.zeros((len(seeds), S))
+    ysums = np.zeros((len(seeds), S)) if targets else None
     for _, r0, rows, ids in _sample_paths(problem, n, seeds, block_len):
-        y = problem._sampler.ytab.take(ids)
         g = len(rows)
         key = (rows + S * np.arange(g)[:, None]).ravel()
         counts[r0:r0 + g] += np.bincount(key, minlength=g * S).reshape(g, S)
-        ysums[r0:r0 + g] += np.bincount(key, weights=y.ravel(),
-                                        minlength=g * S).reshape(g, S)
+        if targets:
+            y = problem._sampler.ytab.take(ids)
+            ysums[r0:r0 + g] += np.bincount(key, weights=y.ravel(),
+                                            minlength=g * S).reshape(g, S)
     return counts, ysums
 
 

@@ -252,6 +252,33 @@ class TestCoverage:
                                                   n=64, k=4, delta=0.1,
                                                   replicates=10, master_seed=0)
 
+    def test_blocked_bernstein_reads_counts_only(self, monkeypatch):
+        # the blocked means need visit counts alone: with the targets table
+        # gone and weighted bincounts refused, the one-block walk (200
+        # replicates) and the blocked walk (8) give stream_state_stats's counts
+        model, values, n, k = mf.two_state_chain(0.25, 0.25), np.array([-1.0, 1.0]), 256, 8
+        problem = mf.harness._functional_problem(model, values)
+        expected = {R: mf.stream_state_stats(problem, n, mf.harness._cell_seeds(3, 0, n, range(R)),
+                                             k)[0] @ values / n
+                    for R in (200, 8)}
+
+        class NoTargets(mf.processgen._Tables):
+            def __init__(self, problem):
+                super().__init__(problem)
+                del self.ytab
+
+        bincount = np.bincount
+
+        def unweighted(x, weights=None, minlength=0):
+            assert weights is None, "summed targets"
+            return bincount(x, minlength=minlength)
+
+        monkeypatch.setattr(mf.processgen, "_Tables", NoTargets)
+        monkeypatch.setattr(np, "bincount", unweighted)
+        for R, means in expected.items():
+            report = mf.harness.blocked_bernstein_coverage(model, values, n, k, 0.1, R, 3)
+            assert np.array_equal(report.realized, means)
+
     def test_csv_schema(self, tmp_path):
         model = mf.two_state_chain(0.25, 0.25)
         report = mf.harness.blocked_bernstein_coverage(
@@ -299,11 +326,13 @@ def test_bad_argument_is_named_before_any_work(case):
     or bounded."""
     name, call = _BAD_ARGUMENTS[case]
     with mock.patch.object(mf.harness, "compute_bound_report") as report, \
-            mock.patch.object(mf.harness, "stream_state_stats") as sample:
+            mock.patch.object(mf.harness, "stream_state_stats") as sample, \
+            mock.patch.object(mf.harness, "_state_sums") as count:
         with pytest.raises(ValueError, match=name):
             call()
     report.assert_not_called()
     sample.assert_not_called()
+    count.assert_not_called()
 
 
 class TestDiagnostics:

@@ -291,10 +291,12 @@ def _uniforms(rng, shape, cdfs):
     return u
 
 
-def _check_walk(problem, U, V, block_len, time_chunk, sub_block):
+def _check_walk(problem, U, V, block_len, time_chunk, sub_block, strip, tm_steps):
     """_sample_paths, fed the state uniforms U and noise uniforms V (R, n),
     gives the argmax oracle's states and, through ytab, its targets, walked
-    with each chunk as one block and in _walk_blocks's nb > 1 blocks."""
+    with each chunk as one block (time-major blocks of tm_steps steps,
+    transposed in strips of strip replicates) and in _walk_blocks's nb > 1
+    blocks."""
     chain, noise = problem.chain, problem.noise
     R, n = U.shape
     cum_rows = processgen._cumulative_rows(chain.transition)
@@ -318,6 +320,8 @@ def _check_walk(problem, U, V, block_len, time_chunk, sub_block):
         with mock.patch.object(processgen, "_Streams", lambda seeds: _Replay(U, V)), \
                 mock.patch.object(processgen, "_SUB_BLOCK", sub_block), \
                 mock.patch.object(processgen, "_TIME_CHUNK", time_chunk), \
+                mock.patch.object(processgen, "_STRIP", strip), \
+                mock.patch.object(processgen, "_TM_STEPS", tm_steps), \
                 mock.patch.object(processgen, "_WALK_CROSSOVER", crossover), \
                 mock.patch.object(processgen, "_CLOSURE_BUDGET", budget):
             fresh = dataclasses.replace(problem)
@@ -353,6 +357,8 @@ class TestCellTableWalk:
         block_len = data.draw(st.none() | st.integers(1, n))
         time_chunk = data.draw(st.integers(1, n + 2))
         sub_block = data.draw(st.integers(1, 64))
+        strip = data.draw(st.integers(1, 5))
+        tm_steps = data.draw(st.integers(1, 5))
 
         cum_rows = processgen._cumulative_rows(chain.transition)
         cum_pi = processgen._cumulative_rows(chain.stationary[None, :])[0]
@@ -369,7 +375,7 @@ class TestCellTableWalk:
         U = _uniforms(rng, (R, n), [cum_rows, cum_pi])
         V = _uniforms(rng, (R, n), [cum_noise])
 
-        _check_walk(problem, U, V, block_len, time_chunk, sub_block)
+        _check_walk(problem, U, V, block_len, time_chunk, sub_block, strip, tm_steps)
 
     def test_row_ids_past_uint8(self):
         # past 127 cells, the identity row 2C and restart rows C + c need
@@ -393,7 +399,8 @@ class TestCellTableWalk:
             assert 128 <= tables.C < 256
             assert processgen._walk_blocks(3, 100, tables) == blocks
             U, V = rng.random((3, 300)), rng.random((3, 300))
-            _check_walk(problem, U, V, block_len=7, time_chunk=100, sub_block=64)
+            _check_walk(problem, U, V, block_len=7, time_chunk=100, sub_block=64,
+                        strip=2, tm_steps=30)
 
     def test_uint8_states_in_uint16_buffer(self):
         # 256 states, each stepping to its successor or to two random states,
@@ -417,7 +424,8 @@ class TestCellTableWalk:
         assert rows.dtype == np.uint16
         U, V = rng.random((3, 300)), rng.random((3, 300))
         U[:, ::7] = 1.0 - 2.0 ** -53       # every restart draws state 255
-        _check_walk(problem, U, V, block_len=7, time_chunk=100, sub_block=64)
+        _check_walk(problem, U, V, block_len=7, time_chunk=100, sub_block=64,
+                    strip=2, tm_steps=30)
 
     def test_block_count_crossover(self):
         # with its closure, a sweep cell (S = 4, 64 replicates) is walked in
@@ -866,9 +874,10 @@ def _traced_peak(fn, *args) -> float:
 
 
 class TestSamplerMemory:
-    """The traced peaks of a long-path sweep cell and of a long trajectory
-    CSV: a chunk's cell ids and states share one buffer, and the CSV is
-    formatted a block of rows at a time."""
+    """The traced peaks of a long-path sweep cell, of the one-block walk and
+    of a long trajectory CSV: a chunk's cell ids and states share one
+    buffer, freed before the next chunk's, and the CSV is formatted a block
+    of rows at a time."""
 
     @staticmethod
     def _dep09_problem():
@@ -882,6 +891,27 @@ class TestSamplerMemory:
         # ids, its time-major copy while it is made, and small lane buffers
         peak = _traced_peak(mf.stream_state_stats, self._dep09_problem(), 2 ** 16, range(64))
         assert peak <= 12.0
+
+    def test_chunks_do_not_stack(self):
+        # a second chunk's 4 MiB buffer replaces the first one's; what stays
+        # is the consumer's last group of targets and keys (about 1.5 MiB).
+        # In the one-block walk (500 replicates) the consumer's last group of
+        # the first chunk would otherwise be a view that holds it
+        problem = self._dep09_problem()
+        mf.stream_state_stats(problem, 64, range(2))   # builds the tables outside the peaks
+        one, two = (_traced_peak(mf.stream_state_stats, problem, n, range(64))
+                    for n in (2 ** 16, 2 ** 17))
+        assert two <= one + 2.0
+        with mock.patch.object(processgen, "_TIME_CHUNK", 2 ** 13):
+            one, two = (_traced_peak(mf.stream_state_stats, problem, n, range(500))
+                        for n in (2 ** 13, 2 ** 14))
+        assert two <= one + 0.5
+
+    def test_one_block_walk_peak(self):
+        # 5000 replicates of 1024 steps: a 5 MiB chunk, its 1.25 MiB
+        # time-major block buffer, and two Generators per replicate
+        peak = _traced_peak(mf.stream_state_stats, self._dep09_problem(), 1024, range(5000))
+        assert peak <= 18.5
 
     def test_trajectory_csv_peak(self, tmp_path):
         traj = mf.sample_trajectory(self._dep09_problem(), 2 ** 17, 82)
