@@ -5,7 +5,8 @@ Flag grammar: ``mixfree <command> --config <path> [--out <dir>] [--seed <n>]
 Exit codes: 0 on success, 1 on a config error or a path error, 2 on a
 numeric failure from the modules or on running out of memory. A config error
 names its key (or the line and column of malformed JSON) and comes before any
-sampling, as does an --out that is not a directory or lies under a file; a
+sampling, as does an --out that is not a directory or lies under a file, and
+a sweep's MIXFREE_THREADS (its worker cap) that is not an integer >= 1; a
 config that cannot be read or is not UTF-8 and an artifact that cannot be
 written name their path. This is the one module that knows the JSON
 documents: models are read through `_MODEL` and `_NOISE`, and every JSON
@@ -17,8 +18,9 @@ or an unknown key is an error. Each key has a kind:
   Counts are >= 1 (>= 2 for diagnose replicates and rho_grid); a block length
   (coverage k, simulate kwise) divides n; a seed is >= 0 (--seed replaces it).
 - number: finite, not a boolean or a string. delta lies in (0, 1), below 0.25
-  for riskBound coverage (tested at level 4 * delta); epsilon in [0, 1);
-  q >= 1, and q = 1 needs p = inf; p >= 1, or "inf", "Infinity" or null.
+  for riskBound coverage (tested at level 4 * delta); epsilon in [0, 1); a
+  constant >= 0; q >= 1, and q = 1 needs p = inf; p >= 1, or "inf",
+  "Infinity" or null.
 - label: a string; flag: a boolean; choice: certify's method (auto, the
   exact method of the class's kind, or sampled-fit), a kind.
 - document: a model (`_MODEL` with its `_NOISE`; finite numbers only, both
@@ -119,6 +121,7 @@ _number = _number_read(float, math.isfinite, "be finite")
 _fraction = _number_read(float, lambda x: 0 < x < 1, "lie in (0, 1)")
 _epsilon = _number_read(float, lambda x: 0 <= x < 1, "lie in [0, 1)")
 _finite_p = _number_read(float, lambda x: 1 <= x < INF, 'be >= 1 and finite, or "inf"')
+_constant = _number_read(float, lambda x: 0 <= x < INF, "be finite and >= 0")
 
 
 def _divisor(value, key, got) -> int:
@@ -240,7 +243,7 @@ _MODEL = (("transition", _transition), ("embedding", _embedding, None), ("mode",
           ("true_param", _truth, None), ("true_table", _truth, None), ("noise", _noise))
 _CLASS = {"linear": (("kind", _given), ("dim", _count(1))),
           "finite": (("kind", _given), ("tables", _given))}
-_CONSTANTS = tuple((f.name, _number, f.default) for f in fields(Constants))
+_CONSTANTS = tuple((f.name, _constant, f.default) for f in fields(Constants))
 _BOUND = (("p", _p, None), ("q", _q, 1.0), ("constants", _constants, {}))
 
 _KEYS = {
@@ -352,7 +355,8 @@ def _cmd_sweep(c: dict, out: str) -> list:
         hypothesis=c["class"], n_grid=tuple(c["n_grid"]), replicates=c["replicates"],
         master_seed=c["seed"], delta=c["delta"], q=c["q"], p=c["p"],
         constants=c["constants"], block_rule=c["block_rule"]), "sweep config")
-    result = harness.run_sweep(config)
+    workers = _document(lambda env: harness.worker_count(), None, "environment")
+    result = harness.run_sweep(config, max_workers=workers)
     csv_path = _out_path(out, "sweep.csv")
     harness.sweep_to_csv(result, csv_path)
     summary_path = _write_json(out, "summary.json", harness.sweep_summary(result),

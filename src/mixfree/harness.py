@@ -22,7 +22,7 @@ import numpy as np
 
 from .processgen import (RegressionProblem, MarkovChainModel, NoiseSpec,
                          block_sum_second_moment, stream_state_stats,
-                         _seed_sequence_state, _state_sums)
+                         _reals, _seed_sequence_state, _state_sums)
 from .erm import (HypothesisClass, check_class_fits, excess_risks,
                   multiplier_processes, population_quantities, quadratic_processes,
                   star_hull_tables, _check_epsilon)
@@ -31,14 +31,14 @@ from .bounds import INF, Constants, compute_bound_report
 
 
 def worker_count() -> int:
-    """Worker cap from MIXFREE_THREADS, defaulting to hardware parallelism."""
+    """Worker cap from MIXFREE_THREADS, an integer >= 1; unset or empty, the
+    hardware parallelism."""
     env = os.environ.get("MIXFREE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"MIXFREE_THREADS must be an integer, got {env!r}")
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ValueError(f"MIXFREE_THREADS must be an integer >= 1, got {env!r}")
+    return int(env)
 
 
 def cell_seed(master_seed: int, level_index: int, n: int, replicate: int) -> int:
@@ -288,9 +288,9 @@ def _functional_problem(model: MarkovChainModel, values) -> RegressionProblem:
 
 
 def centered_values(model: MarkovChainModel, values) -> np.ndarray:
-    """values as one float per state of `model`, checked to have zero
-    stationary mean (to 1e-9)."""
-    values = np.asarray(values, dtype=float)
+    """values as one float per state of `model`, numbers only (_reals),
+    checked to have zero stationary mean (to 1e-9)."""
+    values = _reals(values, "functional values")
     if values.shape != (model.n_states,):
         raise ValueError(f"functional needs one value per state ({model.n_states}), "
                          f"got shape {values.shape}")

@@ -11,15 +11,14 @@ This module builds the data-generating side of the lab:
   that walks all replicates through time chunks of one fixed length: the
   merged CDF breakpoints cut [0, 1) into cells, within a cell each step is a
   fixed map from state to state, so every time step is one cell-table lookup
-  over all replicates. With few replicates, on a chain whose composed maps
-  fit the closure budget, a chunk of T steps is cut into about sqrt(2T)
-  blocks whose maps are composed (one pass that carries each block's
-  composed map as an id into the problem's closure table, a loop
-  that chains the blocks, one pass over all blocks at once), so even a
-  single path takes O(sqrt(T)) numpy steps per chunk, not T, and each step
-  runs over R * sqrt(2T) lanes. More replicates walk a chunk one step of
-  all of them at a time, through time-major blocks that are copied in and
-  out a cache-sized strip of replicates at a time. A guide table finds
+  over all lanes, walked through time-major blocks that are copied in and
+  out a cache-sized strip of lanes at a time. Many replicates are one lane
+  each. With few, on a chain whose composed maps fit the closure budget, a
+  replicate's chunk of T steps is cut into about sqrt(2T) blocks, one lane
+  each, that enter at states found by composing the blocks' maps (one pass
+  that carries each block's map as an id into the problem's closure table,
+  and a loop that chains the blocks), so even a single path takes
+  O(sqrt(T)) numpy steps per chunk, not T. A guide table finds
   each uniform's cell in O(1), and noise maps to targets in one lookup per
   group of replicates; a noise table of one cell (noiseless problems)
   draws no noise stream, since every uniform would fall in that cell. The
@@ -568,10 +567,10 @@ def _cell_ids(breaks: np.ndarray, guide, u: np.ndarray) -> np.ndarray:
     return out
 
 
-_SUB_BLOCK = 1 << 16        # replicate-steps per one-block walk sub-block and per replicate group
+_SUB_BLOCK = 1 << 16        # lane-steps per walk sub-block, replicate-steps per group
 _TIME_CHUNK = 1 << 16       # time steps per chunk of every sampler
-_TM_STEPS = 256             # time steps per time-major block of the one-block walk
-_STRIP = 32                 # replicates per strip of its transposes
+_TM_STEPS = 256             # time steps per time-major block of the walk
+_STRIP = 32                 # lanes per strip of its transposes
 _WALK_CROSSOVER = 128       # most replicates walked in blocks
 _TABLE_BYTES = 1 << 29      # largest step table and cell table of a chain, together
 _CLOSURE_BUDGET = 1 << 16   # largest composition table, in entries G * K
@@ -667,7 +666,7 @@ class _Tables:
     def closure(self):
         """(maps (K, S), comp_g) with comp_g[m * G + g] = G * comp[g, m] (see
         _closure), or None over _CLOSURE_BUDGET. Built on the first chunk of
-        at most _WALK_CROSSOVER replicates and two or more blocks, since
+        1 to _WALK_CROSSOVER replicates and two or more blocks, since
         _walk_blocks needs it to decide whether to block; a chain over the
         budget builds it once, to the budget, and then walks such chunks as
         one block. Two threads may both build it, to the same value."""
@@ -686,76 +685,76 @@ def _walk_blocks(R: int, T: int, tables: _Tables) -> tuple[int, int]:
     the per-step overhead to dominate. Up to R = _WALK_CROSSOVER, a chunk is
     walked in about sqrt(2T) blocks, which balances the 2L steps of the two
     passes against the nb steps that chain them, if the problem's closure
-    fits its budget; otherwise, and above the crossover, the chunk is one
-    block.
+    fits its budget; otherwise, above the crossover and with no replicates,
+    the chunk is one block.
     """
     L = -(-T // math.isqrt(2 * T))
     nb = -(-T // L)
-    if nb == 1 or R > _WALK_CROSSOVER or tables.closure is None:
+    if nb == 1 or not 0 < R <= _WALK_CROSSOVER or tables.closure is None:
         return 1, T
     return nb, L
 
 
-def _blocked_walk(tables: _Tables, cells: np.ndarray, x: np.ndarray) -> None:
-    """Overwrite the row ids cells (L, R, nb) of a chunk, nb > 1, with its
-    states in place: cells[a, r, b] becomes replicate r's state at step a of
-    block b, replicate r entering the chunk at state x[r].
+def _strips(dst: np.ndarray, src: np.ndarray) -> None:
+    """dst = src, both (lanes, steps) with one the transpose of a time-major
+    buffer, copied a strip of _STRIP lanes at a time to keep both sides of
+    each copy in cache."""
+    for q in range(0, len(dst), _STRIP):
+        dst[q:q + _STRIP] = src[q:q + _STRIP]
 
-    Each step is a random map from state to state, and a block's steps
-    compose to one map (Propp & Wilson 1996), so the blocks are walked as a
-    prefix (Blelloch 1990). The row ids are time-major, so that each step
-    reads them in one run, and the lanes of a step are replicate-major,
-    (R, nb), and hold G times their value, so a step of all lanes is one add
-    of its row ids and one take from a state-major table. Pass 1 composes
-    every block but the last: one lane per block holds the id of its map in
-    the problem's closure and steps through comp_g. A loop over the blocks
-    chains each block's entry state from the one before, and pass 2 walks
-    every block from its entry state through flat_g, each step's states
-    divided by G into the row ids it has just read. Steps past the chunk's
-    end have the identity's row id, so the last block ends on the chunk's
-    last state.
+
+def _entry_states(tables: _Tables, blocks: list, x: np.ndarray) -> np.ndarray:
+    """G times the state at which each lane of a chunk of nb > 1 blocks
+    enters (_walk), replicate r entering at state x[r]; blocks are the
+    chunk's (lanes, time-major buffer) pairs, each copied in here.
+
+    A block's steps compose to one map (Propp & Wilson 1996), so the blocks
+    are walked as a prefix (Blelloch 1990): one pass over the chunk steps
+    each lane's map, as G times its id in the problem's closure, through
+    comp_g, and a loop over the blocks chains each block's entry state from
+    the one before.
     """
-    L, R, nb = cells.shape
     S, G = tables.S, tables.G
     maps, comp_g = tables.closure
-    lanes = np.zeros((R, nb - 1), dtype=np.intp)
+    lanes = np.zeros(blocks[0][1].shape[1], dtype=np.intp)
     buf = np.empty_like(lanes)
-    for step in cells:
-        np.add(lanes, step[:, :-1], out=buf)
-        comp_g.take(buf, out=lanes, mode="clip")   # in range; "raise" buffers out
+    for blk, steps in blocks:
+        _strips(steps.T, blk)
+        for step in steps:
+            np.add(lanes, step, out=buf)
+            comp_g.take(buf, out=lanes, mode="clip")   # in range; "raise" buffers out
     # block b takes state s to ends[key[r, b] + s]
-    ends, key = maps.ravel(), lanes // G * S
-    entry = np.empty((R, nb), dtype=np.intp)
+    ends, key = maps.ravel(), lanes.reshape(len(x), -1) // G * S
+    entry = buf.reshape(key.shape)   # buf is free now
     entry[:, 0] = x
-    for b in range(nb - 1):
+    for b in range(entry.shape[1] - 1):
         entry[:, b + 1] = ends[key[:, b] + entry[:, b]]
-    lanes = G * entry
-    for step in cells:
-        lanes += step
-        tables.flat_g.take(lanes, out=lanes, mode="clip")
-        np.floor_divide(lanes, G, out=step, casting="unsafe")   # states < S
+    return G * entry.ravel()
 
 
-def _one_block_walk(tables: _Tables, cid: np.ndarray, x: np.ndarray) -> None:
-    """Overwrite the row ids cid (R, T) of a chunk with its states in place,
-    one step of all replicates at a time, replicate r entering at x[r].
+def _walk(tables: _Tables, cid: np.ndarray, x: np.ndarray, nb: int) -> None:
+    """Overwrite the row ids cid (R, nb * L) of a chunk of nb blocks of L
+    steps (_walk_blocks) with its states in place, replicate r entering the
+    chunk at state x[r].
 
-    A step reads a column of cid, so each block of _TM_STEPS steps is copied
-    time-major into a buffer of cid's dtype and back, a strip of _STRIP
-    replicates at a time to keep both sides of each copy in cache. The
-    buffer is walked in sub-blocks of about _SUB_BLOCK lanes and steps, cast
-    to intp with G times each state, and divided by G back into the buffer.
+    Lane r * nb + b is block b of replicate r, so cid is (R * nb, L)
+    lane-major. Each block of _TM_STEPS steps is copied into a time-major
+    buffer of cid's dtype and back (_strips), and walked there in sub-blocks
+    of about _SUB_BLOCK lane-steps cast to intp, G times each state: a step
+    is one add of its row ids and one take from flat_g. Steps past the
+    chunk's end have the identity's row id, so the last block ends on the
+    chunk's last state.
     """
-    R, T = cid.shape
-    G = tables.G
-    tm = np.empty((min(_TM_STEPS, T), R), dtype=cid.dtype)
-    sub = max(1, _SUB_BLOCK // max(R, 1))
-    x = G * x
-    for a0 in range(0, T, _TM_STEPS):
-        blk = cid[:, a0:a0 + _TM_STEPS]
-        steps = tm[:blk.shape[1]]
-        for r in range(0, R, _STRIP):
-            steps[:, r:r + _STRIP] = blk[r:r + _STRIP].T
+    R, G, L = len(cid), tables.G, cid.shape[1] // nb
+    lanes = cid.reshape(R * nb, L)
+    tm = np.empty((min(_TM_STEPS, L), R * nb), dtype=cid.dtype)
+    blocks = [(lanes[:, a0:a0 + _TM_STEPS], tm[:min(_TM_STEPS, L - a0)])
+              for a0 in range(0, L, _TM_STEPS)]
+    x = G * x if nb == 1 else _entry_states(tables, blocks, x)
+    sub = max(1, _SUB_BLOCK // max(R * nb, 1))
+    for blk, steps in blocks:
+        if nb == 1 or len(blocks) > 1:   # else _entry_states left it in tm
+            _strips(steps.T, blk)
         for a in range(0, len(steps), sub):
             idx = steps[a:a + sub].astype(np.intp)
             for row in idx:   # each step overwrites its own row ids
@@ -763,8 +762,7 @@ def _one_block_walk(tables: _Tables, cid: np.ndarray, x: np.ndarray) -> None:
                 tables.flat_g.take(row, out=row, mode="clip")
                 x = row
             np.floor_divide(idx, G, out=steps[a:a + sub], casting="unsafe")   # states < S
-        for r in range(0, R, _STRIP):
-            blk[r:r + _STRIP] = steps[:, r:r + _STRIP].T
+        _strips(blk, steps.T)
 
 
 def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | None):
@@ -788,15 +786,13 @@ def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | No
 
     A chunk has one buffer: its row ids, filled replicate-major in the
     smallest unsigned dtype that holds both 2C and S - 1, which the walk
-    overwrites in place with the states, so a chunk takes R * T bytes when
-    2C < 256. Many replicates walk a chunk as one block (_one_block_walk),
-    through time-major blocks of _TM_STEPS steps. Up to _WALK_CROSSOVER
-    replicates (_walk_blocks) walk it as nb blocks of composed maps
-    (_blocked_walk), on a time-major copy of the row ids that replaces them;
-    each group's rows are then copied out replicate-major as it is yielded.
-    The buffer is let go before the next chunk's is allocated: a chunk's last
-    group, which the consumer still holds then, is yielded as a copy when
-    another chunk follows, since in the one-block walk it is a view.
+    (_walk) overwrites in place with the states, so a chunk takes R * T
+    bytes when 2C < 256, and each group's rows are a view of it. Up to
+    _WALK_CROSSOVER replicates walk a chunk as nb blocks of composed maps
+    (_walk_blocks), more as one block. The uniforms' buffer is let go while
+    the chunk is walked, and the chunk's buffer before the next chunk's is
+    allocated: a chunk's last group, which the consumer still holds then, is
+    yielded as a copy when another chunk follows.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -812,32 +808,26 @@ def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | No
         u = np.empty((min(group, R), T))
         cid = np.empty((R, nb * L), dtype=np.min_scalar_type(max(2 * C, S - 1)))
         for r0 in range(0, R, group):
-            block = u[:R - r0]
-            streams.fill(0, r0, block)
-            cid[r0:r0 + len(block), :T] = _cell_ids(tables.breaks, tables.guide, block)
+            streams.fill(0, r0, u[:R - r0])
+            cid[r0:r0 + group, :T] = _cell_ids(tables.breaks, tables.guide, u[:R - r0])
         cid[:, -t0 % period:T:period] += C
         cid[:, T:] = 2 * C
-        if nb > 1:
-            cid = cid.reshape(R, nb, L).transpose(2, 0, 1).copy()   # cid[a, r, b]
-            _blocked_walk(tables, cid, x)
-            states = cid.transpose(1, 2, 0)   # states[r, b, a]
-        else:
-            _one_block_walk(tables, cid, x)
-            states = cid.reshape(R, 1, T)
-        x = states[:, -1, -1].astype(np.intp)
+        del u   # let go while the chunk is walked
+        _walk(tables, cid, x, nb)
+        x = cid[:, -1].astype(np.intp)
+        u = np.empty((min(group, R), T))
         for r0 in range(0, R, group):
-            rows = states[r0:r0 + group].reshape(-1, nb * L)[:, :T]
+            rows = cid[r0:r0 + group, :T]
             if r0 + group >= R and t0 + T < n:   # held while the next chunk is made
                 rows = rows.copy()
             if tables.n_noise == 1:   # every noise uniform falls in the one cell
                 yield t0, r0, rows, rows
                 continue
-            block = u[:len(rows)]
-            streams.fill(1, r0, block)
+            streams.fill(1, r0, u[:len(rows)])
             at = np.multiply(rows, tables.n_noise, dtype=np.intp)
-            at += _cell_ids(tables.noise_breaks, tables.noise_guide, block)
+            at += _cell_ids(tables.noise_breaks, tables.noise_guide, u[:len(rows)])
             yield t0, r0, rows, at
-        del cid, states   # free the chunk before the next one is allocated
+        del cid, u   # free the chunk before the next one is allocated
 
 
 def _pair_rows(problem: RegressionProblem, n: int, seeds):

@@ -82,8 +82,6 @@ def test_only_the_cli_knows_json():
 # Parameters with a default that no call in src/ or demos/ passes, with the
 # reason each stays.
 KEEP_PARAMETERS = {
-    "harness.run_sweep.max_workers": "duplicates MIXFREE_THREADS, but the "
-    "benchmark's tracer test pins the sweep's pool size with it",
     "processgen.stream_state_stats.block_len": "blocked-Bernstein coverage, its "
     "one caller in src/, now counts visits through processgen._state_sums, but "
     "the stream digests pin the k-wise surrogate's statistics with it",

@@ -432,11 +432,26 @@ class TestOutOfRangeValues:
     @pytest.mark.parametrize("values, message", [
         ([-1.0, 1.5], "must be centered"), ([1.0, 1.0], "must be centered"),
         ([-1.0, 1.0, 0.0], "one value per state (2)"), ([[-1.0, 1.0]], "per state"),
-        (["a", 1.0], "could not convert"), ([-1.0, "nan"], "must be centered"),
+        (["a", 1.0], "must hold numbers only"), ([-1.0, "nan"], "must hold numbers only"),
+        ([True, -1.0], "must hold numbers only"), (["1", "-1"], "must hold numbers only"),
         ({"a": 1.0}, "'values'")])
     def test_blocked_values_named(self, tmp_path, capsys, no_sampling, values, message):
         err = self._rejected(tmp_path, capsys, "blocked", values=values)
         assert "config error: 'values': " in err and message in err
+
+    @pytest.mark.parametrize("workers", ["zebra", "0", "-3", "2.5"])
+    def test_sweep_worker_cap_is_config_error(self, tmp_path, capsys, no_sampling,
+                                              monkeypatch, workers):
+        monkeypatch.setenv("MIXFREE_THREADS", workers)
+        err = self._rejected(tmp_path, capsys, "sweep")
+        assert f"MIXFREE_THREADS must be an integer >= 1, got {workers!r}" in err
+
+    @pytest.mark.parametrize("key", ["c1", "c2", "c3", "c_alpha"])
+    @pytest.mark.parametrize("name", ["bound", "sweep", "coverage", "diagnose"])
+    def test_negative_constant_is_config_error(self, tmp_path, capsys, no_sampling, name,
+                                               key):
+        err = self._rejected(tmp_path, capsys, name, constants={key: -1})
+        assert f"config error: {key!r} must be finite and >= 0, got -1.0" in err
 
     def test_blocked_model_without_transition(self, tmp_path, capsys, no_sampling):
         err = self._rejected(tmp_path, capsys, "blocked",

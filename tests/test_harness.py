@@ -189,9 +189,10 @@ class TestSweep:
     def test_worker_env_cap(self, monkeypatch):
         monkeypatch.setenv("MIXFREE_THREADS", "2")
         assert mf.harness.worker_count() == 2
-        monkeypatch.setenv("MIXFREE_THREADS", "zebra")
-        with pytest.raises(ValueError, match="MIXFREE_THREADS"):
-            mf.harness.worker_count()
+        for bad in ("zebra", "0", "-3"):
+            monkeypatch.setenv("MIXFREE_THREADS", bad)
+            with pytest.raises(ValueError, match="MIXFREE_THREADS"):
+                mf.harness.worker_count()
 
 
 class TestMixingFreeCheck:

@@ -294,9 +294,9 @@ def _uniforms(rng, shape, cdfs):
 def _check_walk(problem, U, V, block_len, time_chunk, sub_block, strip, tm_steps):
     """_sample_paths, fed the state uniforms U and noise uniforms V (R, n),
     gives the argmax oracle's states and, through ytab, its targets, walked
-    with each chunk as one block (time-major blocks of tm_steps steps,
-    transposed in strips of strip replicates) and in _walk_blocks's nb > 1
-    blocks."""
+    with each chunk as one block and in _walk_blocks's nb > 1 blocks, both
+    through time-major blocks of tm_steps steps transposed in strips of
+    strip lanes."""
     chain, noise = problem.chain, problem.noise
     R, n = U.shape
     cum_rows = processgen._cumulative_rows(chain.transition)
@@ -874,8 +874,8 @@ def _traced_peak(fn, *args) -> float:
 
 
 class TestSamplerMemory:
-    """The traced peaks of a long-path sweep cell, of the one-block walk and
-    of a long trajectory CSV: a chunk's cell ids and states share one
+    """The traced peaks of a long-path sweep cell, of a many-replicate walk
+    and of a long trajectory CSV: a chunk's cell ids and states share one
     buffer, freed before the next chunk's, and the CSV is formatted a block
     of rows at a time."""
 
@@ -888,15 +888,15 @@ class TestSamplerMemory:
 
     def test_sweep_cell_peak(self):
         # 64 replicates of 2^16 steps, walked in blocks: a 4 MiB chunk of cell
-        # ids, its time-major copy while it is made, and small lane buffers
+        # ids, its time-major copy while it is walked, and small lane buffers
         peak = _traced_peak(mf.stream_state_stats, self._dep09_problem(), 2 ** 16, range(64))
         assert peak <= 12.0
 
     def test_chunks_do_not_stack(self):
         # a second chunk's 4 MiB buffer replaces the first one's; what stays
         # is the consumer's last group of targets and keys (about 1.5 MiB).
-        # In the one-block walk (500 replicates) the consumer's last group of
-        # the first chunk would otherwise be a view that holds it
+        # The consumer's last group of the first chunk would otherwise be a
+        # view that holds it
         problem = self._dep09_problem()
         mf.stream_state_stats(problem, 64, range(2))   # builds the tables outside the peaks
         one, two = (_traced_peak(mf.stream_state_stats, problem, n, range(64))
@@ -907,7 +907,7 @@ class TestSamplerMemory:
                         for n in (2 ** 13, 2 ** 14))
         assert two <= one + 0.5
 
-    def test_one_block_walk_peak(self):
+    def test_many_replicate_walk_peak(self):
         # 5000 replicates of 1024 steps: a 5 MiB chunk, its 1.25 MiB
         # time-major block buffer, and two Generators per replicate
         peak = _traced_peak(mf.stream_state_stats, self._dep09_problem(), 1024, range(5000))
