@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .processgen import (MarkovChainModel, RegressionProblem, _pair_rows,
+from .processgen import (_SUB_BLOCK, MarkovChainModel, RegressionProblem, _pair_rows,
                          _seed_sequence_state, beta_at_lag, lag_weighted_sum)
 from .erm import HypothesisClass, population_quantities, sphere_tables
 
@@ -329,9 +329,11 @@ def weak_variance_2q(problem: RegressionProblem, f_star_table, resolution_tables
     depends only on the step's (state, noise cell) pair, so a slice is
     sampled as whole rows of pair ids (processgen._pair_rows) and each
     member's products are one table over the pairs, taken by the ids and
-    summed along each row: the bits of a loop over the steps. q < 1 or
-    infinite, n < 1 and fewer than two replicates raise ValueError before
-    any sampling.
+    summed along each row: the bits of a loop over the steps. The slice is
+    walked in blocks of about _SUB_BLOCK ids, whole rows, each cast to intp
+    once and then taken and summed for every member while it is in cache.
+    q < 1 or infinite, n < 1 and fewer than two replicates raise ValueError
+    before any sampling.
     """
     if mode not in ("exact", "montecarlo"):
         raise ValueError("mode must be 'exact' or 'montecarlo'")
@@ -360,11 +362,14 @@ def weak_variance_2q(problem: RegressionProblem, f_star_table, resolution_tables
     f_star = np.asarray(f_star_table, dtype=float)
     sums = np.empty((tables.shape[0], replicates))     # sum_i W_i g(X_i) per replicate
     rows = max(1, _MC_SLICE_STEPS // n)
+    block = max(1, _SUB_BLOCK // n)
     for r0 in range(0, replicates, rows):
         ids, pair_state, pair_target = _pair_rows(problem, n, seeds[r0:r0 + rows])
         wg = (pair_target - f_star[pair_state]) * tables[:, pair_state]
-        for gi, row in enumerate(wg):
-            sums[gi, r0:r0 + rows] = row.take(ids).sum(axis=1)
+        for b0 in range(r0, r0 + len(ids), block):
+            at = ids[b0 - r0:b0 - r0 + block].astype(np.intp)
+            for gi, row in enumerate(wg):
+                sums[gi, b0:b0 + len(at)] = row.take(at).sum(axis=1)
     vals = np.empty(tables.shape[0])
     ses = np.empty(tables.shape[0])
     for gi in range(tables.shape[0]):

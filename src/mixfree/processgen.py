@@ -22,9 +22,10 @@ This module builds the data-generating side of the lab:
   each uniform's cell in O(1), and noise maps to targets in one lookup per
   group of replicates; a noise table of one cell (noiseless problems)
   draws no noise stream, since every uniform would fall in that cell. The
-  tables are built once per problem. One vectorized SeedSequence pass per
-  stream derives the words that every replicate's PCG64 seeds from, and
-  each replicate keeps one Generator per stream for the whole call.
+  tables are built once per problem. One vectorized SeedSequence pass
+  derives the words that every replicate's PCG64 streams seed from; a
+  replicate's Generator is built when its row is filled and kept only
+  while another time chunk follows.
 - ``beta_at_lag`` / ``lag_weighted_sum``: exact mixing coefficients and lag
   sums, each from one matrix power. TV uses the (1/2)-l1 convention; the
   per-lag loop over all coefficients is the test oracle in tests/oracles.py.
@@ -424,27 +425,28 @@ def _int_words(values) -> tuple[np.ndarray, np.ndarray]:
         counts += live
 
 
-def _seed_sequence_state(shared, rows, n_words: int, spawn_key: int | None = None,
+def _seed_sequence_state(shared, rows, n_words: int, spawn_keys=None,
                          dtype=np.uint32) -> np.ndarray:
-    """SeedSequence([*shared, rows[r]], spawn_key=(spawn_key,)).generate_state(
+    """SeedSequence([*shared, rows[r]], spawn_key=(spawn_keys[r],)).generate_state(
     n_words, dtype) for every row r at once, as an (R, n_words) array.
 
     Row r's entropy is the words of each shared int (Python ints, the same
-    for every row), then the words of rows[r] (uint64 columns). With a spawn
-    key, the entropy is zero-padded to the 4-word pool and the key appended,
-    as SeedSequence.spawn does. The hash constant's course depends only on
-    the word count, so rows whose value takes the same number of words mix
-    in lock step, one pass per word count.
+    for every row), then the words of rows[r] (uint64 columns). With spawn
+    keys, one per row, the entropy is zero-padded to the 4-word pool and the
+    row's key appended, as SeedSequence.spawn does. The hash constant's
+    course depends only on the word count, so rows whose value takes the
+    same number of words mix in lock step, one pass per word count.
     """
     lead, lead_counts = _int_words(shared)
     lead = [w for row, c in zip(lead.tolist(), lead_counts) for w in row[:c]]
     words, counts = _int_words(rows)
+    keys = [] if spawn_keys is None else [np.asarray(spawn_keys, dtype=np.uint64)]
     wide = np.dtype(dtype).itemsize // 4
     out = np.empty((len(counts), n_words), dtype=dtype)
     for count in np.unique(counts).tolist():
         at = counts == count
         lanes = lead + [words[at, j] for j in range(count)]
-        lanes += [0] * (4 - len(lanes)) + ([] if spawn_key is None else [spawn_key])
+        lanes += [0] * (4 - len(lanes)) + [key[at] for key in keys]
         mixed = _hash_mix(lanes, n_words * wide)
         if wide == 2:   # uint64 words are pairs of uint32 words, low word first
             mixed = [lo | hi << 32 for lo, hi in zip(mixed[0::2], mixed[1::2])]
@@ -496,33 +498,51 @@ class _Words(ISeedSequence):
         return self._words
 
 
-def _generators(seeds, key: int) -> list[np.random.Generator]:
-    """default_rng(SeedSequence(s).spawn(2)[key]) for every seed s: key 0 is
-    the state stream and key 1 the noise stream. One vectorized pass derives
-    the words every PCG64 seeds from."""
-    return [np.random.Generator(np.random.PCG64(_Words(w)))
-            for w in _seed_sequence_state([], seeds, 4, key, np.uint64)]
+def _stream_words(seeds, keys) -> np.ndarray:
+    """The words that PCG64 seeds from in default_rng(SeedSequence(s).spawn(2)[k])
+    for each key k of keys and each seed s, as (len(keys), R, 4) uint64: key
+    0 is the state stream and key 1 the noise stream. One vectorized pass
+    derives them all, the spawn key a per-row lane."""
+    R = len(seeds)
+    words = _seed_sequence_state([], list(seeds) * len(keys), 4,
+                                 np.repeat(keys, R), np.uint64)
+    return words.reshape(len(keys), R, 4)
+
+
+_DROPPED = object()   # a stream row whose Generator was let go after its last fill
 
 
 class _Streams:
-    """The state (0) and noise (1) uniform streams of every replicate: one
-    Generator per replicate and stream, built on the stream's first draw (so
-    a problem whose noise table has one cell never derives its noise stream)
-    and carried from one time chunk to the next. Never share an instance
+    """The state (0) and noise (1) uniform streams of every replicate of one
+    sampler call, keys the streams it draws (a problem whose noise table
+    has one cell never derives its noise stream).
+
+    The words every replicate's PCG64 seeds from are derived once, for all
+    replicates and streams (_stream_words). A replicate's Generator is
+    built when its row is first filled and kept only when the fill says
+    another fill follows (another time chunk), so a call on paths of one
+    chunk never holds a Generator per replicate. A row let go refuses a
+    further fill rather than restart its stream. Never share an instance
     across threads.
     """
 
-    def __init__(self, seeds):
-        self._seeds = seeds
-        self._gens = [None, None]
+    def __init__(self, seeds, keys):
+        self._words = _stream_words(seeds, keys)
+        self._gens = [[None] * len(seeds) for _ in keys]
 
-    def fill(self, stream: int, r0: int, out: np.ndarray) -> None:
-        """Draw each row out[i] from replicate r0 + i's stream."""
-        if self._gens[stream] is None:
-            self._gens[stream] = _generators(self._seeds, stream)
+    def fill(self, stream: int, r0: int, out: np.ndarray, keep: bool) -> None:
+        """Draw each row out[i] from replicate r0 + i's stream, keeping its
+        Generator for a further fill only if keep."""
         gens = self._gens[stream]
-        for i, row in enumerate(out):
-            gens[r0 + i].random(out=row)
+        for r, (row, words) in enumerate(zip(out, self._words[stream, r0:]), r0):
+            gen = gens[r]
+            if gen is None:
+                gen = np.random.Generator(np.random.PCG64(_Words(words)))
+            elif gen is _DROPPED:
+                raise RuntimeError(f"stream {stream} of replicate {r} was let go "
+                                   f"after its last fill")
+            gen.random(out=row)
+            gens[r] = gen if keep else _DROPPED
 
 
 _GUIDE = 1 << 12    # guide-table bins over [0, 1)
@@ -797,18 +817,19 @@ def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | No
     if n < 1:
         raise ValueError("n must be >= 1")
     tables = problem._sampler
-    streams = _Streams(seeds)
+    streams = _Streams(seeds, (0,) if tables.n_noise == 1 else (0, 1))
     R, S, C = len(seeds), problem.n_states, tables.C
     period = block_len or n
     x = np.zeros(R, dtype=np.intp)           # previous states; t = 0 restarts
     for t0 in range(0, n, _TIME_CHUNK):
         T = min(_TIME_CHUNK, n - t0)
+        more = t0 + T < n   # another chunk follows, so the streams are kept
         nb, L = _walk_blocks(R, T, tables)
         group = max(1, _SUB_BLOCK // T)
         u = np.empty((min(group, R), T))
         cid = np.empty((R, nb * L), dtype=np.min_scalar_type(max(2 * C, S - 1)))
         for r0 in range(0, R, group):
-            streams.fill(0, r0, u[:R - r0])
+            streams.fill(0, r0, u[:R - r0], more)
             cid[r0:r0 + group, :T] = _cell_ids(tables.breaks, tables.guide, u[:R - r0])
         cid[:, -t0 % period:T:period] += C
         cid[:, T:] = 2 * C
@@ -818,12 +839,12 @@ def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | No
         u = np.empty((min(group, R), T))
         for r0 in range(0, R, group):
             rows = cid[r0:r0 + group, :T]
-            if r0 + group >= R and t0 + T < n:   # held while the next chunk is made
+            if r0 + group >= R and more:   # held while the next chunk is made
                 rows = rows.copy()
             if tables.n_noise == 1:   # every noise uniform falls in the one cell
                 yield t0, r0, rows, rows
                 continue
-            streams.fill(1, r0, u[:len(rows)])
+            streams.fill(1, r0, u[:len(rows)], more)
             at = np.multiply(rows, tables.n_noise, dtype=np.intp)
             at += _cell_ids(tables.noise_breaks, tables.noise_guide, u[:len(rows)])
             yield t0, r0, rows, at
@@ -831,15 +852,16 @@ def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | No
 
 
 def _pair_rows(problem: RegressionProblem, n: int, seeds):
-    """(ids (R, n) intp, pair_state, pair_target): the pair ids of the paths
-    of seeds as whole rows, and the state and target of each pair id, so
-    that the targets are pair_target.take(ids) and the states
-    pair_state.take(ids). The ids are intp because take converts narrower
-    ids to intp first."""
-    ids = np.empty((len(seeds), n), dtype=np.intp)
+    """(ids (R, n), pair_state, pair_target): the pair ids of the paths of
+    seeds as whole rows, and the state and target of each pair id, so that
+    the targets are pair_target.take(ids) and the states
+    pair_state.take(ids). The ids are in the smallest unsigned dtype that
+    holds every pair id; take casts them to intp, so a caller that takes by
+    them many times casts a cache-sized block once."""
+    tables = problem._sampler
+    ids = np.empty((len(seeds), n), dtype=np.min_scalar_type(len(tables.ytab) - 1))
     for t0, r0, rows, at in _sample_paths(problem, n, seeds, None):
         ids[r0:r0 + len(rows), t0:t0 + rows.shape[1]] = at
-    tables = problem._sampler
     return ids, np.arange(len(tables.ytab)) // tables.n_noise, tables.ytab
 
 
@@ -956,17 +978,25 @@ def block_sum_second_moment(model: MarkovChainModel, values, k: int) -> float:
 _CSV_ROWS = 1 << 14   # rows per block of trajectory_to_csv
 
 
+def _value_texts(col: np.ndarray) -> tuple[list, np.ndarray]:
+    """(texts, code): the str of each distinct value of the int64 or float64
+    column col (repr, for floats) and, for each entry, the index of its
+    text. Values are told apart by their int64 bit pattern, so -0.0 and
+    0.0, or two NaNs, keep their own strings, and each is formatted once."""
+    values, code = np.unique(col.view(np.int64), return_inverse=True)
+    return list(map(str, values.view(col.dtype).tolist())), code
+
+
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write a trajectory as CSV with columns (t, state, x_1..x_d, y).
 
     Floats are written with repr (shortest round-trip form). The rows are
     formatted in blocks of _CSV_ROWS, so the work arrays stay small on long
     trajectories. Within a block, each distinct value of a column is
-    formatted once: values are told apart by their int64 bit pattern, so
-    -0.0 and 0.0, or two NaNs, keep their own strings. One row key over the
-    columns after t, renumbered densely after each column so it stays below
-    the block's length squared, indexes the text of each distinct row, and
-    each line is t followed by its row's text.
+    formatted once (_value_texts). One row key over the columns after t,
+    renumbered densely after each column so it stays below the block's
+    length squared, indexes the text of each distinct row, and each line is
+    t followed by its row's text.
     """
     d = traj.covariates.shape[1]
     header = ["t", "state"] + [f"x_{j + 1}" for j in range(d)] + ["y"]
@@ -978,8 +1008,7 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
         for t0 in range(0, traj.n, _CSV_ROWS):
             texts, key = [""], np.zeros(min(_CSV_ROWS, traj.n - t0), dtype=np.int64)
             for col in (column[t0:t0 + _CSV_ROWS] for column in columns):
-                values, code = np.unique(col.view(np.int64), return_inverse=True)
-                cells = list(map(str, values.view(col.dtype).tolist()))   # str is repr for floats
+                cells, code = _value_texts(col)
                 pairs, key = np.unique(key * len(cells) + code, return_inverse=True)
                 texts = [f"{texts[k // len(cells)]},{cells[k % len(cells)]}"
                          for k in pairs.tolist()]

@@ -410,19 +410,24 @@ def _mc_cases(draw):
                  replicates=draw(st.integers(2, 40)), seed=draw(st.integers(0, 2 ** 64)))
     slice_steps = draw(st.sampled_from([1, n, 3 * n + 1, 1 << 22]))
     time_chunk = draw(st.sampled_from([1, 5, 1 << 16]))
-    return problem, f_star, members, shape, slice_steps, time_chunk
+    # rows of ids per member block: 1, 2 or 3 (slices of 1 or 3 rows, or
+    # all of them, end inside a block or cut a short last one), or all
+    sub_block = draw(st.sampled_from([1, 2 * n + 1, 3 * n, 1 << 16]))
+    return problem, f_star, members, shape, slice_steps, time_chunk, sub_block
 
 
 class TestMonteCarloPairIds:
     """weak_variance_2q's Monte Carlo mode evaluates each member by a lookup
-    table over (state, noise cell) pairs; the per-member loop over sampled
-    states and targets (oracles.weak_variance_montecarlo) is its oracle."""
+    table over (state, noise cell) pairs, taken by blocks of whole rows of
+    ids; the per-member loop over sampled states and targets
+    (oracles.weak_variance_montecarlo) is its oracle."""
 
     @settings(max_examples=40, deadline=None)
     @given(case=_mc_cases())
     def test_matches_per_member_loop_bit_for_bit(self, case):
-        problem, f_star, members, shape, slice_steps, time_chunk = case
+        problem, f_star, members, shape, slice_steps, time_chunk, sub_block = case
         with mock.patch.object(bounds, "_MC_SLICE_STEPS", slice_steps), \
+                mock.patch.object(bounds, "_SUB_BLOCK", sub_block), \
                 mock.patch.object(mf.processgen, "_TIME_CHUNK", time_chunk):
             wv = mf.weak_variance_2q(problem, f_star, members, mode="montecarlo", **shape)
             oracle = weak_variance_montecarlo(problem, f_star, members, **shape)

@@ -249,16 +249,18 @@ def _chains(draw):
 
 class _Replay:
     """Stand-in for processgen._Streams that hands out fixed uniforms: row r
-    of U (state stream) or V (noise stream), in order."""
+    of U (state stream) or V (noise stream), in order. A fill must keep its
+    rows' streams exactly when more of them is drawn later."""
 
     def __init__(self, U, V):
         self.values, self.pos = (U, V), np.zeros((2, len(U)), dtype=int)
 
-    def fill(self, stream, r0, out):
+    def fill(self, stream, r0, out, keep):
         for i, row in enumerate(out):
             at = self.pos[stream, r0 + i]
             row[:] = self.values[stream][r0 + i, at:at + len(row)]
             self.pos[stream, r0 + i] += len(row)
+            assert keep == (self.pos[stream, r0 + i] < self.values[stream].shape[1])
 
 
 def _near(points):
@@ -317,7 +319,7 @@ def _check_walk(problem, U, V, block_len, time_chunk, sub_block, strip, tm_steps
     # copy of the problem, whose tables are built under its budget.
     for crossover, budget in ((0, 1 << 16), (10 ** 6, 1 << 20)):
         rows, ys = [[] for _ in range(R)], [[] for _ in range(R)]
-        with mock.patch.object(processgen, "_Streams", lambda seeds: _Replay(U, V)), \
+        with mock.patch.object(processgen, "_Streams", lambda seeds, keys: _Replay(U, V)), \
                 mock.patch.object(processgen, "_SUB_BLOCK", sub_block), \
                 mock.patch.object(processgen, "_TIME_CHUNK", time_chunk), \
                 mock.patch.object(processgen, "_STRIP", strip), \
@@ -571,10 +573,11 @@ def _ints(draw, count):
 
 
 def _stream_states(seeds):
-    """PCG64 (state, inc) of both streams of every seed, as _generators seeds
+    """PCG64 (state, inc) of both streams of every seed, as _Streams seeds
     them: streams[k][r]."""
-    return [[tuple(g.bit_generator.state["state"][key] for key in ("state", "inc"))
-             for g in processgen._generators(seeds, k)] for k in (0, 1)]
+    return [[tuple(np.random.PCG64(processgen._Words(w)).state["state"][key]
+                   for key in ("state", "inc")) for w in words]
+            for words in processgen._stream_words(seeds, (0, 1))]
 
 
 class TestSeedDerivation:
@@ -630,7 +633,7 @@ class TestSeedDerivation:
 
     def test_negative_seed_is_rejected(self):
         with pytest.raises(ValueError, match="non-negative integer, got -3"):
-            processgen._generators([4, -3], 0)
+            processgen._Streams([4, -3], (0,))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -641,14 +644,14 @@ class TestSeedDerivation:
                                        (1 << 32 * words) - 1))
                  for words in data.draw(st.lists(st.sampled_from([1, 2, 5]),
                                                  min_size=1, max_size=4))]
-        streams = processgen._Streams(seeds)
+        streams = processgen._Streams(seeds, (0, 1))
         drawn = [[[] for _ in seeds] for _ in (0, 1)]
         for _ in range(data.draw(st.integers(1, 8))):
             stream = data.draw(st.sampled_from([0, 1]))
             r0 = data.draw(st.integers(0, len(seeds) - 1))
             rows = data.draw(st.integers(1, len(seeds) - r0))
             out = np.empty((rows, data.draw(st.integers(0, 70))))
-            streams.fill(stream, r0, out)
+            streams.fill(stream, r0, out, keep=True)
             for i in range(rows):
                 drawn[stream][r0 + i].append(out[i])
         for k in (0, 1):
@@ -656,6 +659,20 @@ class TestSeedDerivation:
                 got = np.concatenate([np.empty(0), *parts])
                 rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[k])
                 assert np.array_equal(got, rng.random(len(got)))
+
+    def test_row_let_go_refuses_a_refill(self):
+        # a kept row continues its stream; a row let go raises, never restarts
+        streams = processgen._Streams([5, 6], (0, 1))
+        out = np.empty((2, 3))
+        streams.fill(1, 0, out, keep=True)
+        streams.fill(1, 1, out[1:], keep=False)
+        streams.fill(1, 0, out[:1], keep=False)
+        rng = np.random.default_rng(np.random.SeedSequence(5).spawn(2)[1])
+        assert np.array_equal(out[0], rng.random(6)[3:])
+        with pytest.raises(RuntimeError, match="stream 1 of replicate 1 was let go"):
+            streams.fill(1, 1, out[1:], keep=True)
+        with pytest.raises(RuntimeError, match="replicate 0"):
+            streams.fill(1, 0, out, keep=True)
 
     @pytest.mark.parametrize("noise,keys", [
         (mf.NoiseSpec.zero(2), [0]),
@@ -672,15 +689,15 @@ class TestSeedDerivation:
                                        true_table=np.array([1.0, -1.0]))
         derived = []
 
-        def spy(seeds, key):
-            derived.append(key)
-            return generators(seeds, key)
+        def spy(seeds, stream_keys):
+            derived.append(list(stream_keys))
+            return stream_words(seeds, stream_keys)
 
-        generators = processgen._generators
-        with mock.patch.object(processgen, "_generators", spy), \
+        stream_words = processgen._stream_words
+        with mock.patch.object(processgen, "_stream_words", spy), \
                 mock.patch.object(processgen, "_TIME_CHUNK", 16):
             states, targets = mf.sample_path_batch(problem, 40, range(3))
-        assert derived == keys
+        assert derived == [keys]   # one pass for every stream drawn
         if keys == [0]:
             assert np.array_equal(targets, problem.regression_mean()[states])
 
@@ -874,10 +891,12 @@ def _traced_peak(fn, *args) -> float:
 
 
 class TestSamplerMemory:
-    """The traced peaks of a long-path sweep cell, of a many-replicate walk
-    and of a long trajectory CSV: a chunk's cell ids and states share one
-    buffer, freed before the next chunk's, and the CSV is formatted a block
-    of rows at a time."""
+    """The traced peaks of a long-path sweep cell, of a many-replicate walk,
+    of the Monte Carlo noise level and of a long trajectory CSV: a chunk's
+    cell ids and states share one buffer, freed before the next chunk's, a
+    replicate's Generators live only while its streams continue, the noise
+    level's members sum blocks of rows, and the CSV is formatted a block of
+    rows at a time."""
 
     @staticmethod
     def _dep09_problem():
@@ -902,16 +921,34 @@ class TestSamplerMemory:
         one, two = (_traced_peak(mf.stream_state_stats, problem, n, range(64))
                     for n in (2 ** 16, 2 ** 17))
         assert two <= one + 2.0
+        # Two chunks of 500 replicates also keep each replicate's two
+        # Generators from the first chunk to the second (about 0.7 MiB),
+        # which one chunk lets go as each row is filled; a stacked chunk
+        # would add its whole 3.9 MiB buffer
         with mock.patch.object(processgen, "_TIME_CHUNK", 2 ** 13):
             one, two = (_traced_peak(mf.stream_state_stats, problem, n, range(500))
                         for n in (2 ** 13, 2 ** 14))
-        assert two <= one + 0.5
+        assert two <= one + 1.25
 
     def test_many_replicate_walk_peak(self):
         # 5000 replicates of 1024 steps: a 5 MiB chunk, its 1.25 MiB
-        # time-major block buffer, and two Generators per replicate
+        # time-major block buffer and the seed words of both streams; each
+        # replicate's Generator is let go once its row is filled, where
+        # holding two per replicate took another 9 MiB
         peak = _traced_peak(mf.stream_state_stats, self._dep09_problem(), 1024, range(5000))
-        assert peak <= 18.5
+        assert peak <= 11.0
+
+    def test_noise_level_montecarlo_peak(self):
+        # the q = 2 noise level at the benchmark's shape, 4000 paths of 256
+        # steps and 64 members: a 1 MiB slice of uint8 pair ids, a 1 MiB
+        # chunk and 2 MiB of replicate sums; the members take and sum a
+        # 0.5 MiB block of rows at a time, where an intp slice and a take
+        # of the whole slice per member needed another 16 MiB
+        problem = self._dep09_problem()
+        members = np.random.default_rng(0).normal(size=(64, 4))
+        peak = _traced_peak(mf.weak_variance_2q, problem, problem.regression_mean(), members,
+                            2.0, 256, "montecarlo", 4000, 0)
+        assert peak <= 9.0
 
     def test_trajectory_csv_peak(self, tmp_path):
         traj = mf.sample_trajectory(self._dep09_problem(), 2 ** 17, 82)

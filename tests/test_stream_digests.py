@@ -104,9 +104,10 @@ def _cell_seeds():
 def _pcg64_states():
     # 1-, 2- and 5-word seeds in one call: rows of three word layouts
     seeds = [3, 2 ** 40 + 5, 2 ** 130 + 9, 0, 2 ** 64 - 1, 2 ** 159]
-    limbs = [[v >> 64, v & (2 ** 64 - 1)] for key in (0, 1)
-             for g in processgen._generators(seeds, key)
-             for v in (g.bit_generator.state["state"][name] for name in ("state", "inc"))]
+    limbs = [[v >> 64, v & (2 ** 64 - 1)]
+             for words in processgen._stream_words(seeds, (0, 1)).reshape(-1, 4)
+             for v in (np.random.PCG64(processgen._Words(words)).state["state"][name]
+                       for name in ("state", "inc"))]
     return _digest(np.array(limbs, dtype=np.uint64))
 
 
