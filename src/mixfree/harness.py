@@ -22,7 +22,7 @@ import numpy as np
 
 from .processgen import (RegressionProblem, MarkovChainModel, NoiseSpec,
                          block_sum_second_moment, stream_state_stats,
-                         _reals, _seed_sequence_state, _state_sums, _value_texts)
+                         _reals, _seed_sequence_state, _state_sums)
 from .erm import (HypothesisClass, check_class_fits, excess_risks,
                   multiplier_processes, population_quantities, quadratic_processes,
                   star_hull_tables, _check_epsilon)
@@ -272,17 +272,10 @@ class CoverageReport:
     c2: float | None = None
 
     def to_csv(self, path) -> None:
-        """One line per trial: its realized value and bound, written with
-        repr, and 1 where the value exceeds the bound. Each distinct value
-        is formatted once (processgen._value_texts)."""
-        realized = np.asarray(self.realized, dtype=float)
-        bounds = np.asarray(self.bounds, dtype=float)
-        (m_texts, m_code), (b_texts, b_code) = map(_value_texts, (realized, bounds))
-        lines = [f"{t},{m_texts[m]},{b_texts[b]},{e}\n" for t, (m, b, e) in enumerate(
-            zip(m_code.tolist(), b_code.tolist(), (realized > bounds).astype(int).tolist()))]
         with open(path, "w") as fh:
             fh.write("trial,blockedMean,bound,exceeded\n")
-            fh.writelines(lines)
+            for t, (m, b) in enumerate(zip(self.realized, self.bounds)):
+                fh.write(f"{t},{float(m)!r},{float(b)!r},{int(m > b)}\n")
 
 
 def _functional_problem(model: MarkovChainModel, values) -> RegressionProblem:

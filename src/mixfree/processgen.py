@@ -587,7 +587,8 @@ def _cell_ids(breaks: np.ndarray, guide, u: np.ndarray) -> np.ndarray:
     return out
 
 
-_SUB_BLOCK = 1 << 16        # lane-steps per walk sub-block, replicate-steps per group
+_SUB_BLOCK = 1 << 16        # lane-steps per walk sub-block, replicate-steps per group,
+                            # and ids per bounds.weak_variance_2q member block
 _TIME_CHUNK = 1 << 16       # time steps per chunk of every sampler
 _TM_STEPS = 256             # time steps per time-major block of the walk
 _STRIP = 32                 # lanes per strip of its transposes
@@ -978,25 +979,17 @@ def block_sum_second_moment(model: MarkovChainModel, values, k: int) -> float:
 _CSV_ROWS = 1 << 14   # rows per block of trajectory_to_csv
 
 
-def _value_texts(col: np.ndarray) -> tuple[list, np.ndarray]:
-    """(texts, code): the str of each distinct value of the int64 or float64
-    column col (repr, for floats) and, for each entry, the index of its
-    text. Values are told apart by their int64 bit pattern, so -0.0 and
-    0.0, or two NaNs, keep their own strings, and each is formatted once."""
-    values, code = np.unique(col.view(np.int64), return_inverse=True)
-    return list(map(str, values.view(col.dtype).tolist())), code
-
-
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write a trajectory as CSV with columns (t, state, x_1..x_d, y).
 
     Floats are written with repr (shortest round-trip form). The rows are
     formatted in blocks of _CSV_ROWS, so the work arrays stay small on long
     trajectories. Within a block, each distinct value of a column is
-    formatted once (_value_texts). One row key over the columns after t,
-    renumbered densely after each column so it stays below the block's
-    length squared, indexes the text of each distinct row, and each line is
-    t followed by its row's text.
+    formatted once: values are told apart by their int64 bit pattern, so
+    -0.0 and 0.0, or two NaNs, keep their own strings. One row key over the
+    columns after t, renumbered densely after each column so it stays below
+    the block's length squared, indexes the text of each distinct row, and
+    each line is t followed by its row's text.
     """
     d = traj.covariates.shape[1]
     header = ["t", "state"] + [f"x_{j + 1}" for j in range(d)] + ["y"]
@@ -1008,7 +1001,8 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
         for t0 in range(0, traj.n, _CSV_ROWS):
             texts, key = [""], np.zeros(min(_CSV_ROWS, traj.n - t0), dtype=np.int64)
             for col in (column[t0:t0 + _CSV_ROWS] for column in columns):
-                cells, code = _value_texts(col)
+                values, code = np.unique(col.view(np.int64), return_inverse=True)
+                cells = list(map(str, values.view(col.dtype).tolist()))   # str is repr for floats
                 pairs, key = np.unique(key * len(cells) + code, return_inverse=True)
                 texts = [f"{texts[k // len(cells)]},{cells[k % len(cells)]}"
                          for k in pairs.tolist()]

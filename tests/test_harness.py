@@ -294,23 +294,6 @@ class TestCoverage:
         float(row[1]), float(row[2])                 # plain parseable floats
         assert row[3] in ("0", "1") and "np." not in lines[1]
 
-    def test_csv_bytes_match_line_by_line_writer(self, tmp_path):
-        # repeated values, zeros of both signs, NaNs and infinities in both
-        # columns, each written as the one-line-at-a-time writer wrote it
-        realized = np.array([0.5, -0.0, 0.0, np.nan, 0.5, 1e-300, -np.inf, 2.5, -np.nan])
-        bounds = np.array([0.25, 0.0, -0.0, 1.0, 0.5, np.nan, np.inf, 2.5, 1.0])
-        report = mf.harness.CoverageReport(kind="riskBound", replicates=len(realized),
-                                           delta=0.1, frequency=0.0, std_error=0.0,
-                                           threshold=0.0, realized=realized, bounds=bounds)
-        report.to_csv(tmp_path / "new.csv")
-        with open(tmp_path / "old.csv", "w") as fh:
-            fh.write("trial,blockedMean,bound,exceeded\n")
-            for t, (m, b) in enumerate(zip(realized, bounds)):
-                fh.write(f"{t},{float(m)!r},{float(b)!r},{int(m > b)}\n")
-        new = (tmp_path / "new.csv").read_bytes()
-        assert b",-0.0," in new and b",nan," in new and b",-inf," in new
-        assert new == (tmp_path / "old.csv").read_bytes()
-
     def test_risk_bound_coverage_quick(self):
         problem = _product_problem(copies=2)
         report = mf.harness.risk_bound_coverage(
