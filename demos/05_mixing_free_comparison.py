@@ -9,8 +9,8 @@
 # mixing-free.
 #
 # The acceptance suite runs dependence 0.9 with a grid up to n = 2^21; this
-# demo uses dependence 0.85 and a lighter grid so it finishes in about a
-# minute. The block-length contrast is already two orders of magnitude.
+# demo uses dependence 0.85 and a lighter grid so it finishes in a few
+# seconds. The block-length contrast is already two orders of magnitude.
 
 import numpy as np
 

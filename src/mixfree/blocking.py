@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .processgen import MarkovChainModel, beta_at_lag
+from .processgen import MarkovChainModel, _path_law, beta_at_lag
 
 
 def mixing_failure_term(n: int, k: int, beta_k: float) -> float:
@@ -26,20 +26,6 @@ def mixing_failure_term(n: int, k: int, beta_k: float) -> float:
 # ---------------------------------------------------------------------------
 # exact verification engine for the decoupling gap on tiny chains
 # ---------------------------------------------------------------------------
-
-def _block_marginal(model: MarkovChainModel, k: int) -> dict[tuple, float]:
-    """Exact law of a stationary length-k path, as {state tuple: probability}."""
-    P = model.transition
-    pi = model.stationary
-    out: dict[tuple, float] = {}
-    for path in itertools.product(range(model.n_states), repeat=k):
-        p = pi[path[0]]
-        for a, b in zip(path[:-1], path[1:]):
-            p *= P[a, b]
-        if p > 0:
-            out[path] = out.get(path, 0.0) + p
-    return out
-
 
 def odd_block_decoupling_gap_exact(model: MarkovChainModel, n: int, k: int
                                    ) -> tuple[float, float]:
@@ -60,20 +46,12 @@ def odd_block_decoupling_gap_exact(model: MarkovChainModel, n: int, k: int
     odd_blocks = list(range(0, n_blocks, 2))
     odd_pos = [t for j in odd_blocks for t in range(j * k, (j + 1) * k)]
 
-    P = model.transition
-    pi = model.stationary
     law: dict[tuple, float] = {}
-    for path in itertools.product(range(S), repeat=n):
-        p = pi[path[0]]
-        for a, b in zip(path[:-1], path[1:]):
-            p *= P[a, b]
-            if p == 0.0:
-                break
-        if p > 0:
-            key = tuple(path[t] for t in odd_pos)
-            law[key] = law.get(key, 0.0) + p
+    for path, p in _path_law(model, n):
+        key = tuple(path[t] for t in odd_pos)
+        law[key] = law.get(key, 0.0) + p
 
-    marg = _block_marginal(model, k)
+    marg = dict(_path_law(model, k))   # the law of one block
     decoupled: dict[tuple, float] = {}
     for combo in itertools.product(marg.items(), repeat=len(odd_blocks)):
         key = tuple(s for block, _ in combo for s in block)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .processgen import (_SUB_BLOCK, MarkovChainModel, RegressionProblem, _pair_rows,
-                         _seed_sequence_state, beta_at_lag, lag_weighted_sum)
+                         _path_law, _seed_sequence_state, beta_at_lag, lag_weighted_sum)
 from .erm import HypothesisClass, population_quantities, sphere_tables
 
 INF = float("inf")
@@ -100,14 +100,6 @@ class DiscreteLaw:
     def ess_sup(self) -> float:
         support = np.abs(self.values[self.probs > 0])
         return float(support.max()) if support.size else 0.0
-
-    def abs_moment(self, m: float) -> float:
-        """E|Z|^m, computed stably by factoring out the essential supremum."""
-        vmax = self.ess_sup()
-        if vmax == 0.0:
-            return 0.0
-        scaled = np.abs(self.values) / vmax
-        return vmax ** m * float(self.probs @ scaled ** m)
 
     @classmethod
     def of_function(cls, table, pi) -> "DiscreteLaw":
@@ -390,17 +382,10 @@ def _interaction_atoms(problem: RegressionProblem, offsets: np.ndarray, n: int):
         raise ValueError(
             f"exact joint enumeration needs (S*V)^n = {(S * nv) ** n} atoms, "
             f"over the cap {_EXACT_ATOM_CAP}; use montecarlo mode")
-    P = problem.chain.transition
-    pi = problem.chain.stationary
     nprob = problem.noise.probs
     nval = problem.noise.values
     probs, states, ws = [], [], []
-    for path in itertools.product(range(S), repeat=n):
-        p_path = pi[path[0]]
-        for a, b in zip(path[:-1], path[1:]):
-            p_path *= P[a, b]
-        if p_path == 0.0:
-            continue
+    for path, p_path in _path_law(problem.chain, n):
         for combo in itertools.product(*(range(nv) for _ in range(n))):
             p = p_path
             for s, j in zip(path, combo):

@@ -24,8 +24,8 @@ This module builds the data-generating side of the lab:
   draws no noise stream, since every uniform would fall in that cell. The
   tables are built once per problem. One vectorized SeedSequence pass
   derives the words that every replicate's PCG64 streams seed from; a
-  replicate's Generator is built when its row is filled and kept only
-  while another time chunk follows.
+  chunk's uniforms come from a PCG64 built from those words and advanced
+  to the chunk's first step, so no Generator outlives a fill.
 - ``beta_at_lag`` / ``lag_weighted_sum``: exact mixing coefficients and lag
   sums, each from one matrix power. TV uses the (1/2)-l1 convention; the
   per-lag loop over all coefficients is the test oracle in tests/oracles.py.
@@ -37,6 +37,7 @@ across threads; sampling is a pure function of the seed.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -509,40 +510,16 @@ def _stream_words(seeds, keys) -> np.ndarray:
     return words.reshape(len(keys), R, 4)
 
 
-_DROPPED = object()   # a stream row whose Generator was let go after its last fill
-
-
-class _Streams:
-    """The state (0) and noise (1) uniform streams of every replicate of one
-    sampler call, keys the streams it draws (a problem whose noise table
-    has one cell never derives its noise stream).
-
-    The words every replicate's PCG64 seeds from are derived once, for all
-    replicates and streams (_stream_words). A replicate's Generator is
-    built when its row is first filled and kept only when the fill says
-    another fill follows (another time chunk), so a call on paths of one
-    chunk never holds a Generator per replicate. A row let go refuses a
-    further fill rather than restart its stream. Never share an instance
-    across threads.
-    """
-
-    def __init__(self, seeds, keys):
-        self._words = _stream_words(seeds, keys)
-        self._gens = [[None] * len(seeds) for _ in keys]
-
-    def fill(self, stream: int, r0: int, out: np.ndarray, keep: bool) -> None:
-        """Draw each row out[i] from replicate r0 + i's stream, keeping its
-        Generator for a further fill only if keep."""
-        gens = self._gens[stream]
-        for r, (row, words) in enumerate(zip(out, self._words[stream, r0:]), r0):
-            gen = gens[r]
-            if gen is None:
-                gen = np.random.Generator(np.random.PCG64(_Words(words)))
-            elif gen is _DROPPED:
-                raise RuntimeError(f"stream {stream} of replicate {r} was let go "
-                                   f"after its last fill")
-            gen.random(out=row)
-            gens[r] = gen if keep else _DROPPED
+def _fill(words: np.ndarray, r0: int, t0: int, out: np.ndarray) -> None:
+    """Fill each row out[i] with draws t0, t0 + 1, ... of the PCG64 stream
+    seeded by words[r0 + i] (a stream of _stream_words). A double takes one
+    64-bit draw, so a uniform is addressed by its stream's words and its
+    position; no Generator outlives the fill."""
+    for row, w in zip(out, words[r0:]):
+        bits = np.random.PCG64(_Words(w))
+        if t0:   # advance(0) would add half the cost of the build
+            bits.advance(t0)
+        np.random.Generator(bits).random(out=row)
 
 
 _GUIDE = 1 << 12    # guide-table bins over [0, 1)
@@ -792,9 +769,9 @@ def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | No
     are the (state, noise cell) pair ids at = state * V + cell of the
     problem's V noise cells: the targets are ytab.take(ids) (_Tables).
 
-    The one core of every sampler. Replicate r consumes its own state and
-    noise streams in order, so its path has the same bits whatever
-    _TIME_CHUNK is. Each group's state uniforms become cell ids as soon as
+    The one core of every sampler. Chunk t0 of replicate r reads draws t0,
+    t0 + 1, ... of its own state and noise streams (_fill), so its path has
+    the same bits whatever _TIME_CHUNK is. Each group's state uniforms become cell ids as soon as
     they are drawn, and each time step is one lookup over all replicates,
     states[t] = table[cell[t], states[t - 1]], where t = 0 and every multiple
     of block_len use the stationary rows: C is added to those cell ids once
@@ -818,19 +795,18 @@ def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | No
     if n < 1:
         raise ValueError("n must be >= 1")
     tables = problem._sampler
-    streams = _Streams(seeds, (0,) if tables.n_noise == 1 else (0, 1))
+    words = _stream_words(seeds, (0,) if tables.n_noise == 1 else (0, 1))
     R, S, C = len(seeds), problem.n_states, tables.C
     period = block_len or n
     x = np.zeros(R, dtype=np.intp)           # previous states; t = 0 restarts
     for t0 in range(0, n, _TIME_CHUNK):
         T = min(_TIME_CHUNK, n - t0)
-        more = t0 + T < n   # another chunk follows, so the streams are kept
         nb, L = _walk_blocks(R, T, tables)
         group = max(1, _SUB_BLOCK // T)
         u = np.empty((min(group, R), T))
         cid = np.empty((R, nb * L), dtype=np.min_scalar_type(max(2 * C, S - 1)))
         for r0 in range(0, R, group):
-            streams.fill(0, r0, u[:R - r0], more)
+            _fill(words[0], r0, t0, u[:R - r0])
             cid[r0:r0 + group, :T] = _cell_ids(tables.breaks, tables.guide, u[:R - r0])
         cid[:, -t0 % period:T:period] += C
         cid[:, T:] = 2 * C
@@ -840,12 +816,12 @@ def _sample_paths(problem: RegressionProblem, n: int, seeds, block_len: int | No
         u = np.empty((min(group, R), T))
         for r0 in range(0, R, group):
             rows = cid[r0:r0 + group, :T]
-            if r0 + group >= R and more:   # held while the next chunk is made
+            if r0 + group >= R and t0 + T < n:   # held while the next chunk is made
                 rows = rows.copy()
             if tables.n_noise == 1:   # every noise uniform falls in the one cell
                 yield t0, r0, rows, rows
                 continue
-            streams.fill(1, r0, u[:len(rows)], more)
+            _fill(words[1], r0, t0, u[:len(rows)])
             at = np.multiply(rows, tables.n_noise, dtype=np.intp)
             at += _cell_ids(tables.noise_breaks, tables.noise_guide, u[:len(rows)])
             yield t0, r0, rows, at
@@ -941,6 +917,22 @@ def _state_sums(problem: RegressionProblem, n: int, seeds, block_len: int | None
 # ---------------------------------------------------------------------------
 # exact chain moments
 # ---------------------------------------------------------------------------
+
+def _path_law(model: MarkovChainModel, n: int):
+    """Yield (path, p) for every stationary length-n path of probability
+    p > 0, in itertools.product order, with p = pi[path[0]] * P[path[0],
+    path[1]] * ... multiplied left to right: the exact law that the
+    enumeration engines on tiny chains sum over."""
+    P, pi = model.transition, model.stationary
+    for path in itertools.product(range(model.n_states), repeat=n):
+        p = pi[path[0]]
+        for a, b in zip(path[:-1], path[1:]):
+            p *= P[a, b]
+            if p == 0.0:
+                break
+        if p > 0:
+            yield path, p
+
 
 def lag_weighted_sum(model: MarkovChainModel, k: int) -> np.ndarray:
     """sum_{l=1}^{k-1} (k - l) Q^l for the centered kernel Q = P - 1 pi^T.

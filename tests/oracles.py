@@ -1,7 +1,7 @@
 """Reference forms the tests check `mixfree` against: plain loop forms of
 quantities the pipeline derives a faster way (the Monte Carlo noise level's
 per-member loop among them), the one-trajectory least-squares
-fit, the entropy-integral quadrature, the radius-r star-hull sphere, both
+fit, a discrete law's absolute moments, the entropy-integral quadrature, the radius-r star-hull sphere, both
 sides of the basic inequality, and the trajectory CSV formatted as one block.
 Also `problem_to_dict`, which writes the model documents the CLI tests use."""
 
@@ -35,6 +35,16 @@ def beta_coefficients(model: MarkovChainModel, horizon: int) -> np.ndarray:
         Pi = Pi @ P
         out[i] = model.stationary @ (0.5 * np.abs(Pi - model.stationary).sum(axis=1))
     return out
+
+
+def abs_moment(law: bounds.DiscreteLaw, m: float) -> float:
+    """E|Z|^m of a discrete law, computed stably by factoring out the
+    essential supremum."""
+    vmax = law.ess_sup()
+    if vmax == 0.0:
+        return 0.0
+    scaled = np.abs(law.values) / vmax
+    return vmax ** m * float(law.probs @ scaled ** m)
 
 
 def greedy_cover_count(points: np.ndarray, pi: np.ndarray, s: float) -> int:

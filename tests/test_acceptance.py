@@ -15,7 +15,7 @@ import numpy as np
 import mixfree as mf
 from mixfree import bounds, processgen
 from mixfree.bounds import DiscreteLaw, parametric_log_covering
-from oracles import beta_coefficients, critical_radius, gamma_alpha_quadrature
+from oracles import abs_moment, beta_coefficients, critical_radius, gamma_alpha_quadrature
 
 INF = float("inf")
 
@@ -94,7 +94,7 @@ def test_criterion_03_mgf_domination():
             psi = mf.psi_p_norm(law, p).value
             for q in (1.0, 1.5, 2.0):
                 qp = mf.holder_conjugate(q)
-                m2q = law.abs_moment(2 * q) ** (1.0 / q)
+                m2q = abs_moment(law, 2 * q) ** (1.0 / q)
                 if p == INF:
                     lam_max = 1.0 / psi
                 elif qp == INF:

@@ -1,10 +1,13 @@
 """The public API is what the lab runs: every public function or class of
-`mixfree` is used by another part of `src/` or by a demo, or is one of the
-paper results in KEEP. A name only tests call belongs in tests/oracles.py."""
+`mixfree`, and every public method of such a class, is used by another part
+of `src/` or by a demo, or is kept with a reason (KEEP, KEEP_METHODS). A name
+only tests call belongs in tests/oracles.py."""
 
 import ast
+import functools
 import importlib
 import inspect
+import types
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,13 @@ KEEP = ("gamma_alpha_parametric", "parametric_log_covering", "bernstein_mgf_rhs"
         "odd_block_decoupling_gap_exact", "weak_variance_2q", "psi_product_bound",
         "quadratic_bound_rhs", "mixing_failure_term")
 
+# Public methods that nothing in src/ or demos/ calls, with the reason each stays.
+KEEP_METHODS = {
+    "erm.HypothesisClass.finite": "the finite-class constructor, the counterpart "
+    "of HypothesisClass.linear; the CLI builds finite classes from documents "
+    "through the class itself, and the tests build them with it",
+}
+
 
 def _public_names():
     """(module, name) for every public function or class a module defines."""
@@ -31,6 +41,20 @@ def _public_names():
                     and (inspect.isfunction(obj) or inspect.isclass(obj))
                     and obj.__module__ == mod.__name__):
                 out.append((module, name))
+    return out
+
+
+def _public_methods():
+    """(module, class.method) for every public method, property or
+    classmethod that a public class of a module defines in its own body."""
+    kinds = (types.FunctionType, property, classmethod, staticmethod,
+             functools.cached_property)
+    out = []
+    for module, name in _public_names():
+        obj = getattr(importlib.import_module(f"mixfree.{module}"), name)
+        if inspect.isclass(obj):
+            out += [(module, f"{name}.{attr}") for attr, value in vars(obj).items()
+                    if not attr.startswith("_") and isinstance(value, kinds)]
     return out
 
 
@@ -60,12 +84,18 @@ def test_kept_results_are_public(name):
 
 
 def test_every_public_name_is_used_or_kept():
+    # a method counts as used when src/ or a demo loads its name as an attribute
     refs = _references()
     unused = [f"{module}.{name}" for module, name in _public_names()
               if name not in refs and name not in KEEP]
+    unused_methods = {f"{module}.{name}" for module, name in _public_methods()
+                      if name.rpartition(".")[2] not in refs}
+    unused += sorted(unused_methods - set(KEEP_METHODS))
     assert unused == [], (
         f"public names that nothing in src/ or demos/ uses: {unused}; delete "
         "them, make them private, or move them to tests/oracles.py")
+    assert sorted(set(KEEP_METHODS) - unused_methods) == [], (
+        "kept methods that are gone or now used; drop them from KEEP_METHODS")
 
 
 def test_only_the_cli_knows_json():

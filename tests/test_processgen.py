@@ -248,19 +248,20 @@ def _chains(draw):
 
 
 class _Replay:
-    """Stand-in for processgen._Streams that hands out fixed uniforms: row r
-    of U (state stream) or V (noise stream), in order. A fill must keep its
-    rows' streams exactly when more of them is drawn later."""
+    """Stand-in for processgen._fill that hands out fixed uniforms: row r of
+    U (state stream 0) or V (noise stream 1), where the stream's words are
+    its key (_stream_words patched to return the keys). Every row must be
+    asked for at exactly its next unread position, so a chunk that re-reads
+    or skips draws fails."""
 
     def __init__(self, U, V):
         self.values, self.pos = (U, V), np.zeros((2, len(U)), dtype=int)
 
-    def fill(self, stream, r0, out, keep):
-        for i, row in enumerate(out):
-            at = self.pos[stream, r0 + i]
-            row[:] = self.values[stream][r0 + i, at:at + len(row)]
-            self.pos[stream, r0 + i] += len(row)
-            assert keep == (self.pos[stream, r0 + i] < self.values[stream].shape[1])
+    def __call__(self, stream, r0, t0, out):
+        for r, row in enumerate(out, r0):
+            assert t0 == self.pos[stream, r]
+            row[:] = self.values[stream][r, t0:t0 + len(row)]
+            self.pos[stream, r] += len(row)
 
 
 def _near(points):
@@ -319,7 +320,9 @@ def _check_walk(problem, U, V, block_len, time_chunk, sub_block, strip, tm_steps
     # copy of the problem, whose tables are built under its budget.
     for crossover, budget in ((0, 1 << 16), (10 ** 6, 1 << 20)):
         rows, ys = [[] for _ in range(R)], [[] for _ in range(R)]
-        with mock.patch.object(processgen, "_Streams", lambda seeds, keys: _Replay(U, V)), \
+        replay = _Replay(U, V)
+        with mock.patch.object(processgen, "_stream_words", lambda seeds, keys: keys), \
+                mock.patch.object(processgen, "_fill", replay), \
                 mock.patch.object(processgen, "_SUB_BLOCK", sub_block), \
                 mock.patch.object(processgen, "_TIME_CHUNK", time_chunk), \
                 mock.patch.object(processgen, "_STRIP", strip), \
@@ -339,6 +342,10 @@ def _check_walk(problem, U, V, block_len, time_chunk, sub_block, strip, tm_steps
         assert np.array_equal(states, expected)
         assert np.array_equal(states[:, -1], s_prev)
         assert np.array_equal(targets, expected_targets)
+        # every draw read, and no noise stream for a noise table of one cell
+        assert np.array_equal(replay.pos[0], np.full(R, n))
+        drawn = n if fresh._sampler.n_noise > 1 else 0
+        assert np.array_equal(replay.pos[1], np.full(R, drawn))
 
 
 class TestCellTableWalk:
@@ -573,7 +580,7 @@ def _ints(draw, count):
 
 
 def _stream_states(seeds):
-    """PCG64 (state, inc) of both streams of every seed, as _Streams seeds
+    """PCG64 (state, inc) of both streams of every seed, as _fill seeds
     them: streams[k][r]."""
     return [[tuple(np.random.PCG64(processgen._Words(w)).state["state"][key]
                    for key in ("state", "inc")) for w in words]
@@ -633,46 +640,29 @@ class TestSeedDerivation:
 
     def test_negative_seed_is_rejected(self):
         with pytest.raises(ValueError, match="non-negative integer, got -3"):
-            processgen._Streams([4, -3], (0,))
+            processgen._stream_words([4, -3], (0,))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_continued_streams_match_numpy(self, data):
-        # several fills of random lengths per replicate, as time chunks and
-        # replicate groups draw them, continue each stream where it stopped
+    def test_filled_rows_match_numpy(self, data):
+        # fills at random streams, replicates, positions and lengths, in any
+        # order, as time chunks and replicate groups ask for them: each row
+        # holds its stream's draws from the asked position on
         seeds = [data.draw(st.integers(1 << 32 * words - 32 if words > 1 else 0,
                                        (1 << 32 * words) - 1))
                  for words in data.draw(st.lists(st.sampled_from([1, 2, 5]),
                                                  min_size=1, max_size=4))]
-        streams = processgen._Streams(seeds, (0, 1))
-        drawn = [[[] for _ in seeds] for _ in (0, 1)]
+        words = processgen._stream_words(seeds, (0, 1))
         for _ in range(data.draw(st.integers(1, 8))):
             stream = data.draw(st.sampled_from([0, 1]))
             r0 = data.draw(st.integers(0, len(seeds) - 1))
             rows = data.draw(st.integers(1, len(seeds) - r0))
+            t0 = data.draw(st.integers(0, 80) | st.integers(0, 2 ** 17 + 80))
             out = np.empty((rows, data.draw(st.integers(0, 70))))
-            streams.fill(stream, r0, out, keep=True)
-            for i in range(rows):
-                drawn[stream][r0 + i].append(out[i])
-        for k in (0, 1):
-            for seed, parts in zip(seeds, drawn[k]):
-                got = np.concatenate([np.empty(0), *parts])
-                rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[k])
-                assert np.array_equal(got, rng.random(len(got)))
-
-    def test_row_let_go_refuses_a_refill(self):
-        # a kept row continues its stream; a row let go raises, never restarts
-        streams = processgen._Streams([5, 6], (0, 1))
-        out = np.empty((2, 3))
-        streams.fill(1, 0, out, keep=True)
-        streams.fill(1, 1, out[1:], keep=False)
-        streams.fill(1, 0, out[:1], keep=False)
-        rng = np.random.default_rng(np.random.SeedSequence(5).spawn(2)[1])
-        assert np.array_equal(out[0], rng.random(6)[3:])
-        with pytest.raises(RuntimeError, match="stream 1 of replicate 1 was let go"):
-            streams.fill(1, 1, out[1:], keep=True)
-        with pytest.raises(RuntimeError, match="replicate 0"):
-            streams.fill(1, 0, out, keep=True)
+            processgen._fill(words[stream], r0, t0, out)
+            for row, seed in zip(out, seeds[r0:]):
+                rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[stream])
+                assert np.array_equal(row, rng.random(t0 + len(row))[t0:])
 
     @pytest.mark.parametrize("noise,keys", [
         (mf.NoiseSpec.zero(2), [0]),
@@ -894,7 +884,7 @@ class TestSamplerMemory:
     """The traced peaks of a long-path sweep cell, of a many-replicate walk,
     of the Monte Carlo noise level and of a long trajectory CSV: a chunk's
     cell ids and states share one buffer, freed before the next chunk's, a
-    replicate's Generators live only while its streams continue, the noise
+    replicate's Generators live only while its row is filled, the noise
     level's members sum blocks of rows, and the CSV is formatted a block of
     rows at a time."""
 
@@ -921,19 +911,19 @@ class TestSamplerMemory:
         one, two = (_traced_peak(mf.stream_state_stats, problem, n, range(64))
                     for n in (2 ** 16, 2 ** 17))
         assert two <= one + 2.0
-        # 500 replicates in two chunks, the second one step long or whole:
-        # both keep each replicate's Generators across the first chunk, so
-        # only a chunk buffer kept into the next chunk tells the peaks apart
+        # 500 replicates in one chunk and in two: no Generator outlives its
+        # fill, so neither a replicate's streams (about 0.7 MiB) nor a 4 MiB
+        # chunk buffer is held into the next chunk
         with mock.patch.object(processgen, "_TIME_CHUNK", 2 ** 13):
             one, two = (_traced_peak(mf.stream_state_stats, problem, n, range(500))
-                        for n in (2 ** 13 + 1, 2 ** 14))
-        assert two <= one + 0.5
+                        for n in (2 ** 13, 2 ** 14))
+        assert two <= one + 0.25
 
     def test_many_replicate_walk_peak(self):
         # 5000 replicates of 1024 steps: a 5 MiB chunk, its 1.25 MiB
-        # time-major block buffer and the seed words of both streams; each
-        # replicate's Generator is let go once its row is filled, where
-        # holding two per replicate took another 9 MiB
+        # time-major block buffer and the seed words of both streams; no
+        # replicate's Generator outlives the fill of its row, where holding
+        # two per replicate took another 9 MiB
         peak = _traced_peak(mf.stream_state_stats, self._dep09_problem(), 1024, range(5000))
         assert peak <= 11.0
 
@@ -1046,3 +1036,19 @@ class TestChainMoments:
         chain = mf.iid_chain([0.5, 0.5])
         values = np.array([-1.0, 1.0])
         assert abs(mf.block_sum_second_moment(chain, values, 16) - 16.0) < 1e-12
+
+    def test_path_law_lists_positive_paths_in_product_order(self):
+        # a periodic chain with zero moves: only its 12 positive paths of 5
+        # steps, in lexicographic order, whose (first, last) marginal is
+        # pi[a] P^4[a, b]
+        P = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
+        chain = mf.MarkovChainModel.from_transition(P)
+        law = list(processgen._path_law(chain, 5))
+        paths = [path for path, _ in law]
+        assert paths == sorted(paths) and len(paths) == 12
+        assert all(p > 0 for _, p in law)
+        ends = np.zeros((3, 3))
+        for path, p in law:
+            ends[path[0], path[-1]] += p
+        expected = chain.stationary[:, None] * np.linalg.matrix_power(P, 4)
+        assert np.allclose(ends, expected, rtol=0, atol=1e-15)
